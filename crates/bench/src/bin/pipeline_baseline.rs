@@ -24,7 +24,7 @@
 //!   record splitter, against the byte-at-a-time loop it replaced, on a
 //!   synthetic unquoted-cell buffer;
 //! * the **parallel scaling** of the sharded driver (PR 5):
-//!   `engine::infer_slice` at 1/2/4 worker threads on the 100k-row
+//!   `engine::run` at 1/2/4 worker threads on the 100k-row
 //!   corpora, with the host's `available_parallelism` recorded alongside
 //!   — the speedup is only meaningful relative to the cores the host
 //!   actually has (a single-core container measures the sharding
@@ -581,7 +581,8 @@ fn main() {
             let _ = writeln!(text, "{{\"corpus{k}_key{r}\": {r}}}");
         }
         let arena = tfd_value::Interner::new();
-        let summary = tfd_core::engine::infer_slice_in::<tfd_core::engine::JsonFormat>(
+        let summary = tfd_core::engine::infer_slice_dyn_in(
+            StreamFormat::Json,
             text.as_bytes(),
             &InferOptions::json(),
             2,

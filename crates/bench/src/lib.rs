@@ -8,7 +8,7 @@
 #![warn(missing_docs)]
 
 use tfd_core::engine;
-use tfd_core::stream::{StreamFormat, DEFAULT_CHUNK_SIZE};
+use tfd_core::stream::StreamFormat;
 use tfd_core::Shape;
 use tfd_value::corpus::{generate_corpus, CorpusConfig};
 use tfd_value::Value;
@@ -60,10 +60,9 @@ pub fn json_rows_text(seed: u64, rows: usize, width: usize) -> String {
 }
 
 /// JSON-lines text for a row-shaped table: the same `rows` flat records
-/// as [`json_rows_text`], one document per line — the chunk-fed
-/// streaming workload (each line is one record for
-/// `tfd_json::stream::Streamer`, and `tfd_json::parse_many_values` is
-/// its one-shot twin).
+/// as [`json_rows_text`], one document per line — the streaming
+/// workload (each line is one record for `tfd_core::engine::run`, and
+/// `tfd_json::parse_many_values` is its one-shot twin).
 pub fn json_lines_text(seed: u64, rows: usize, width: usize) -> String {
     let table = table(seed, rows, width);
     let rows = table.elements().expect("generate_table yields a list");
@@ -76,8 +75,8 @@ pub fn json_lines_text(seed: u64, rows: usize, width: usize) -> String {
 }
 
 /// Concatenated single-`<row/>` XML documents with the same per-row
-/// content as [`xml_rows_text`] — the chunk-fed streaming workload (each
-/// root element is one record for `tfd_xml::stream::Streamer`, and
+/// content as [`xml_rows_text`] — the streaming workload (each root
+/// element is one record for `tfd_core::engine::run`, and
 /// `tfd_xml::parse_many_values` is its one-shot twin).
 pub fn xml_docs_text(rows: usize) -> String {
     use std::fmt::Write as _;
@@ -124,27 +123,35 @@ pub fn csv_rows_text(rows: usize) -> String {
 // --- the CLI's `--stream`/`--jobs` modes ship — so there is one
 // --- pipeline definition for all three formats, not three copies.
 
-/// Streams a corpus through the format's chunk-fed front-end in
-/// [`DEFAULT_CHUNK_SIZE`] reads (the CLI `--stream` path, including the
-/// per-chunk reader copy), folding each record into the accumulator and
-/// dropping it. The fold is lifted to the one-shot corpus shape.
+/// Streams a corpus through [`engine::run`] from a reader in
+/// [`DEFAULT_CHUNK_SIZE`](tfd_core::stream::DEFAULT_CHUNK_SIZE) reads
+/// (the CLI `--stream` path), folding each record into the accumulator
+/// and dropping it. The fold is lifted to the one-shot corpus shape.
 pub fn stream_pipeline(format: StreamFormat, text: &str) -> Shape {
-    let options = engine::infer_options_dyn(format);
-    let summary =
-        engine::infer_reader_parallel_dyn(format, text.as_bytes(), &options, DEFAULT_CHUNK_SIZE, 1)
-            .expect("bench corpus is valid");
-    engine::wrap_corpus_shape_dyn(format, summary.shape)
+    pipeline(format, engine::Source::Reader(Box::new(text.as_bytes())), 1)
 }
 
-/// Sharded parallel parse→infer over an in-memory corpus (the CLI
-/// `--jobs N` path): the boundary scanner cuts the corpus at record
-/// boundaries, `jobs` workers parse+fold their shards, and the shapes
-/// join with `csh`.
+/// Parallel parse→infer over an in-memory corpus (the CLI `--jobs N`
+/// path): the boundary scanner cuts the corpus into record bundles,
+/// `jobs` workers parse+fold them, and the shapes join with `csh`.
 pub fn parallel_pipeline(format: StreamFormat, text: &str, jobs: usize) -> Shape {
-    let options = engine::infer_options_dyn(format);
-    let summary = engine::infer_slice_dyn(format, text.as_bytes(), &options, jobs)
-        .expect("bench corpus is valid");
-    engine::wrap_corpus_shape_dyn(format, summary.shape)
+    pipeline(format, engine::Source::Bytes(text.as_bytes()), jobs)
+}
+
+/// One fail-fast run in a corpus arena; the schema-sized shape is
+/// reinterned into the process arena before the corpus arena drops.
+fn pipeline(format: StreamFormat, source: engine::Source<'_>, jobs: usize) -> Shape {
+    let config = engine::IngestConfig {
+        jobs,
+        ..engine::IngestConfig::new(format)
+    };
+    let arena = tfd_value::Interner::new();
+    let mut shape = engine::run(source, &config, &arena)
+        .expect("bench corpus is valid")
+        .summary
+        .shape;
+    shape.reintern(tfd_value::Interner::global());
+    engine::wrap_corpus_shape_dyn(format, shape)
 }
 
 #[cfg(test)]

@@ -9,7 +9,8 @@ use tfd_core::analyze::{
     check_path, diff_global, fingerprint, lint_rule_names, run_lints, AccessPath, CompatMode,
     Diagnostic, LintConfig, LintLevel, PathReport, Severity,
 };
-use tfd_core::recover::ErrorReport;
+use tfd_core::engine::IngestConfig;
+use tfd_core::recover::{ErrorReport, MAX_DEPTH_CEILING};
 use tfd_core::report::{diagnostics_json, diff_json, json_escape};
 use tfd_core::stream::StreamError;
 use tfd_core::{
@@ -53,11 +54,11 @@ OPTIONS:
                                into the shape as they complete, so corpora
                                larger than RAM work (not with value/html)
     --chunk-size <bytes>       read size for --stream (default: 65536)
-    --jobs <N>                 parallel sharded parse→infer with N
-                               worker threads (with or without --stream;
-                               the corpus is cut at record boundaries and
-                               per-shard shapes join with csh, so the
-                               result is identical to --jobs 1; implies
+    --jobs <N>                 parallel parse→infer with N worker
+                               threads (with or without --stream; the
+                               corpus is cut into record bundles whose
+                               shapes join with csh, so the result is
+                               identical to --jobs 1; implies
                                record-stream reading, like --stream)
     --skip-errors              drop malformed records instead of aborting:
                                the parse re-syncs at the next record
@@ -72,8 +73,8 @@ OPTIONS:
                                bytes; a record that outgrows it fails (or,
                                with --skip-errors, is dropped) instead of
                                buffering without bound (default: 16777216)
-    --max-depth <N>            cap on JSON/XML nesting depth
-                               (defaults: JSON 128, XML 256)
+    --max-depth <N>            cap on JSON/XML nesting depth, at most
+                               1024 (defaults: JSON 128, XML 256)
     --module <name>            module name for `rust` (default: provided)
     --root <Name>              root type name (default: Root)
     --prefix <path>            support-crate path for `rust`
@@ -267,10 +268,16 @@ pub fn run_with_warnings(args: &[String], warn: &mut dyn FnMut(&str)) -> Result<
             "--max-depth" => {
                 i += 1;
                 let v = args.get(i).ok_or("--max-depth requires a value")?;
-                policy.max_depth =
-                    Some(v.parse::<usize>().ok().filter(|&n| n > 0).ok_or_else(|| {
-                        format!("--max-depth must be a positive integer, got {v}")
-                    })?);
+                policy.max_depth = Some(
+                    v.parse::<usize>()
+                        .ok()
+                        .filter(|&n| n > 0 && n <= MAX_DEPTH_CEILING)
+                        .ok_or_else(|| {
+                            format!(
+                                "--max-depth must be an integer from 1 to {MAX_DEPTH_CEILING}, got {v}"
+                            )
+                        })?,
+                );
                 recovery_flags = true;
             }
             "--module" => {
@@ -414,25 +421,19 @@ pub fn run_with_warnings(args: &[String], warn: &mut dyn FnMut(&str)) -> Result<
     // so the analysis commands compose with --stream/--jobs/--skip-…
     // exactly like `infer` does. `diff` folds each corpus separately.
     let corpus_shape = |fs: &[String], warn: &mut dyn FnMut(&str)| -> Result<Shape, CliError> {
-        if stream {
-            stream_shape(
-                fs,
-                format,
+        if stream || jobs.is_some() || recovery_flags {
+            // --stream reads each file in chunks; --jobs and the recovery
+            // flags read it whole. Either way the record-stream pipeline
+            // runs: skipping and the resource caps are defined over
+            // record boundaries, which the one-shot front-ends never see.
+            let flag = if stream { "--stream" } else { "--jobs" };
+            let config = IngestConfig {
+                jobs: jobs.unwrap_or(1),
                 chunk_size,
-                jobs.unwrap_or(1),
-                &policy,
-                stats,
-                warn,
-            )
-        } else if let Some(jobs) = jobs {
-            // --jobs without --stream: whole files in memory, sharded at
-            // record boundaries (record-stream semantics, like --stream).
-            sharded_shape(fs, format, jobs, &policy, stats, warn)
-        } else if recovery_flags {
-            // Recovery flags imply the record-stream engine (like --jobs):
-            // skipping and the resource caps are defined over record
-            // boundaries, which the one-shot front-ends never see.
-            sharded_shape(fs, format, 1, &policy, stats, warn)
+                policy,
+                ..IngestConfig::new(engine_format(format, flag)?)
+            };
+            engine_shape(fs, stream, &config, stats, warn)
         } else {
             oneshot_shape(fs, format, stats, warn)
         }
@@ -562,9 +563,11 @@ fn emit_corpus_stats(enabled: bool, label: &str, interner: &Interner, warn: &mut
     if enabled {
         let s = interner.stats();
         warn(&format!(
-            "interner[{label}]: {} distinct names, {} bytes retained (reclaimed when the \
-             corpus arena drops)",
-            s.symbols, s.retained_bytes
+            "interner[{label}]: {} distinct names, {} bytes retained (reclaimed when \
+             corpus arena {} drops)",
+            s.symbols,
+            s.retained_bytes,
+            interner.id()
         ));
     }
 }
@@ -813,29 +816,37 @@ fn engine_format(format: Format, flag: &str) -> Result<StreamFormat, String> {
     }
 }
 
-/// The engine-backed record-stream pipelines, routed through the
-/// corpus-parallel driver [`engine::infer_sources_parallel`]: one full
-/// pipeline + one scoped arena per input file, with the `--jobs` budget
-/// split across files (a many-file corpus is embarrassingly parallel at
-/// the file level). Results come back in file order, so the `csh` merge
-/// of the per-file folds — exactly the `infer_many` fold over the
-/// concatenated record sequence — and the first-error-wins abort are
-/// byte-identical to the old sequential per-file loop; the result is
-/// lifted to the one-shot corpus shape (the CSV row fold re-wraps as a
-/// collection, so every mode prints the same shape). Record-free input
-/// is rejected, matching the one-shot front-ends. Under
-/// `--skip-errors`, each file's skip summary is sent to `warn`.
+/// The record-stream pipeline, routed through the corpus-parallel
+/// driver [`engine::infer_sources_parallel`]: one [`run`](engine::run)
+/// and one scoped arena per input file, with the `--jobs` budget split
+/// across files (a many-file corpus is embarrassingly parallel at the
+/// file level). With `stream` each file is read in chunks in bounded
+/// memory; otherwise it is read whole and bundled in memory. Results
+/// come back in file order, so the `csh` merge of the per-file folds —
+/// exactly the `infer_many` fold over the concatenated record sequence —
+/// and the first-error-wins abort match the sequential per-file loop;
+/// the result is lifted to the one-shot corpus shape (the CSV row fold
+/// re-wraps as a collection, so every mode prints the same shape).
+/// Record-free input is rejected, matching the one-shot front-ends.
+/// Under `--skip-errors`, each file's skip summary is sent to `warn`.
 fn engine_shape(
     files: &[String],
-    sformat: StreamFormat,
-    sources: &[engine::CorpusSource<'_>],
-    jobs: usize,
-    policy: &RecoveryPolicy,
+    stream: bool,
+    config: &IngestConfig,
     stats: bool,
     warn: &mut dyn FnMut(&str),
 ) -> Result<Shape, CliError> {
-    let options = engine::infer_options_dyn(sformat);
-    let results = engine::infer_sources_parallel(sformat, sources, &options, policy, jobs);
+    let sources: Vec<engine::CorpusSource<'_>> = files
+        .iter()
+        .map(|f| {
+            if stream {
+                engine::CorpusSource::Stream(f)
+            } else {
+                engine::CorpusSource::File(f)
+            }
+        })
+        .collect();
+    let results = engine::infer_sources_parallel(&sources, config);
     let mut combined = Shape::Bottom;
     for (f, result) in files.iter().zip(results) {
         let mut out = match result {
@@ -856,51 +867,7 @@ fn engine_shape(
         drop(out.arena);
         combined = csh(combined, out.recovered.summary.shape);
     }
-    Ok(engine::wrap_corpus_shape_dyn(sformat, combined))
-}
-
-/// The `--stream` pipeline: each file is read in chunks through the
-/// format's incremental front-end — corpora never need to fit in
-/// memory. With `--jobs N` the budget spans files × record-bundle
-/// workers: the reading threads only scan record boundaries and push
-/// record bundles onto each file's shared work queue.
-fn stream_shape(
-    files: &[String],
-    format: Format,
-    chunk_size: usize,
-    jobs: usize,
-    policy: &RecoveryPolicy,
-    stats: bool,
-    warn: &mut dyn FnMut(&str),
-) -> Result<Shape, CliError> {
-    let sformat = engine_format(format, "--stream")?;
-    let sources: Vec<engine::CorpusSource<'_>> = files
-        .iter()
-        .map(|f| engine::CorpusSource::Stream {
-            path: f,
-            chunk_size,
-        })
-        .collect();
-    engine_shape(files, sformat, &sources, jobs, policy, stats, warn)
-}
-
-/// The `--jobs N` in-memory pipeline: each file is read whole, cut at
-/// record boundaries and parsed→inferred by shard workers; the
-/// semilattice join makes the result identical to the sequential fold.
-fn sharded_shape(
-    files: &[String],
-    format: Format,
-    jobs: usize,
-    policy: &RecoveryPolicy,
-    stats: bool,
-    warn: &mut dyn FnMut(&str),
-) -> Result<Shape, CliError> {
-    let sformat = engine_format(format, "--jobs")?;
-    let sources: Vec<engine::CorpusSource<'_>> = files
-        .iter()
-        .map(|f| engine::CorpusSource::File { path: f })
-        .collect();
-    engine_shape(files, sformat, &sources, jobs, policy, stats, warn)
+    Ok(engine::wrap_corpus_shape_dyn(config.format, combined))
 }
 
 /// The default one-shot pipeline: each file parses whole into a value
@@ -1525,10 +1492,12 @@ mod tests {
 
     #[test]
     fn sequential_runs_drop_each_files_arena() {
-        // Two files with disjoint vocabularies: after the run, the
-        // process-wide retained figures must reflect only the
-        // (schema-sized) reinterned survivors, not both corpora — and a
-        // repeat run must not grow the process arena further.
+        // Two files with disjoint vocabularies: each file's corpus arena
+        // (named by `--stats`) is dead once the run returns, and only the
+        // schema-sized survivors live on in the process arena — the
+        // same names on a repeat run. Only arenas this test's runs
+        // created are inspected: process-wide totals are shared with
+        // every test running beside it.
         let a = write_temp(
             "seq_a.json",
             r#"{"seq_arena_key_a1": 1, "seq_arena_key_a2": 2}"#,
@@ -1537,18 +1506,28 @@ mod tests {
             "seq_b.json",
             r#"{"seq_arena_key_b1": 1, "seq_arena_key_b2": 2}"#,
         );
-        let run = || run_cli(&["infer", &a, &b]).unwrap();
-        let first = run();
-        let baseline = tfd_value::intern::stats();
-        let second = run();
+        let run = || {
+            let (out, warnings) = run_warned(&["infer", "--stats", &a, &b]);
+            let ids: Vec<u32> = warnings
+                .iter()
+                .filter_map(|w| w.split("arena ").nth(1)?.split(' ').next()?.parse().ok())
+                .collect();
+            (out.unwrap(), ids)
+        };
+        let (first, first_ids) = run();
+        let (second, second_ids) = run();
         assert_eq!(first, second);
-        let after = tfd_value::intern::stats();
-        // Every name the second run needed was already reinterned by
-        // the first, and both per-file arenas dropped: stats return to
-        // the post-first-run baseline instead of accumulating.
-        assert_eq!(after.symbols, baseline.symbols);
-        assert_eq!(after.retained_bytes, baseline.retained_bytes);
-        assert_eq!(after.arenas, baseline.arenas);
+        assert_eq!(first_ids.len(), 2, "one arena per file");
+        assert_eq!(second_ids.len(), 2, "one arena per file");
+        for id in first_ids.iter().chain(&second_ids) {
+            assert!(
+                !tfd_value::intern::is_live(*id),
+                "file arena {id} outlived its run"
+            );
+        }
+        for key in ["seq_arena_key_a1", "seq_arena_key_b2"] {
+            assert!(Interner::global().lookup(key).is_some(), "{key} survives");
+        }
     }
 
     #[test]

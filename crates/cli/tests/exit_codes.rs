@@ -47,6 +47,8 @@ fn usage_errors_exit_one() {
         &["infer", "--format", "yaml", &f][..],
         &["infer", "--max-errors", "5", &f][..], // needs --skip-errors
         &["value", "--skip-errors", &f][..],
+        &["infer", "--max-depth", "1025", &f][..], // past the ceiling
+        &["infer", "--jobs", "2", "--max-depth", "100000000", &f][..],
     ] {
         let out = tfd(args);
         assert_eq!(exit_code(&out), 1, "{args:?}: {out:?}");

@@ -4,25 +4,24 @@
 //! The paper's multi-sample inference is a semilattice fold (Fig. 3:
 //! `σi = csh(σi−1, S(di))`), so a many-file corpus is embarrassingly
 //! parallel at the *file* level too — coarser-grained than the record
-//! bundles the streaming driver deals out, with zero coordination while
-//! a file is in flight. [`infer_sources_parallel`] runs one full
-//! pipeline per input on a small pool of file workers, each folding
-//! into its own scoped name arena (the PR 8 discipline: a file's whole
-//! data vocabulary is reclaimed when its arena drops; only the
-//! schema-sized survivor shape is reinterned by the caller). Results
+//! bundles [`run`] deals out, with zero coordination while a file is in
+//! flight. [`infer_sources_parallel`] runs one full pipeline per input
+//! on a small pool of file workers, each folding into its own scoped
+//! name arena (a file's whole data vocabulary is reclaimed when its
+//! arena drops; only the schema-sized survivor shape is reinterned by
+//! the caller). Results
 //! come back in source order, so the caller's `csh` join — and its
 //! first-error-wins abort — reproduce the sequential per-file loop
 //! byte for byte.
 //!
 //! The `jobs` budget spans both levels: `min(jobs, files)` file workers
 //! run concurrently, and each passes the leftover factor to its file's
-//! own sharded/streaming driver, so `--jobs 8` over two files runs two
-//! pipelines of four workers instead of one pipeline of eight.
+//! own [`run`], so `--jobs 8` over two files runs two pipelines of four
+//! workers instead of one pipeline of eight.
 
+use crate::engine::{run, IngestConfig, Source};
 use crate::infer::InferOptions;
-use crate::recover::{
-    infer_reader_policy_dyn_in, infer_slice_policy_dyn_in, Recovered, RecoveryPolicy,
-};
+use crate::recover::{Recovered, RecoveryPolicy, PARSER_STACK_BYTES};
 use crate::stream::{StreamError, StreamFormat};
 use std::sync::atomic::{AtomicUsize, Ordering};
 use tfd_value::Interner;
@@ -30,20 +29,12 @@ use tfd_value::Interner;
 /// One input of a many-file corpus, plus how to get at its bytes.
 #[derive(Debug, Clone, Copy)]
 pub enum CorpusSource<'a> {
-    /// Stream the file at `path` through the bounded-memory reader
-    /// driver in `chunk_size`-byte chunks (the `--stream` pipeline).
-    Stream {
-        /// Filesystem path of the input.
-        path: &'a str,
-        /// Read granularity for the chunk feeder.
-        chunk_size: usize,
-    },
-    /// Read the file at `path` whole and shard it in memory (the
+    /// Stream the file at `path` in bounded memory, in `chunk_size`
+    /// reads (the `--stream` pipeline).
+    Stream(&'a str),
+    /// Read the file at `path` whole and bundle it in memory (the
     /// `--jobs` pipeline).
-    File {
-        /// Filesystem path of the input.
-        path: &'a str,
-    },
+    File(&'a str),
     /// A corpus already in memory (the registry's ingest body).
     Bytes(&'a [u8]),
 }
@@ -60,55 +51,54 @@ pub struct FileSummary {
     pub arena: Interner,
 }
 
-/// Runs one inference pipeline per source on `min(jobs, sources)` file
-/// workers, returning per-source results **in source order**.
+/// Runs [`run`] once per source on `min(jobs, sources)` file workers,
+/// returning per-source results **in source order**.
 ///
 /// Each worker claims the next unclaimed source, builds a fresh scoped
-/// [`Interner`] for it, and runs the full recovery pipeline with the
-/// remaining job budget (`jobs / workers`, at least 1) as that file's
-/// inner parallelism. An unreadable file surfaces as
-/// [`StreamError::Io`] in its slot; other sources still complete.
+/// [`Interner`] for it, and runs the pipeline with the remaining job
+/// budget (`jobs / workers`, at least 1) as that file's inner
+/// parallelism. An unreadable file surfaces as [`StreamError::Io`] in
+/// its slot; other sources still complete.
 ///
 /// The join is the caller's: fold the summaries' shapes with
 /// [`csh`](crate::csh) in source order (after reinterning), exactly as
 /// the sequential per-file loop did.
 #[allow(clippy::expect_used)] // checked invariant, documented at each site
 pub fn infer_sources_parallel(
-    format: StreamFormat,
     sources: &[CorpusSource<'_>],
-    options: &InferOptions,
-    policy: &RecoveryPolicy,
-    jobs: usize,
+    config: &IngestConfig,
 ) -> Vec<Result<FileSummary, StreamError>> {
     let n = sources.len();
-    if n == 0 {
-        return Vec::new();
-    }
-    let workers = jobs.max(1).min(n);
+    let workers = config.jobs.max(1).min(n.max(1));
     // The leftover budget becomes each file's inner parallelism, so the
     // total worker count stays ≈ `jobs` across both levels.
-    let inner_jobs = (jobs.max(1) / workers).max(1);
+    let inner = IngestConfig {
+        jobs: (config.jobs.max(1) / workers).max(1),
+        ..config.clone()
+    };
     if workers <= 1 {
-        return sources
-            .iter()
-            .map(|s| infer_source(format, s, options, policy, inner_jobs))
-            .collect();
+        return sources.iter().map(|s| infer_source(s, &inner)).collect();
     }
     let next = AtomicUsize::new(0);
     let mut slots: Vec<Option<Result<FileSummary, StreamError>>> = (0..n).map(|_| None).collect();
     let collected: Vec<(usize, Result<FileSummary, StreamError>)> = std::thread::scope(|scope| {
-        let next = &next;
+        let (next, inner) = (&next, &inner);
         let handles: Vec<_> = (0..workers)
             .map(|_| {
-                scope.spawn(move || {
-                    let mut out = Vec::new();
-                    loop {
-                        let i = next.fetch_add(1, Ordering::Relaxed);
-                        let Some(src) = sources.get(i) else { break };
-                        out.push((i, infer_source(format, src, options, policy, inner_jobs)));
-                    }
-                    out
-                })
+                // A one-job file runs inline on this worker: give it a
+                // parser's stack.
+                std::thread::Builder::new()
+                    .stack_size(PARSER_STACK_BYTES)
+                    .spawn_scoped(scope, move || {
+                        let mut out = Vec::new();
+                        loop {
+                            let i = next.fetch_add(1, Ordering::Relaxed);
+                            let Some(src) = sources.get(i) else { break };
+                            out.push((i, infer_source(src, inner)));
+                        }
+                        out
+                    })
+                    .expect("spawn a file worker")
             })
             .collect();
         handles
@@ -125,27 +115,22 @@ pub fn infer_sources_parallel(
         .collect()
 }
 
-/// One source through the full recovery pipeline, in a fresh arena.
+/// One source through the pipeline, in a fresh arena.
 fn infer_source(
-    format: StreamFormat,
     source: &CorpusSource<'_>,
-    options: &InferOptions,
-    policy: &RecoveryPolicy,
-    jobs: usize,
+    config: &IngestConfig,
 ) -> Result<FileSummary, StreamError> {
     let arena = Interner::new();
     let recovered = match *source {
-        CorpusSource::Stream { path, chunk_size } => {
+        CorpusSource::Stream(path) => {
             let file = std::fs::File::open(path).map_err(StreamError::Io)?;
-            infer_reader_policy_dyn_in(format, file, options, policy, chunk_size, jobs, &arena)?
+            run(Source::Reader(Box::new(file)), config, &arena)?
         }
-        CorpusSource::File { path } => {
+        CorpusSource::File(path) => {
             let bytes = std::fs::read(path).map_err(StreamError::Io)?;
-            infer_slice_policy_dyn_in(format, &bytes, options, policy, jobs, &arena)?
+            run(Source::Bytes(&bytes), config, &arena)?
         }
-        CorpusSource::Bytes(bytes) => {
-            infer_slice_policy_dyn_in(format, bytes, options, policy, jobs, &arena)?
-        }
+        CorpusSource::Bytes(bytes) => run(Source::Bytes(bytes), config, &arena)?,
     };
     Ok(FileSummary { recovered, arena })
 }
@@ -159,11 +144,14 @@ pub fn infer_files_parallel(
     policy: &RecoveryPolicy,
     jobs: usize,
 ) -> Vec<Result<FileSummary, StreamError>> {
-    let sources: Vec<CorpusSource<'_>> = paths
-        .iter()
-        .map(|p| CorpusSource::File { path: p })
-        .collect();
-    infer_sources_parallel(format, &sources, options, policy, jobs)
+    let sources: Vec<CorpusSource<'_>> = paths.iter().map(|p| CorpusSource::File(p)).collect();
+    let config = IngestConfig {
+        jobs,
+        policy: *policy,
+        options: options.clone(),
+        ..IngestConfig::new(format)
+    };
+    infer_sources_parallel(&sources, &config)
 }
 
 #[cfg(test)]
@@ -171,43 +159,27 @@ pub fn infer_files_parallel(
 mod tests {
     use super::*;
     use crate::csh::csh;
-    use crate::engine::{infer_options_dyn, wrap_corpus_shape_dyn};
+    use crate::engine::wrap_corpus_shape_dyn;
     use crate::Shape;
 
-    /// The sequential per-file fold the parallel entry must reproduce.
-    fn sequential_fold(format: StreamFormat, corpora: &[&[u8]], jobs: usize) -> Shape {
-        let options = infer_options_dyn(format);
-        let mut combined = Shape::Bottom;
-        for c in corpora {
-            let arena = Interner::new();
-            let mut rec = infer_slice_policy_dyn_in(
-                format,
-                c,
-                &options,
-                &RecoveryPolicy::default(),
-                jobs,
-                &arena,
-            )
-            .unwrap();
-            rec.summary.shape.reintern(Interner::global());
-            combined = csh(combined, rec.summary.shape);
-        }
-        wrap_corpus_shape_dyn(format, combined)
-    }
-
-    fn parallel_fold(format: StreamFormat, corpora: &[&[u8]], jobs: usize) -> Shape {
-        let options = infer_options_dyn(format);
+    /// The rendered file-ordered fold of `infer_sources_parallel` over
+    /// in-memory corpora (survivors reinterned into one arena, as the
+    /// CLI does).
+    fn fold(format: StreamFormat, corpora: &[&[u8]], jobs: usize) -> String {
         let sources: Vec<CorpusSource<'_>> =
             corpora.iter().map(|c| CorpusSource::Bytes(c)).collect();
-        let results =
-            infer_sources_parallel(format, &sources, &options, &RecoveryPolicy::default(), jobs);
+        let config = IngestConfig {
+            jobs,
+            ..IngestConfig::new(format)
+        };
+        let survivors = Interner::new();
         let mut combined = Shape::Bottom;
-        for r in results {
+        for r in infer_sources_parallel(&sources, &config) {
             let mut out = r.unwrap();
-            out.recovered.summary.shape.reintern(Interner::global());
+            out.recovered.summary.shape.reintern(&survivors);
             combined = csh(combined, out.recovered.summary.shape);
         }
-        wrap_corpus_shape_dyn(format, combined)
+        wrap_corpus_shape_dyn(format, combined).to_string()
     }
 
     #[test]
@@ -217,10 +189,13 @@ mod tests {
             b"{\"a\": 2.5}\n{\"c\": null}\n",
             b"{\"a\": 1, \"d\": [1, 2]}\n",
         ];
-        let want = sequential_fold(StreamFormat::Json, &corpora, 1);
-        for jobs in [1, 2, 3, 8] {
-            let got = parallel_fold(StreamFormat::Json, &corpora, jobs);
-            assert_eq!(got, want, "jobs {jobs}");
+        let want = fold(StreamFormat::Json, &corpora, 1);
+        for jobs in [2, 3, 8] {
+            assert_eq!(
+                fold(StreamFormat::Json, &corpora, jobs),
+                want,
+                "jobs {jobs}"
+            );
         }
     }
 
@@ -230,20 +205,19 @@ mod tests {
         // wrong join order changes the rendered shape — the files'
         // disjoint columns make any reordering visible.
         let corpora: Vec<&[u8]> = vec![b"a,b\n1,2\n", b"c,a\n3,4\n", b"d\nx\n"];
-        let want = sequential_fold(StreamFormat::Csv, &corpora, 1);
+        let want = fold(StreamFormat::Csv, &corpora, 1);
         for jobs in [2, 3, 16] {
-            let got = parallel_fold(StreamFormat::Csv, &corpora, jobs);
-            assert_eq!(got.to_string(), want.to_string(), "jobs {jobs}");
+            assert_eq!(fold(StreamFormat::Csv, &corpora, jobs), want, "jobs {jobs}");
         }
     }
 
     #[test]
     fn missing_file_errors_in_its_own_slot() {
-        let options = infer_options_dyn(StreamFormat::Json);
         let paths = vec![
             "/nonexistent/definitely-missing.json".to_owned(),
             "/nonexistent/also-missing.json".to_owned(),
         ];
+        let options = InferOptions::json();
         let results = infer_files_parallel(
             StreamFormat::Json,
             &paths,
@@ -259,14 +233,6 @@ mod tests {
 
     #[test]
     fn empty_source_list_is_empty() {
-        let options = infer_options_dyn(StreamFormat::Json);
-        assert!(infer_sources_parallel(
-            StreamFormat::Json,
-            &[],
-            &options,
-            &RecoveryPolicy::default(),
-            4
-        )
-        .is_empty());
+        assert!(infer_sources_parallel(&[], &IngestConfig::new(StreamFormat::Json)).is_empty());
     }
 }

@@ -1,51 +1,79 @@
-//! The format-generic inference engine and the sharded parallel driver.
+//! The format-generic ingest pipeline: one driver, [`run`], for every
+//! source, job count and recovery policy.
 //!
-//! Before this module existed the JSON/XML/CSV front-ends were wired
-//! into the CLI, the provider macros and the bench harness through three
-//! hand-copied dispatch paths. [`DataFormat`] replaces them: one trait
-//! capturing everything the pipeline needs from a front-end — one-shot
-//! parsing, multi-document parsing, the chunk-fed streamer, the
-//! record-boundary scanner, error translation — and every downstream
-//! consumer dispatches through it (statically via the [`JsonFormat`] /
-//! [`XmlFormat`] / [`CsvFormat`] witnesses, or dynamically via the
-//! `*_dyn` entry points keyed by [`StreamFormat`]).
-//!
-//! On top of the trait sits the parallel driver. The paper's
-//! multi-sample inference is a semilattice fold (Fig. 3:
+//! The paper's multi-sample inference is a semilattice fold (Fig. 3:
 //! `σi = csh(σi−1, S(di))`), which makes corpus inference associative
-//! and commutative — and therefore embarrassingly parallel:
+//! and commutative — so how records arrive does not matter, only their
+//! document order. [`run`] is that fold over any [`Source`], driven by
+//! one [`IngestConfig`] value:
 //!
-//! 1. the format's [resumable boundary scanner] finds shard cut points
-//!    that never split a record (`plan`), plus the format prologue (the
-//!    CSV header row) that every shard needs;
-//! 2. each shard runs the ordinary byte parser into its own
-//!    [`InferAccumulator`] on its own `std::thread` worker;
-//! 3. the per-shard shapes join with [`csh`] — the semilattice laws
-//!    (property-tested in `tests/lattice_laws.rs`) make the result
-//!    byte-identical to the sequential fold, which
-//!    `tests/parallel_agreement.rs` verifies under adversarial shard
-//!    counts, error positions included (the first error in document
-//!    order wins, translated to stream-global coordinates).
+//! 1. **boundary scan** — the format's [resumable boundary scanner]
+//!    finds record ends in `chunk_size` windows (read from a [`Read`],
+//!    or lent zero-copy from in-memory bytes); the first record is the
+//!    format prologue (the CSV header row) that every bundle is seeded
+//!    with;
+//! 2. **whole-record bundles** — everything up to the last boundary of a
+//!    window becomes one bundle, so a bundle never splits a record;
+//! 3. **one-shot parse** — the format's multi-record parser
+//!    ([`DataFormat::parse_bundle`]) parses the bundle whole, folding
+//!    each record into the bundle's [`InferAccumulator`] as soon as it
+//!    is parsed. Only a bundle that fails (or holds invalid UTF-8, or
+//!    could hold an over-sized record) is re-parsed record by record
+//!    between the same boundaries, which is where the record-size cap
+//!    and per-record errors are applied;
+//! 4. **document-order join** — the per-bundle shapes join with [`csh`]
+//!    in document order, which reproduces the sequential fold byte for
+//!    byte (`tests/parallel_agreement.rs`).
 //!
-//! [`infer_slice`] is the in-memory driver; [`infer_reader_parallel`]
-//! is its bounded-memory sibling, where the reading thread runs only the
-//! cheap boundary scan and fans record bundles out to parser workers.
+//! `jobs = 1` runs all of this inline on the calling thread; `jobs > 1`
+//! hands bundles to parser workers through a byte-budgeted work queue
+//! while the calling thread reads and scans. Fail-fast is the Skip-mode path with
+//! an error budget of 0, mapped back to the raw error. Stream-global
+//! error positions ([`TextPos`]) are derived only when an error
+//! surfaces: an in-memory source re-walks its bytes up to the failing
+//! bundle, and a reader's workers settle each bundle's span (a
+//! vectorized newline count) because its bytes do not outlive the
+//! bundle.
 //!
 //! [resumable boundary scanner]: tfd_json::stream::BoundaryScanner
 
 pub use crate::corpus::{infer_files_parallel, infer_sources_parallel, CorpusSource, FileSummary};
 use crate::csh::csh;
 use crate::infer::InferOptions;
-use crate::recover::RecoveryPolicy;
+use crate::recover::{ErrorReport, Recovered, RecoveryMode, RecoveryPolicy, PARSER_STACK_BYTES};
 use crate::stream::{InferAccumulator, StreamError, StreamFormat, StreamSummary};
 use crate::Shape;
+use std::borrow::Cow;
 use std::collections::VecDeque;
 use std::io::Read;
-use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
-use std::sync::{mpsc, Arc, Condvar, Mutex};
+use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::{Arc, Condvar, Mutex};
 use tfd_value::{Interner, Name, Value};
 
-/// A position in a byte stream, carried across shard boundaries so
+// --- Dynamic dispatch: one place that maps a runtime `StreamFormat` to
+// --- the static witnesses. ---
+
+/// Dispatches `$body` with `$F` bound to the witness for `$fmt`.
+macro_rules! with_format {
+    ($fmt:expr, $F:ident => $body:expr) => {
+        match $fmt {
+            StreamFormat::Json => {
+                type $F = JsonFormat;
+                $body
+            }
+            StreamFormat::Xml => {
+                type $F = XmlFormat;
+                $body
+            }
+            StreamFormat::Csv => {
+                type $F = CsvFormat;
+                $body
+            }
+        }
+    };
+}
+
+/// A position in a byte stream, carried across bundle boundaries so
 /// record-local error positions can be lifted into the stream-global
 /// frame. Which fields matter depends on the format (JSON reports
 /// offset/line/char-column, XML line/char-column, CSV line only);
@@ -74,6 +102,22 @@ impl TextPos {
             prev_cr: false,
         }
     }
+
+    /// The position reached by advancing from `self` over a stretch
+    /// whose own span (advanced from [`TextPos::start`]) is `span`.
+    pub fn then(self, span: &TextPos) -> TextPos {
+        let (line, column) = compose_line_col(&self, span.line, span.column);
+        TextPos {
+            offset: self.offset + span.offset,
+            line,
+            column,
+            prev_cr: if span.offset > 0 {
+                span.prev_cr
+            } else {
+                self.prev_cr
+            },
+        }
+    }
 }
 
 impl Default for TextPos {
@@ -82,28 +126,25 @@ impl Default for TextPos {
     }
 }
 
-/// One front-end, as the engine sees it: parsing entry points, the
-/// chunk-fed streamer, the scan-only boundary finder, and the error
-/// arithmetic that makes sharding transparent.
+/// One front-end, as the ingest pipeline sees it: the one-shot parsers,
+/// the scan-only boundary finder, the prologue, and the position
+/// arithmetic that makes bundling transparent.
 ///
 /// The trait is implemented by three zero-sized witnesses —
 /// [`JsonFormat`], [`XmlFormat`], [`CsvFormat`] — and everything
-/// downstream of the front-ends (CLI, provider macros, bench harness,
-/// the parallel driver) dispatches through it instead of hand-copied
-/// per-format match arms. All implementations operate with the format's
-/// default parser options (the same ones the one-shot `parse_value`
+/// downstream of the front-ends dispatches through it instead of
+/// hand-copied per-format match arms. All implementations use the
+/// format's default parser options (the ones the one-shot `parse_value`
 /// entry points use).
 pub trait DataFormat {
     /// The front-end's parse error.
     type Error: std::error::Error + Clone + Send + 'static;
-    /// The chunk-fed streamer (`tfd_json::stream::Streamer` etc.).
-    type Streamer: Send;
     /// The scan-only record-boundary finder.
     type Boundaries: Send;
     /// Per-corpus parse context extracted by [`DataFormat::prologue`]
-    /// and seeded into every shard's streamer (the CSV header names;
-    /// `()` for the self-describing formats).
-    type Context: Clone + Send + Sync;
+    /// and seeded into every bundle parse (the CSV header names; `()`
+    /// for the self-describing formats).
+    type Context: Clone + Default + Send + Sync;
 
     /// Format name for diagnostics (`"json"`, `"xml"`, `"csv"`).
     const NAME: &'static str;
@@ -112,8 +153,7 @@ pub trait DataFormat {
     fn infer_options() -> InferOptions;
 
     /// One-shot parse of a single document to the universal value,
-    /// interning names into `interner` (pass
-    /// [`Interner::global`] for the legacy process-default behaviour).
+    /// interning names into `interner`.
     fn parse_value(text: &str, interner: &Interner) -> Result<Value, Self::Error>;
 
     /// One-shot parse of a whole multi-record corpus, one value per
@@ -121,37 +161,21 @@ pub trait DataFormat {
     /// names into `interner`.
     fn parse_many_values(text: &str, interner: &Interner) -> Result<Vec<Value>, Self::Error>;
 
-    /// A fresh chunk-fed streamer interning names into `interner` (an
-    /// owned handle — cloning shares the arena, which is how every
-    /// shard worker of one corpus interns into the same arena).
-    fn streamer(interner: Interner) -> Self::Streamer;
-
-    /// A fresh chunk-fed streamer honouring the policy's resource
-    /// limits: `max_record_bytes` caps the carry-over tail buffer (so a
-    /// single pathological record cannot buffer unboundedly) and
-    /// `max_depth`, when set, overrides the format's nesting limit (CSV
-    /// has no nesting and ignores it). Names intern into `interner`.
-    fn streamer_with(policy: &RecoveryPolicy, interner: Interner) -> Self::Streamer;
-
-    /// Feeds a chunk through the streamer.
+    /// Parses a bundle of whole records — a stretch between two
+    /// boundaries of [`DataFormat::scan`], past the prologue — seeded
+    /// with the prologue context and nesting at most `max_depth` deep
+    /// when set. Each record's value goes to `each` as soon as it is
+    /// parsed. Error positions are local to `text`.
     ///
     /// # Errors
     ///
-    /// The first malformed record, with streamer-local positions.
-    fn feed(
-        streamer: &mut Self::Streamer,
-        chunk: &[u8],
-        sink: &mut dyn FnMut(Value),
-    ) -> Result<(), Self::Error>;
-
-    /// Signals end of input to the streamer.
-    ///
-    /// # Errors
-    ///
-    /// As [`DataFormat::feed`].
-    fn finish(
-        streamer: &mut Self::Streamer,
-        sink: &mut dyn FnMut(Value),
+    /// The first malformed record in `text`.
+    fn parse_bundle(
+        text: &str,
+        ctx: &Self::Context,
+        max_depth: Option<usize>,
+        interner: &Interner,
+        each: &mut dyn FnMut(Value),
     ) -> Result<(), Self::Error>;
 
     /// A fresh boundary scanner.
@@ -163,52 +187,105 @@ pub trait DataFormat {
     /// sequence.
     fn scan(scanner: &mut Self::Boundaries, chunk: &[u8], boundary: &mut dyn FnMut(usize));
 
+    /// Whether a bare `\r` (and a CRLF pair, once) ends a line; JSON
+    /// counts only `\n`.
+    const CR_ENDS_LINE: bool;
+
     /// Consumes the format prologue from the corpus's first complete
     /// record (`first_record` is the bytes up to the first boundary, or
     /// the whole corpus when it has none). CSV parses its header row
     /// here — interning the column names into `interner` — while the
     /// self-describing formats consume nothing. Returns the consumed
-    /// byte count and the context every shard is seeded with.
+    /// byte count and the context every bundle is seeded with.
     ///
     /// # Errors
     ///
-    /// A malformed prologue (e.g. a CSV header quoting error), exactly
-    /// as the sequential streamer would report it.
+    /// A malformed prologue (e.g. a CSV header quoting error), with
+    /// positions local to `first_record`.
     fn prologue(
-        first_record: &[u8],
-        interner: &Interner,
-    ) -> Result<(usize, Self::Context), Self::Error>;
-
-    /// Seeds a shard worker's streamer with the prologue context.
-    fn seed(streamer: &mut Self::Streamer, ctx: &Self::Context);
+        _first_record: &[u8],
+        _interner: &Interner,
+    ) -> Result<(usize, Self::Context), Self::Error> {
+        Ok((0, Self::Context::default()))
+    }
 
     /// Lifts the record-stream fold's shape to the one-shot corpus
     /// shape (CSV folds rows and re-wraps them as a collection; the
     /// record-per-document formats are the identity).
-    fn wrap_corpus_shape(shape: Shape) -> Shape;
+    fn wrap_corpus_shape(shape: Shape) -> Shape {
+        shape
+    }
 
-    /// Advances `pos` over `bytes` under this format's line-ending and
-    /// column-counting rules (the same arithmetic the streamer's bulk
-    /// position settling uses).
-    fn advance_pos(pos: &mut TextPos, bytes: &[u8]);
+    /// The `[start, end)` range of a record's own bytes within `slice`,
+    /// one boundary-to-boundary stretch: JSON and XML records start after
+    /// the whitespace separating them, CSV records end before their line
+    /// ending. The record-size cap measures this range, and a
+    /// [`record_too_large`](DataFormat::record_too_large) error sits at
+    /// its start.
+    fn record_extent(slice: &[u8]) -> (usize, usize) {
+        let start = slice
+            .iter()
+            .position(|b| !matches!(b, b' ' | b'\t' | b'\r' | b'\n'))
+            .unwrap_or(slice.len());
+        (start, slice.len())
+    }
 
-    /// Translates an error's shard-local position into the stream-global
-    /// frame, given the shard's start position.
+    /// Advances `pos` over `bytes` under this format's line-ending rule
+    /// ([`DataFormat::CR_ENDS_LINE`]); columns count characters, so
+    /// UTF-8 continuation bytes extend the previous one.
+    fn advance_pos(pos: &mut TextPos, bytes: &[u8]) {
+        pos.offset += bytes.len();
+        if !Self::CR_ENDS_LINE || !bytes.contains(&b'\r') {
+            // Only `\n` ends a line here — the overwhelming case.
+            let tail = match bytes.iter().rposition(|&b| b == b'\n') {
+                Some(last) => {
+                    pos.line += bytes.iter().filter(|&&b| b == b'\n').count();
+                    pos.column = 1;
+                    &bytes[last + 1..]
+                }
+                None => bytes,
+            };
+            pos.column += if tail.is_ascii() {
+                tail.len()
+            } else {
+                tail.iter().filter(|&&b| b & 0xC0 != 0x80).count()
+            };
+            if !bytes.is_empty() {
+                pos.prev_cr = false;
+            }
+            return;
+        }
+        for &b in bytes {
+            if b == b'\r' || (b == b'\n' && !pos.prev_cr) {
+                pos.line += 1;
+            }
+            if b == b'\r' || b == b'\n' {
+                pos.column = 1;
+            } else {
+                pos.column += usize::from(b & 0xC0 != 0x80);
+            }
+            pos.prev_cr = b == b'\r';
+        }
+    }
+
+    /// Translates an error's local position into the stream-global
+    /// frame, given the position where its text starts.
     fn shift_error(e: Self::Error, start: &TextPos) -> Self::Error;
 
     /// Wraps the format error into the format-erased [`StreamError`].
     fn wrap_error(e: Self::Error) -> StreamError;
 
-    /// This format's record-size-cap error, reported at the record's
-    /// stream-global start position (for the engine drivers that is the
-    /// first byte past the previous record boundary, so any
-    /// inter-record separator bytes count toward the record).
+    /// This format's record-size-cap error, at `pos`.
     fn record_too_large(limit: usize, pos: &TextPos) -> Self::Error;
+
+    /// This format's invalid-UTF-8 error, at `pos` (the first invalid
+    /// byte).
+    fn invalid_utf8(pos: &TextPos) -> Self::Error;
 }
 
-/// Composes a shard-local (line, column) into the stream-global frame:
-/// positions on the shard's first line continue the shard start's
-/// column; later lines stand on their own.
+/// Composes a local (line, column) into the frame of `start`: positions
+/// on the first local line continue `start`'s column; later lines stand
+/// on their own.
 fn compose_line_col(start: &TextPos, line: usize, column: usize) -> (usize, usize) {
     (
         start.line + line - 1,
@@ -220,28 +297,17 @@ fn compose_line_col(start: &TextPos, line: usize, column: usize) -> (usize, usiz
     )
 }
 
-/// Char-count advance shared by the JSON and XML column rules: columns
-/// count characters, so continuation bytes (`10xxxxxx`) extend the
-/// previous character.
-fn count_chars(bytes: &[u8]) -> usize {
-    if bytes.is_ascii() {
-        bytes.len()
-    } else {
-        bytes.iter().filter(|&&b| b & 0xC0 != 0x80).count()
-    }
-}
-
 /// The JSON front-end witness.
 #[derive(Debug, Clone, Copy, Default)]
 pub struct JsonFormat;
 
 impl DataFormat for JsonFormat {
     type Error = tfd_json::ParseError;
-    type Streamer = tfd_json::stream::Streamer;
     type Boundaries = tfd_json::stream::BoundaryScanner;
     type Context = ();
 
     const NAME: &'static str = "json";
+    const CR_ENDS_LINE: bool = false;
 
     fn infer_options() -> InferOptions {
         InferOptions::json()
@@ -255,33 +321,18 @@ impl DataFormat for JsonFormat {
         tfd_json::parse_many_values_in(text, &tfd_json::ParserOptions::default(), interner)
     }
 
-    fn streamer(interner: Interner) -> Self::Streamer {
-        tfd_json::stream::Streamer::with_options_in(tfd_json::ParserOptions::default(), interner)
-    }
-
-    fn streamer_with(policy: &RecoveryPolicy, interner: Interner) -> Self::Streamer {
+    fn parse_bundle(
+        text: &str,
+        _ctx: &(),
+        max_depth: Option<usize>,
+        interner: &Interner,
+        each: &mut dyn FnMut(Value),
+    ) -> Result<(), Self::Error> {
         let mut opts = tfd_json::ParserOptions::default();
-        if let Some(depth) = policy.max_depth {
+        if let Some(depth) = max_depth {
             opts.max_depth = depth;
         }
-        let mut s = tfd_json::stream::Streamer::with_options_in(opts, interner);
-        s.set_max_record_bytes(policy.max_record_bytes);
-        s
-    }
-
-    fn feed(
-        streamer: &mut Self::Streamer,
-        chunk: &[u8],
-        sink: &mut dyn FnMut(Value),
-    ) -> Result<(), Self::Error> {
-        streamer.feed(chunk, &mut |v| sink(v))
-    }
-
-    fn finish(
-        streamer: &mut Self::Streamer,
-        sink: &mut dyn FnMut(Value),
-    ) -> Result<(), Self::Error> {
-        streamer.finish(&mut |v| sink(v))
+        tfd_json::parse_many_values_each(text, &opts, interner, each)
     }
 
     fn boundaries() -> Self::Boundaries {
@@ -290,34 +341,6 @@ impl DataFormat for JsonFormat {
 
     fn scan(scanner: &mut Self::Boundaries, chunk: &[u8], boundary: &mut dyn FnMut(usize)) {
         scanner.feed(chunk, &mut |off| boundary(off));
-    }
-
-    fn prologue(
-        _first_record: &[u8],
-        _interner: &Interner,
-    ) -> Result<(usize, Self::Context), Self::Error> {
-        Ok((0, ()))
-    }
-
-    fn seed(_streamer: &mut Self::Streamer, _ctx: &Self::Context) {}
-
-    fn wrap_corpus_shape(shape: Shape) -> Shape {
-        shape
-    }
-
-    fn advance_pos(pos: &mut TextPos, bytes: &[u8]) {
-        // JSON counts only `\n` as a line ending (matching the one-shot
-        // lexer); columns count characters.
-        pos.offset += bytes.len();
-        let tail = match bytes.iter().rposition(|&b| b == b'\n') {
-            Some(last) => {
-                pos.line += bytes.iter().filter(|&&b| b == b'\n').count();
-                pos.column = 1;
-                &bytes[last + 1..]
-            }
-            None => bytes,
-        };
-        pos.column += count_chars(tail);
     }
 
     fn shift_error(e: Self::Error, start: &TextPos) -> Self::Error {
@@ -337,14 +360,22 @@ impl DataFormat for JsonFormat {
     }
 
     fn record_too_large(limit: usize, pos: &TextPos) -> Self::Error {
-        tfd_json::ParseError {
-            kind: tfd_json::ParseErrorKind::RecordTooLarge(limit),
-            pos: tfd_json::Pos {
-                offset: pos.offset,
-                line: pos.line,
-                column: pos.column,
-            },
-        }
+        json_error(tfd_json::ParseErrorKind::RecordTooLarge(limit), pos)
+    }
+
+    fn invalid_utf8(pos: &TextPos) -> Self::Error {
+        json_error(tfd_json::ParseErrorKind::InvalidUtf8, pos)
+    }
+}
+
+fn json_error(kind: tfd_json::ParseErrorKind, pos: &TextPos) -> tfd_json::ParseError {
+    tfd_json::ParseError {
+        kind,
+        pos: tfd_json::Pos {
+            offset: pos.offset,
+            line: pos.line,
+            column: pos.column,
+        },
     }
 }
 
@@ -354,11 +385,11 @@ pub struct XmlFormat;
 
 impl DataFormat for XmlFormat {
     type Error = tfd_xml::XmlError;
-    type Streamer = tfd_xml::stream::Streamer;
     type Boundaries = tfd_xml::stream::BoundaryScanner;
     type Context = ();
 
     const NAME: &'static str = "xml";
+    const CR_ENDS_LINE: bool = true;
 
     fn infer_options() -> InferOptions {
         InferOptions::xml()
@@ -382,41 +413,24 @@ impl DataFormat for XmlFormat {
         )
     }
 
-    fn streamer(interner: Interner) -> Self::Streamer {
-        tfd_xml::stream::Streamer::with_options_in(
-            &tfd_xml::XmlOptions::default(),
-            &tfd_xml::EncodeOptions::default(),
-            interner,
-        )
-    }
-
-    fn streamer_with(policy: &RecoveryPolicy, interner: Interner) -> Self::Streamer {
+    fn parse_bundle(
+        text: &str,
+        _ctx: &(),
+        max_depth: Option<usize>,
+        interner: &Interner,
+        each: &mut dyn FnMut(Value),
+    ) -> Result<(), Self::Error> {
         let mut opts = tfd_xml::XmlOptions::default();
-        if let Some(depth) = policy.max_depth {
+        if let Some(depth) = max_depth {
             opts.max_depth = depth;
         }
-        let mut s = tfd_xml::stream::Streamer::with_options_in(
+        tfd_xml::parse_many_values_each(
+            text,
             &opts,
             &tfd_xml::EncodeOptions::default(),
             interner,
-        );
-        s.set_max_record_bytes(policy.max_record_bytes);
-        s
-    }
-
-    fn feed(
-        streamer: &mut Self::Streamer,
-        chunk: &[u8],
-        sink: &mut dyn FnMut(Value),
-    ) -> Result<(), Self::Error> {
-        streamer.feed(chunk, &mut |v| sink(v))
-    }
-
-    fn finish(
-        streamer: &mut Self::Streamer,
-        sink: &mut dyn FnMut(Value),
-    ) -> Result<(), Self::Error> {
-        streamer.finish(&mut |v| sink(v))
+            each,
+        )
     }
 
     fn boundaries() -> Self::Boundaries {
@@ -425,55 +439,6 @@ impl DataFormat for XmlFormat {
 
     fn scan(scanner: &mut Self::Boundaries, chunk: &[u8], boundary: &mut dyn FnMut(usize)) {
         scanner.feed(chunk, &mut |off| boundary(off));
-    }
-
-    fn prologue(
-        _first_record: &[u8],
-        _interner: &Interner,
-    ) -> Result<(usize, Self::Context), Self::Error> {
-        Ok((0, ()))
-    }
-
-    fn seed(_streamer: &mut Self::Streamer, _ctx: &Self::Context) {}
-
-    fn wrap_corpus_shape(shape: Shape) -> Shape {
-        shape
-    }
-
-    fn advance_pos(pos: &mut TextPos, bytes: &[u8]) {
-        pos.offset += bytes.len();
-        // XML: LF, CRLF and bare CR each end a line once (matching
-        // `bump_byte`); columns count characters.
-        if bytes.iter().all(|&b| b != b'\r') {
-            // Fast path (no CR anywhere — the overwhelming case).
-            let tail = match bytes.iter().rposition(|&b| b == b'\n') {
-                Some(last) => {
-                    pos.line += bytes.iter().filter(|&&b| b == b'\n').count();
-                    pos.column = 1;
-                    &bytes[last + 1..]
-                }
-                None => bytes,
-            };
-            pos.column += count_chars(tail);
-            if !bytes.is_empty() {
-                pos.prev_cr = false;
-            }
-            return;
-        }
-        for &b in bytes {
-            if b == b'\n' {
-                if !pos.prev_cr {
-                    pos.line += 1;
-                }
-                pos.column = 1;
-            } else if b == b'\r' {
-                pos.line += 1;
-                pos.column = 1;
-            } else {
-                pos.column += usize::from(b & 0xC0 != 0x80);
-            }
-            pos.prev_cr = b == b'\r';
-        }
     }
 
     fn shift_error(e: Self::Error, start: &TextPos) -> Self::Error {
@@ -496,6 +461,14 @@ impl DataFormat for XmlFormat {
             column: pos.column,
         }
     }
+
+    fn invalid_utf8(pos: &TextPos) -> Self::Error {
+        tfd_xml::XmlError {
+            kind: tfd_xml::XmlErrorKind::InvalidUtf8,
+            line: pos.line,
+            column: pos.column,
+        }
+    }
 }
 
 /// The CSV front-end witness.
@@ -504,12 +477,12 @@ pub struct CsvFormat;
 
 impl DataFormat for CsvFormat {
     type Error = tfd_csv::CsvError;
-    type Streamer = tfd_csv::stream::Streamer;
     type Boundaries = tfd_csv::stream::BoundaryScanner;
     /// The header row's interned column names.
     type Context = Arc<Vec<Name>>;
 
     const NAME: &'static str = "csv";
+    const CR_ENDS_LINE: bool = true;
 
     fn infer_options() -> InferOptions {
         InferOptions::csv()
@@ -531,33 +504,20 @@ impl DataFormat for CsvFormat {
         }
     }
 
-    fn streamer(interner: Interner) -> Self::Streamer {
-        tfd_csv::stream::Streamer::with_options_in(
+    fn parse_bundle(
+        text: &str,
+        ctx: &Self::Context,
+        _max_depth: Option<usize>,
+        _interner: &Interner,
+        each: &mut dyn FnMut(Value),
+    ) -> Result<(), Self::Error> {
+        tfd_csv::parse_rows_in(
+            text,
             &tfd_csv::CsvOptions::default(),
             &tfd_csv::LiteralOptions::default(),
-            interner,
+            ctx,
+            each,
         )
-    }
-
-    fn streamer_with(policy: &RecoveryPolicy, interner: Interner) -> Self::Streamer {
-        let mut s = Self::streamer(interner);
-        s.set_max_record_bytes(policy.max_record_bytes);
-        s
-    }
-
-    fn feed(
-        streamer: &mut Self::Streamer,
-        chunk: &[u8],
-        sink: &mut dyn FnMut(Value),
-    ) -> Result<(), Self::Error> {
-        streamer.feed(chunk, &mut |v| sink(v))
-    }
-
-    fn finish(
-        streamer: &mut Self::Streamer,
-        sink: &mut dyn FnMut(Value),
-    ) -> Result<(), Self::Error> {
-        streamer.finish(&mut |v| sink(v))
     }
 
     fn boundaries() -> Self::Boundaries {
@@ -568,28 +528,16 @@ impl DataFormat for CsvFormat {
         scanner.feed(chunk, &mut |off| boundary(off));
     }
 
-    #[allow(clippy::expect_used)] // checked invariant, documented at each site
     /// The CSV prologue is the header row: it is parsed once here (with
-    /// the exact streamer code the sequential path uses, so trimming and
-    /// interning behave identically) and its names are seeded into every
-    /// shard worker.
+    /// the one-shot splitter, so trimming and interning behave as in
+    /// [`tfd_csv::parse_value`]) and its names seed every bundle parse.
     fn prologue(
         first_record: &[u8],
         interner: &Interner,
     ) -> Result<(usize, Self::Context), Self::Error> {
-        let mut s = Self::streamer(interner.clone());
-        let mut none = |_v: Value| unreachable!("the header record yields no row");
-        s.feed(first_record, &mut none)?;
-        s.finish(&mut none)?;
-        let headers = s
-            .headers()
-            .expect("a non-empty prologue always captures the header")
-            .to_vec();
+        let text = utf8::<Self>(first_record)?;
+        let headers = tfd_csv::parse_header_in(text, &tfd_csv::CsvOptions::default(), interner)?;
         Ok((first_record.len(), Arc::new(headers)))
-    }
-
-    fn seed(streamer: &mut Self::Streamer, ctx: &Self::Context) {
-        streamer.seed_headers(ctx.as_ref().clone());
     }
 
     fn wrap_corpus_shape(shape: Shape) -> Shape {
@@ -598,24 +546,14 @@ impl DataFormat for CsvFormat {
         Shape::list(shape)
     }
 
-    fn advance_pos(pos: &mut TextPos, bytes: &[u8]) {
-        pos.offset += bytes.len();
-        // CSV errors carry lines only: LF, CRLF and bare CR each count
-        // once, matching the one-shot splitter.
-        if bytes.iter().all(|&b| b != b'\r') {
-            pos.line += bytes.iter().filter(|&&b| b == b'\n').count();
-        } else {
-            for &b in bytes {
-                if b == b'\r' || (b == b'\n' && !pos.prev_cr) {
-                    pos.line += 1;
-                }
-                pos.prev_cr = b == b'\r';
-            }
-            return;
-        }
-        if let Some(&last) = bytes.last() {
-            pos.prev_cr = last == b'\r';
-        }
+    fn record_extent(slice: &[u8]) -> (usize, usize) {
+        let end = slice.len()
+            - if slice.ends_with(b"\r\n") {
+                2
+            } else {
+                usize::from(slice.ends_with(b"\n") || slice.ends_with(b"\r"))
+            };
+        (0, end)
     }
 
     fn shift_error(e: Self::Error, start: &TextPos) -> Self::Error {
@@ -636,356 +574,666 @@ impl DataFormat for CsvFormat {
     fn record_too_large(limit: usize, pos: &TextPos) -> Self::Error {
         tfd_csv::CsvError::RecordTooLarge(limit, pos.line)
     }
-}
 
-// --- Sequential pipelines (the jobs ≤ 1 paths, and what
-// --- `stream::infer_reader` now routes through) ---
-
-/// Streams a whole in-memory corpus through the format's chunk-fed
-/// front-end into the Fig. 3 fold — the sequential baseline the parallel
-/// driver must match byte for byte.
-///
-/// # Errors
-///
-/// The first parse error, with stream-global positions.
-pub fn infer_slice_seq<F: DataFormat>(
-    corpus: &[u8],
-    options: &InferOptions,
-) -> Result<StreamSummary, F::Error> {
-    infer_slice_seq_with::<F>(
-        corpus,
-        options,
-        &RecoveryPolicy::default(),
-        Interner::global(),
-    )
-}
-
-/// [`infer_slice_seq`] under a policy's resource limits (fail-fast: the
-/// policy's `mode` and `max_errors` are not consulted here — Skip-mode
-/// recovery lives in [`crate::recover`]), interning into `interner`.
-pub(crate) fn infer_slice_seq_with<F: DataFormat>(
-    corpus: &[u8],
-    options: &InferOptions,
-    policy: &RecoveryPolicy,
-    interner: &Interner,
-) -> Result<StreamSummary, F::Error> {
-    let mut acc = InferAccumulator::new(options.clone());
-    let mut s = F::streamer_with(policy, interner.clone());
-    F::feed(&mut s, corpus, &mut |v| acc.push(&v))?;
-    F::finish(&mut s, &mut |v| acc.push(&v))?;
-    let records = acc.records();
-    Ok(StreamSummary {
-        shape: acc.finish(),
-        records,
-        bytes: corpus.len() as u64,
-    })
-}
-
-/// Streams any [`Read`] source through the format front-end into the
-/// fold, sequentially, in `chunk_size`-byte reads — the engine-generic
-/// form of [`infer_reader`](crate::stream::infer_reader).
-///
-/// # Errors
-///
-/// The first parse error (with stream-global positions) or I/O error.
-pub fn infer_reader_seq<F: DataFormat, R: Read>(
-    reader: R,
-    options: &InferOptions,
-    chunk_size: usize,
-) -> Result<StreamSummary, StreamError> {
-    infer_reader_seq_with::<F, R>(
-        reader,
-        options,
-        &RecoveryPolicy::default(),
-        chunk_size,
-        Interner::global(),
-    )
-}
-
-/// [`infer_reader_seq`] under a policy's resource limits (fail-fast; the
-/// streamer's carry-over cap bounds memory against a record that never
-/// terminates), interning into `interner`.
-pub(crate) fn infer_reader_seq_with<F: DataFormat, R: Read>(
-    mut reader: R,
-    options: &InferOptions,
-    policy: &RecoveryPolicy,
-    chunk_size: usize,
-    interner: &Interner,
-) -> Result<StreamSummary, StreamError> {
-    let mut acc = InferAccumulator::new(options.clone());
-    let mut s = F::streamer_with(policy, interner.clone());
-    let mut chunk = vec![0u8; chunk_size.max(1)];
-    let mut bytes = 0u64;
-    loop {
-        let n = reader.read(&mut chunk).map_err(StreamError::Io)?;
-        if n == 0 {
-            break;
-        }
-        bytes += n as u64;
-        F::feed(&mut s, &chunk[..n], &mut |v| acc.push(&v)).map_err(F::wrap_error)?;
+    fn invalid_utf8(pos: &TextPos) -> Self::Error {
+        tfd_csv::CsvError::InvalidUtf8(pos.line)
     }
-    F::finish(&mut s, &mut |v| acc.push(&v)).map_err(F::wrap_error)?;
-    let records = acc.records();
-    Ok(StreamSummary {
-        shape: acc.finish(),
-        records,
-        bytes,
-    })
 }
 
-// --- The sharded parallel driver ---
+/// The position `bytes[..k]` advances to from the start of `bytes`.
+fn local_pos<F: DataFormat>(bytes: &[u8], k: usize) -> TextPos {
+    let mut pos = TextPos::start();
+    F::advance_pos(&mut pos, &bytes[..k]);
+    pos
+}
 
-/// One shard: an absolute byte range of the corpus (whole records only)
-/// and the stream position where it starts.
+/// `bytes` as text, or the format's invalid-UTF-8 error at the first
+/// bad byte (local to `bytes`).
+fn utf8<F: DataFormat>(bytes: &[u8]) -> Result<&str, F::Error> {
+    std::str::from_utf8(bytes).map_err(|e| F::invalid_utf8(&local_pos::<F>(bytes, e.valid_up_to())))
+}
+
+// --- The driver ---
+
+/// Everything one ingest run is configured by: which front-end, how
+/// many workers, how big a read (and an in-memory bundle) is, how
+/// malformed input is handled, and the inference preset.
 #[derive(Debug, Clone)]
-struct Shard {
+pub struct IngestConfig {
+    /// The front-end records are parsed with.
+    pub format: StreamFormat,
+    /// Parser workers; 1 runs inline on the calling thread.
+    pub jobs: usize,
+    /// Bytes per read from a reader, and the window an in-memory source
+    /// is cut into bundles by.
+    pub chunk_size: usize,
+    /// Fail fast or skip malformed records, plus the resource caps.
+    pub policy: RecoveryPolicy,
+    /// The inference preset the records are folded with.
+    pub options: InferOptions,
+}
+
+impl IngestConfig {
+    /// One job, [`DEFAULT_CHUNK_SIZE`](crate::stream::DEFAULT_CHUNK_SIZE),
+    /// fail-fast, and the format's own inference preset.
+    pub fn new(format: StreamFormat) -> IngestConfig {
+        IngestConfig {
+            format,
+            jobs: 1,
+            chunk_size: crate::stream::DEFAULT_CHUNK_SIZE,
+            policy: RecoveryPolicy::default(),
+            options: infer_options_dyn(format),
+        }
+    }
+}
+
+/// Where a run's bytes come from.
+pub enum Source<'a> {
+    /// A corpus already in memory: bundles borrow from it, nothing is
+    /// copied.
+    Bytes(&'a [u8]),
+    /// Any reader, consumed in `chunk_size` reads in bounded memory.
+    Reader(Box<dyn Read + 'a>),
+}
+
+/// Runs the parse→infer pipeline over `source` as `config` says,
+/// interning every name into `interner` (all workers share the arena,
+/// so dropping it after the run reclaims the corpus vocabulary at once).
+///
+/// The returned `summary.shape` is the *record fold* (for CSV: the row
+/// shape); lift it with [`wrap_corpus_shape_dyn`] to match the one-shot
+/// corpus shape. In Skip mode `report` lists what was dropped; the
+/// shape equals, byte for byte, a fail-fast run over the corpus with the
+/// bad records deleted.
+///
+/// # Errors
+///
+/// Fail-fast: the first error in document order, with stream-global
+/// positions. Skip: [`StreamError::TooManyErrors`] once more than
+/// `policy.max_errors` records were dropped. Both: I/O errors, and the
+/// format's empty-input error (CSV has no header to read).
+///
+/// ```
+/// use tfd_core::engine::{run, IngestConfig, Source};
+/// use tfd_core::{RecoveryPolicy, StreamFormat};
+///
+/// let corpus = br#"{"a": 1} {"a": ???} {"a": 2.5, "b": true}"#;
+/// let config = IngestConfig {
+///     jobs: 2,
+///     policy: RecoveryPolicy::skip(),
+///     ..IngestConfig::new(StreamFormat::Json)
+/// };
+/// let out = run(Source::Bytes(corpus), &config, &tfd_value::Interner::new())?;
+/// assert_eq!(out.summary.records, 2);
+/// assert_eq!(out.report.total(), 1);
+/// # Ok::<(), tfd_core::stream::StreamError>(())
+/// ```
+pub fn run(
+    source: Source<'_>,
+    config: &IngestConfig,
+    interner: &Interner,
+) -> Result<Recovered, StreamError> {
+    let outcome = with_format!(config.format, F => Run::<F>::new(config, interner).drive(source));
+    match (outcome, config.policy.mode) {
+        (Err(StreamError::TooManyErrors { first, .. }), RecoveryMode::FailFast) => Err(*first),
+        (outcome, _) => outcome,
+    }
+}
+
+/// A stretch of the stream between two record boundaries, bound for a
+/// parser (a bundle of whole records).
+struct Bundle<'a, C> {
+    /// Document order.
+    idx: usize,
+    /// Absolute byte offset of the first byte.
+    start: usize,
+    bytes: Cow<'a, [u8]>,
+    ctx: Arc<C>,
+}
+
+/// One settled stretch of the stream, in document order: a parsed
+/// bundle, or a stretch the scanning thread settled itself (the
+/// prologue, or an over-sized record it dropped unread).
+struct Seg<E> {
+    idx: usize,
+    /// Absolute byte range.
     start: usize,
     end: usize,
-    pos: TextPos,
+    /// The stretch's own span, when its bytes will not be around to
+    /// derive positions from (reader sources).
+    span: Option<TextPos>,
+    shape: Shape,
+    records: usize,
+    /// What was dropped, positioned relative to `start`.
+    report: ErrorReport<E>,
 }
 
-/// Plans a sharded run: scans the corpus once with the format's boundary
-/// scanner, consumes the prologue, and cuts the remainder into at most
-/// `jobs` ranges at record boundaries nearest the even split points.
-/// Fewer ranges come back when the corpus has fewer records than jobs —
-/// a shard never splits a record.
-fn plan<F: DataFormat>(
-    corpus: &[u8],
-    jobs: usize,
-    interner: &Interner,
-) -> Result<(F::Context, Vec<Shard>), F::Error> {
-    let n = corpus.len();
-    let mut scanner = F::boundaries();
-    let mut first: Option<usize> = None;
-    let mut cuts: Vec<usize> = Vec::new();
-    let mut t = 1usize; // next split target index: target_t = t·n/jobs
-    F::scan(&mut scanner, corpus, &mut |off| {
-        if first.is_none() {
-            first = Some(off);
+impl<E> Seg<E> {
+    fn settled(idx: usize, start: usize, end: usize, span: Option<TextPos>) -> Seg<E> {
+        Seg {
+            idx,
+            start,
+            end,
+            span,
+            shape: Shape::Bottom,
+            records: 0,
+            report: ErrorReport::new(),
         }
-        while t < jobs && off >= t * n / jobs {
-            if off < n && cuts.last() != Some(&off) {
-                cuts.push(off);
+    }
+}
+
+/// One run's shared state: the configuration plus the error tally the
+/// scanning thread and the workers stop on.
+struct Run<'c, F: DataFormat> {
+    config: &'c IngestConfig,
+    interner: &'c Interner,
+    /// Skipped records tolerated before the run aborts (0 = fail-fast).
+    budget: usize,
+    /// Errors found so far, across all threads.
+    errors: AtomicUsize,
+    /// The smallest segment index holding an error. Once the budget is
+    /// blown, bundles past it cannot change the outcome (its first
+    /// error is the report's) and are dropped unparsed.
+    first_bad: AtomicUsize,
+    _format: std::marker::PhantomData<fn() -> F>,
+}
+
+impl<'c, F: DataFormat> Run<'c, F> {
+    fn new(config: &'c IngestConfig, interner: &'c Interner) -> Self {
+        Run {
+            config,
+            interner,
+            budget: match config.policy.mode {
+                RecoveryMode::FailFast => 0,
+                RecoveryMode::Skip => config.policy.max_errors,
+            },
+            errors: AtomicUsize::new(0),
+            first_bad: AtomicUsize::new(usize::MAX),
+            _format: std::marker::PhantomData,
+        }
+    }
+
+    fn chunk(&self) -> usize {
+        self.config.chunk_size.max(1)
+    }
+
+    /// True once the run's outcome is certainly "budget exceeded".
+    fn aborted(&self) -> bool {
+        self.errors.load(Ordering::Relaxed) > self.budget
+    }
+
+    fn note_errors(&self, idx: usize, n: usize) {
+        if n > 0 {
+            self.errors.fetch_add(n, Ordering::Relaxed);
+            self.first_bad.fetch_min(idx, Ordering::Relaxed);
+        }
+    }
+
+    #[allow(clippy::expect_used)] // spawn failure and worker panics are re-raised, never swallowed
+    fn drive(&self, source: Source<'_>) -> Result<Recovered, StreamError> {
+        let corpus = match &source {
+            Source::Bytes(bytes) => Some(*bytes),
+            Source::Reader(_) => None,
+        };
+        // An in-memory corpus never yields more bundles than windows.
+        let workers = match corpus {
+            Some(bytes) => self.config.jobs.min(bytes.len() / self.chunk() + 1),
+            None => self.config.jobs,
+        };
+        let mut segs = Vec::new();
+        let produced = if workers <= 1 {
+            self.produce(source, &mut segs, &mut |b| self.settle(b))
+        } else {
+            let queue = WorkQueue::new(workers.saturating_mul(self.chunk()).saturating_mul(2));
+            std::thread::scope(|scope| {
+                let queue = &queue;
+                let handles: Vec<_> = (0..workers)
+                    .map(|_| {
+                        std::thread::Builder::new()
+                            .stack_size(PARSER_STACK_BYTES)
+                            .spawn_scoped(scope, move || {
+                                let mut out = Vec::new();
+                                while let Some(bundle) = queue.pop() {
+                                    out.extend(self.settle(bundle));
+                                }
+                                out
+                            })
+                            .expect("spawn a parser worker")
+                    })
+                    .collect();
+                let closer = CloseOnDrop(queue);
+                let produced = self.produce(source, &mut segs, &mut |b| {
+                    let size = b.bytes.len();
+                    queue.push(b, size);
+                    None
+                });
+                drop(closer);
+                for h in handles {
+                    segs.extend(h.join().expect("parser worker panicked"));
+                }
+                produced
+            })
+        };
+        let joined = self.join(segs, corpus, *produced.as_ref().unwrap_or(&0));
+        match produced {
+            // A lost stream outranks the errors before it, unless those
+            // already decided the run.
+            Err(fatal) if !matches!(joined, Err(StreamError::TooManyErrors { .. })) => Err(fatal),
+            _ => joined,
+        }
+    }
+
+    /// The scanning side: windows of `chunk_size` bytes — lent by the
+    /// corpus, or read from the reader — through the [`Scanner`].
+    fn produce<'a>(
+        &self,
+        source: Source<'a>,
+        segs: &mut Vec<Seg<F::Error>>,
+        dispatch: &mut dyn FnMut(Bundle<'a, F::Context>) -> Option<Seg<F::Error>>,
+    ) -> Result<u64, StreamError> {
+        let mut s = Scanner::<F>::new(self);
+        match source {
+            Source::Bytes(corpus) => {
+                for window in corpus.chunks(self.chunk()) {
+                    if self.aborted() {
+                        break;
+                    }
+                    s.window(window, Some(corpus), segs, dispatch)?;
+                }
+                s.finish(Some(corpus), segs, dispatch)
             }
-            t += 1;
+            Source::Reader(mut reader) => {
+                let mut buf = vec![0u8; self.chunk()];
+                while !self.aborted() {
+                    let n = reader.read(&mut buf).map_err(StreamError::Io)?;
+                    if n == 0 {
+                        break;
+                    }
+                    s.window(&buf[..n], None, segs, dispatch)?;
+                }
+                s.finish(None, segs, dispatch)
+            }
         }
-    });
-    let (consumed, ctx) = F::prologue(&corpus[..first.unwrap_or(n)], interner)?;
-    let mut pos = TextPos::start();
-    F::advance_pos(&mut pos, &corpus[..consumed]);
-    let mut starts = vec![consumed];
-    starts.extend(cuts.into_iter().filter(|&c| c > consumed));
-    let mut shards = Vec::with_capacity(starts.len());
-    for (k, &start) in starts.iter().enumerate() {
-        let end = starts.get(k + 1).copied().unwrap_or(n);
-        shards.push(Shard { start, end, pos });
-        F::advance_pos(&mut pos, &corpus[start..end]);
     }
-    Ok((ctx, shards))
-}
 
-/// Runs one shard through a fresh (context-seeded, policy-limited)
-/// streamer, handing every record to `sink`; errors come back in
-/// stream-global coordinates. This is also the per-record recovery
-/// primitive: Skip-mode recovery (`crate::recover`) calls it with a
-/// single record's bytes, so a failed record reproduces exactly the
-/// error the sequential pipeline would report for it.
-pub(crate) fn run_shard<F: DataFormat>(
-    bytes: &[u8],
-    pos: &TextPos,
-    ctx: &F::Context,
-    policy: &RecoveryPolicy,
-    interner: &Interner,
-    sink: &mut dyn FnMut(Value),
-) -> Result<(), F::Error> {
-    let mut s = F::streamer_with(policy, interner.clone());
-    F::seed(&mut s, ctx);
-    F::feed(&mut s, bytes, sink)
-        .and_then(|()| F::finish(&mut s, sink))
-        .map_err(|e| F::shift_error(e, pos))
-}
-
-/// Parallel sharded parse→infer over an in-memory corpus.
-///
-/// The corpus is cut at record boundaries into at most `jobs` shards;
-/// each shard runs the byte parser into its own [`InferAccumulator`] on
-/// its own thread, and the per-shard shapes join with [`csh`]. Because
-/// `csh` is an associative, commutative least upper bound, the result is
-/// deterministic and identical to the sequential fold — shapes, record
-/// counts and error positions alike (`tests/parallel_agreement.rs`
-/// proves this differentially). `jobs ≤ 1` runs the plain sequential
-/// pipeline.
-///
-/// The returned shape is the *record fold* (for CSV: the row shape, as
-/// with [`infer_reader`](crate::stream::infer_reader)); lift it with
-/// [`DataFormat::wrap_corpus_shape`] to match the one-shot corpus shape.
-///
-/// # Errors
-///
-/// The first parse error in document order, with stream-global
-/// positions — exactly the error the sequential pipeline reports.
-///
-/// ```
-/// use tfd_core::engine::{infer_slice, JsonFormat};
-/// use tfd_core::InferOptions;
-///
-/// let corpus = br#"{"a": 1} {"a": 2.5, "b": true} {"a": 3}"#;
-/// let par = infer_slice::<JsonFormat>(corpus, &InferOptions::json(), 4)?;
-/// let seq = infer_slice::<JsonFormat>(corpus, &InferOptions::json(), 1)?;
-/// assert_eq!(par, seq);
-/// assert_eq!(par.records, 3);
-/// # Ok::<(), tfd_json::ParseError>(())
-/// ```
-pub fn infer_slice<F: DataFormat>(
-    corpus: &[u8],
-    options: &InferOptions,
-    jobs: usize,
-) -> Result<StreamSummary, F::Error> {
-    infer_slice_with::<F>(
-        corpus,
-        options,
-        &RecoveryPolicy::default(),
-        jobs,
-        Interner::global(),
-    )
-}
-
-/// [`infer_slice`] interning every name into `interner` — the shard
-/// workers all share the one corpus arena, so dropping it after the
-/// fold reclaims the corpus's whole vocabulary at once.
-///
-/// # Errors
-///
-/// As [`infer_slice`].
-pub fn infer_slice_in<F: DataFormat>(
-    corpus: &[u8],
-    options: &InferOptions,
-    jobs: usize,
-    interner: &Interner,
-) -> Result<StreamSummary, F::Error> {
-    infer_slice_with::<F>(corpus, options, &RecoveryPolicy::default(), jobs, interner)
-}
-
-#[allow(clippy::expect_used)] // checked invariant, documented at each site
-/// [`infer_slice`] under a policy's resource limits (fail-fast;
-/// Skip-mode recovery lives in [`crate::recover`]).
-pub(crate) fn infer_slice_with<F: DataFormat>(
-    corpus: &[u8],
-    options: &InferOptions,
-    policy: &RecoveryPolicy,
-    jobs: usize,
-    interner: &Interner,
-) -> Result<StreamSummary, F::Error> {
-    if jobs <= 1 {
-        return infer_slice_seq_with::<F>(corpus, options, policy, interner);
-    }
-    let (ctx, shards) = plan::<F>(corpus, jobs, interner)?;
-    let results: Vec<Result<InferAccumulator, F::Error>> = std::thread::scope(|scope| {
-        let ctx = &ctx;
-        let handles: Vec<_> = shards
-            .iter()
-            .map(|shard| {
-                let bytes = &corpus[shard.start..shard.end];
-                let pos = shard.pos;
-                let options = options.clone();
-                scope.spawn(move || {
-                    let mut acc = InferAccumulator::new(options);
-                    run_shard::<F>(bytes, &pos, ctx, policy, interner, &mut |v| acc.push(&v))?;
-                    Ok(acc)
+    /// Parses one bundle into its fold and skip report: whole when it
+    /// can, record by record when it must.
+    fn settle(&self, b: Bundle<'_, F::Context>) -> Option<Seg<F::Error>> {
+        if self.aborted() && b.idx > self.first_bad.load(Ordering::Relaxed) {
+            return None;
+        }
+        let policy = &self.config.policy;
+        let mut acc = InferAccumulator::new(self.config.options.clone());
+        let mut report = ErrorReport::new();
+        // A bundle within the record cap cannot hold an over-sized
+        // record, so only the one-shot parse can fail it.
+        let whole = b.bytes.len() <= policy.max_record_bytes
+            && std::str::from_utf8(&b.bytes).is_ok_and(|text| {
+                F::parse_bundle(text, &b.ctx, policy.max_depth, self.interner, &mut |v| {
+                    acc.push(&v)
                 })
-            })
-            .collect();
-        handles
-            .into_iter()
-            .map(|h| h.join().expect("shard worker panicked"))
-            .collect()
-    });
-    let mut shape = Shape::Bottom;
-    let mut records = 0usize;
-    // Shards come back in document order, so `?` surfaces the first
-    // error the sequential pipeline would hit.
-    for r in results {
-        let acc = r?;
-        records += acc.records();
-        shape = csh(shape, acc.finish());
+                .is_ok()
+            });
+        if !whole {
+            acc = InferAccumulator::new(self.config.options.clone());
+            self.per_record(&b.bytes, &b.ctx, &mut acc, &mut report);
+            self.note_errors(b.idx, report.total());
+        }
+        let span =
+            matches!(b.bytes, Cow::Owned(_)).then(|| local_pos::<F>(&b.bytes, b.bytes.len()));
+        Some(Seg {
+            idx: b.idx,
+            start: b.start,
+            end: b.start + b.bytes.len(),
+            span,
+            records: acc.records(),
+            shape: acc.finish(),
+            report,
+        })
     }
-    Ok(StreamSummary {
-        shape,
-        records,
-        bytes: corpus.len() as u64,
-    })
+
+    /// The slow path: every record between the bundle's boundaries on
+    /// its own, so the cap, invalid UTF-8 and parse errors hit exactly
+    /// the records that carry them. Positions are bundle-local.
+    fn per_record(
+        &self,
+        bytes: &[u8],
+        ctx: &F::Context,
+        acc: &mut InferAccumulator,
+        report: &mut ErrorReport<F::Error>,
+    ) {
+        let mut ends = Vec::new();
+        F::scan(&mut F::boundaries(), bytes, &mut |off| ends.push(off));
+        if ends.last() != Some(&bytes.len()) {
+            ends.push(bytes.len()); // the unterminated end-of-input tail
+        }
+        let mut pos = TextPos::start();
+        let mut start = 0;
+        for end in ends {
+            let record = &bytes[start..end];
+            if let Err(e) = self.one_record(record, ctx, acc) {
+                report.record(F::shift_error(e, &pos));
+                if report.total() > self.budget {
+                    break; // this bundle alone decides the run
+                }
+            }
+            F::advance_pos(&mut pos, record);
+            start = end;
+        }
+    }
+
+    /// One record, all or nothing: its value folds only if it parses.
+    fn one_record(
+        &self,
+        record: &[u8],
+        ctx: &F::Context,
+        acc: &mut InferAccumulator,
+    ) -> Result<(), F::Error> {
+        let limit = self.config.policy.max_record_bytes;
+        let (from, to) = F::record_extent(record);
+        if to - from > limit {
+            return Err(F::record_too_large(limit, &local_pos::<F>(record, from)));
+        }
+        let mut values = Vec::new();
+        let text = utf8::<F>(record)?;
+        F::parse_bundle(
+            text,
+            ctx,
+            self.config.policy.max_depth,
+            self.interner,
+            &mut |v| values.push(v),
+        )?;
+        values.iter().for_each(|v| acc.push(v));
+        Ok(())
+    }
+
+    /// Joins the segments in document order: shapes by `csh`, reports by
+    /// position. Stream-global positions are derived here, and only when
+    /// an error needs one.
+    fn join(
+        &self,
+        mut segs: Vec<Seg<F::Error>>,
+        corpus: Option<&[u8]>,
+        bytes: u64,
+    ) -> Result<Recovered, StreamError> {
+        segs.sort_unstable_by_key(|s| s.idx);
+        let total: usize = segs.iter().map(|s| s.report.total()).sum();
+        let mut report = ErrorReport::new();
+        if let Some(last) = segs.iter().rposition(|s| !s.report.is_empty()) {
+            let (mut at, mut off) = (TextPos::start(), 0);
+            for seg in &mut segs[..=last] {
+                if let Some(corpus) = corpus {
+                    F::advance_pos(&mut at, &corpus[off..seg.start]);
+                    off = seg.start;
+                }
+                let local = std::mem::take(&mut seg.report);
+                report.merge(local.map(|e| F::wrap_error(F::shift_error(e, &at))));
+                if total > self.budget && !report.is_empty() {
+                    break; // only the first error in document order is reported
+                }
+                if let Some(span) = seg.span {
+                    at = at.then(&span);
+                    off = seg.end;
+                }
+            }
+        }
+        if total > self.budget {
+            return Err(report.into_budget_error(self.budget));
+        }
+        let mut shape = Shape::Bottom;
+        let mut records = 0;
+        for seg in segs {
+            shape = csh(shape, seg.shape);
+            records += seg.records;
+        }
+        Ok(Recovered {
+            summary: StreamSummary {
+                shape,
+                records,
+                bytes,
+            },
+            report,
+        })
+    }
 }
 
-#[allow(clippy::expect_used)] // checked invariant, documented at each site
-/// Parallel sharded parse of an in-memory corpus to its record values,
-/// in input order — the value-level twin of [`infer_slice`], used by the
-/// differential suite to prove the shard workers see exactly the
-/// sequential record sequence.
-///
-/// # Errors
-///
-/// As [`infer_slice`].
-pub fn parse_slice<F: DataFormat>(corpus: &[u8], jobs: usize) -> Result<Vec<Value>, F::Error> {
-    let interner = Interner::global();
-    if jobs <= 1 {
-        let mut out = Vec::new();
-        let mut s = F::streamer(interner.clone());
-        F::feed(&mut s, corpus, &mut |v| out.push(v))?;
-        F::finish(&mut s, &mut |v| out.push(v))?;
-        return Ok(out);
-    }
-    let (ctx, shards) = plan::<F>(corpus, jobs, interner)?;
-    let results: Vec<Result<Vec<Value>, F::Error>> = std::thread::scope(|scope| {
-        let ctx = &ctx;
-        let handles: Vec<_> = shards
-            .iter()
-            .map(|shard| {
-                let bytes = &corpus[shard.start..shard.end];
-                let pos = shard.pos;
-                scope.spawn(move || {
-                    let mut out = Vec::new();
-                    run_shard::<F>(
-                        bytes,
-                        &pos,
-                        ctx,
-                        &RecoveryPolicy::default(),
-                        interner,
-                        &mut |v| out.push(v),
-                    )?;
-                    Ok(out)
-                })
-            })
-            .collect();
-        handles
-            .into_iter()
-            .map(|h| h.join().expect("shard worker panicked"))
-            .collect()
-    });
-    let mut values = Vec::new();
-    for r in results {
-        values.extend(r?);
-    }
-    Ok(values)
+/// The scanning side of a run: cuts the stream into whole-record
+/// bundles, consumes the prologue, and — for a reader — bounds the one
+/// record it has to buffer.
+struct Scanner<'r, 'c, F: DataFormat> {
+    run: &'r Run<'c, F>,
+    boundaries: F::Boundaries,
+    /// Reader sources: the bytes from `open` to `read` (the open record).
+    pending: Vec<u8>,
+    /// Absolute offset of the first byte not yet in a segment.
+    open: usize,
+    /// Absolute offset past the last byte scanned.
+    read: usize,
+    /// Absolute boundaries past `open`, not yet cut at.
+    cuts: Vec<usize>,
+    ctx: Option<Arc<F::Context>>,
+    /// Reader sources: an over-sized record being dropped unread.
+    dropping: Option<Seg<F::Error>>,
+    next_idx: usize,
 }
 
-// --- The streaming drivers' scheduler: a byte-budgeted injector queue
-// --- shared by all workers, and a double-buffered chunk feeder that
-// --- overlaps `Read` with the boundary scan. ---
+impl<'r, 'c, F: DataFormat> Scanner<'r, 'c, F> {
+    fn new(run: &'r Run<'c, F>) -> Self {
+        Scanner {
+            run,
+            boundaries: F::boundaries(),
+            pending: Vec::new(),
+            open: 0,
+            read: 0,
+            cuts: Vec::new(),
+            ctx: None,
+            dropping: None,
+            next_idx: 0,
+        }
+    }
+
+    fn idx(&mut self) -> usize {
+        self.next_idx += 1;
+        self.next_idx - 1
+    }
+
+    /// The bytes `[from, to)`: lent by the corpus, or from `pending`.
+    fn bytes<'b>(&'b self, corpus: Option<&'b [u8]>, from: usize, to: usize) -> &'b [u8] {
+        match corpus {
+            Some(c) => &c[from..to],
+            None => &self.pending[from - self.open..to - self.open],
+        }
+    }
+
+    /// A settled segment `[open, to)`, advancing `open`; reader sources
+    /// record its span now, since its bytes go.
+    fn settle_here(
+        &mut self,
+        corpus: Option<&[u8]>,
+        to: usize,
+        report: ErrorReport<F::Error>,
+    ) -> Seg<F::Error> {
+        let span = corpus
+            .is_none()
+            .then(|| local_pos::<F>(self.bytes(None, self.open, to), to - self.open));
+        let idx = self.idx();
+        self.run.note_errors(idx, report.total());
+        let seg = Seg {
+            report,
+            ..Seg::settled(idx, self.open, to, span)
+        };
+        if corpus.is_none() {
+            self.pending.drain(..to - self.open);
+        }
+        self.open = to;
+        seg
+    }
+
+    /// Scans one window: hunts the prologue, cuts a bundle at the last
+    /// boundary, and bounds the open record.
+    fn window<'a>(
+        &mut self,
+        window: &[u8],
+        corpus: Option<&'a [u8]>,
+        segs: &mut Vec<Seg<F::Error>>,
+        dispatch: &mut dyn FnMut(Bundle<'a, F::Context>) -> Option<Seg<F::Error>>,
+    ) -> Result<(), StreamError> {
+        let base = self.read;
+        self.read += window.len();
+        let cuts = &mut self.cuts;
+        F::scan(&mut self.boundaries, window, &mut |off| {
+            cuts.push(base + off)
+        });
+        let mut rest = window;
+        if let Some(mut seg) = self.dropping.take() {
+            // The dropped record's bytes are discarded up to its end.
+            let end = self.cuts.first().copied();
+            let mut span = seg.span.unwrap_or_default();
+            F::advance_pos(&mut span, &window[..end.map_or(window.len(), |e| e - base)]);
+            seg.span = Some(span);
+            let Some(end) = end else {
+                self.dropping = Some(seg);
+                return Ok(());
+            };
+            seg.end = end;
+            segs.push(seg);
+            self.cuts.remove(0);
+            self.open = end;
+            rest = &window[end - base..];
+        }
+        if corpus.is_none() {
+            self.pending.extend_from_slice(rest);
+        }
+        // The prologue hunt: a record that fails as the prologue is
+        // dropped and the next one tried — what deleting it would mean.
+        while self.ctx.is_none() {
+            let Some(&end) = self.cuts.first() else { break };
+            self.prologue(corpus, end, segs);
+        }
+        if let (Some(ctx), Some(&last)) = (&self.ctx, self.cuts.last()) {
+            let ctx = Arc::clone(ctx);
+            self.cuts.clear();
+            if last > self.open {
+                self.cut(corpus, last, ctx, segs, dispatch);
+            }
+        }
+        // Reader sources hold only the open record now: bound it, so one
+        // unterminated record cannot buffer the rest of the stream.
+        if corpus.is_none() {
+            let limit = self.run.config.policy.max_record_bytes;
+            let (from, to) = F::record_extent(&self.pending);
+            if to - from > limit {
+                let mut report = ErrorReport::new();
+                report.record(F::record_too_large(
+                    limit,
+                    &local_pos::<F>(&self.pending, from),
+                ));
+                let read = self.read;
+                let seg = self.settle_here(None, read, report);
+                self.dropping = Some(seg);
+            }
+        }
+        Ok(())
+    }
+
+    /// Tries `[open, end)` as the prologue.
+    fn prologue(&mut self, corpus: Option<&[u8]>, end: usize, segs: &mut Vec<Seg<F::Error>>) {
+        match F::prologue(self.bytes(corpus, self.open, end), self.run.interner) {
+            Ok((consumed, ctx)) => {
+                self.ctx = Some(Arc::new(ctx));
+                if consumed > 0 {
+                    let seg = self.settle_here(corpus, self.open + consumed, ErrorReport::new());
+                    segs.push(seg);
+                }
+            }
+            Err(e) => {
+                let mut report = ErrorReport::new();
+                report.record(e);
+                let seg = self.settle_here(corpus, end, report);
+                segs.push(seg);
+            }
+        }
+        let open = self.open;
+        self.cuts.retain(|&c| c > open);
+    }
+
+    /// Cuts `[open, to)` into a bundle and hands it on.
+    fn cut<'a>(
+        &mut self,
+        corpus: Option<&'a [u8]>,
+        to: usize,
+        ctx: Arc<F::Context>,
+        segs: &mut Vec<Seg<F::Error>>,
+        dispatch: &mut dyn FnMut(Bundle<'a, F::Context>) -> Option<Seg<F::Error>>,
+    ) {
+        let bytes = match corpus {
+            Some(c) => Cow::Borrowed(&c[self.open..to]),
+            None => {
+                let rest = self.pending.split_off(to - self.open);
+                Cow::Owned(std::mem::replace(&mut self.pending, rest))
+            }
+        };
+        let bundle = Bundle {
+            idx: self.idx(),
+            start: self.open,
+            bytes,
+            ctx,
+        };
+        self.open = to;
+        segs.extend(dispatch(bundle));
+    }
+
+    /// End of input: the last prologue candidate and the tail bundle.
+    fn finish<'a>(
+        mut self,
+        corpus: Option<&'a [u8]>,
+        segs: &mut Vec<Seg<F::Error>>,
+        dispatch: &mut dyn FnMut(Bundle<'a, F::Context>) -> Option<Seg<F::Error>>,
+    ) -> Result<u64, StreamError> {
+        if let Some(mut seg) = self.dropping.take() {
+            seg.end = self.read; // the over-sized record ran to the end
+            segs.push(seg);
+            return Ok(self.read as u64);
+        }
+        if self.run.aborted() {
+            return Ok(self.read as u64); // the outcome is decided
+        }
+        if self.ctx.is_none() {
+            if self.read == 0 {
+                // An empty corpus is not a skippable record: CSV has no
+                // header to read, the other formats hold no records.
+                let (_, ctx) = F::prologue(&[], self.run.interner).map_err(F::wrap_error)?;
+                self.ctx = Some(Arc::new(ctx));
+            } else if self.open < self.read {
+                let read = self.read;
+                self.prologue(corpus, read, segs);
+            }
+        }
+        if let Some(ctx) = self.ctx.clone() {
+            if self.open < self.read {
+                let read = self.read;
+                self.cut(corpus, read, ctx, segs, dispatch);
+            }
+        }
+        Ok(self.read as u64)
+    }
+}
+
+// --- The parallel side: a byte-budgeted injector queue shared by all
+// --- workers. ---
 
 /// A byte-budgeted multi-consumer work queue — the mutex-protected
-/// injector variant of a work-stealing deque (no new deps). The reading
-/// thread pushes record bundles tagged with their byte size; whichever
-/// worker goes idle first pops the next one, so a bundle holding one
-/// oversized record no longer stalls the workers a round-robin deal
-/// would have starved.
+/// injector variant of a work-stealing deque (no new deps). The scanning
+/// thread pushes bundles tagged with their byte size; whichever worker
+/// goes idle first pops the next one, so a bundle holding one oversized
+/// record never stalls the rest of the pool.
 ///
 /// `push` blocks while the queued bytes exceed the budget — that
-/// back-pressure is what keeps streaming memory bounded — but always
-/// admits at least one item, so a single bundle larger than the whole
-/// budget still makes progress instead of deadlocking. `pop` drains
-/// remaining items after [`close`](WorkQueue::close), then returns
-/// `None`.
-pub(crate) struct WorkQueue<T> {
+/// back-pressure is what keeps reader memory bounded — but always admits
+/// at least one item, so a single bundle larger than the whole budget
+/// still makes progress. `pop` drains remaining items after
+/// [`close`](WorkQueue::close), then returns `None`.
+struct WorkQueue<T> {
     state: Mutex<QueueState<T>>,
     can_pop: Condvar,
     can_push: Condvar,
@@ -1000,7 +1248,7 @@ struct QueueState<T> {
 
 #[allow(clippy::expect_used)] // lock poisoning == a worker panicked, which already aborts the scope
 impl<T> WorkQueue<T> {
-    pub(crate) fn new(cap_bytes: usize) -> Self {
+    fn new(cap_bytes: usize) -> Self {
         WorkQueue {
             state: Mutex::new(QueueState {
                 items: VecDeque::new(),
@@ -1015,7 +1263,7 @@ impl<T> WorkQueue<T> {
 
     /// Enqueues `item`, blocking while the queue is over its byte
     /// budget (unless it is empty — one item is always admitted).
-    pub(crate) fn push(&self, item: T, size: usize) {
+    fn push(&self, item: T, size: usize) {
         let mut st = self.state.lock().expect("queue lock");
         while !st.items.is_empty() && st.bytes.saturating_add(size) > self.cap_bytes {
             st = self.can_push.wait(st).expect("queue lock");
@@ -1028,7 +1276,7 @@ impl<T> WorkQueue<T> {
 
     /// Takes the oldest queued item, blocking while the queue is empty
     /// and open. `None` means closed-and-drained: the worker is done.
-    pub(crate) fn pop(&self) -> Option<T> {
+    fn pop(&self) -> Option<T> {
         let mut st = self.state.lock().expect("queue lock");
         loop {
             if let Some((item, size)) = st.items.pop_front() {
@@ -1044,428 +1292,30 @@ impl<T> WorkQueue<T> {
         }
     }
 
-    /// Marks the end of input and wakes every blocked worker. The
-    /// producer MUST reach this on every exit path — workers block in
-    /// [`pop`](WorkQueue::pop) until it runs, and a scoped join cannot
-    /// complete while they do.
-    pub(crate) fn close(&self) {
+    /// Marks the end of input and wakes every blocked worker.
+    fn close(&self) {
         self.state.lock().expect("queue lock").closed = true;
         self.can_pop.notify_all();
         self.can_push.notify_all();
     }
 }
 
-/// A double-buffering I/O thread: owns the reader and keeps up to two
-/// chunks in flight, so the `Read` syscall for chunk *n+1* overlaps the
-/// driver's boundary scan of chunk *n* (before this, the reading thread
-/// alternated the two serially — dead bus time on every chunk). Spent
-/// chunk buffers flow back through a recycle channel, so steady state
-/// allocates nothing.
-pub(crate) struct ChunkFeeder {
-    rx: mpsc::Receiver<std::io::Result<Vec<u8>>>,
-    recycle: mpsc::Sender<Vec<u8>>,
-}
+/// Closes the queue however the scanning side exits (a panic included),
+/// so workers blocked in `pop` always let the scope join.
+struct CloseOnDrop<'q, T>(&'q WorkQueue<T>);
 
-impl ChunkFeeder {
-    /// Spawns the I/O thread in `scope`. The thread exits on EOF, on
-    /// its first I/O error, or when the consuming driver is dropped.
-    pub(crate) fn spawn<'scope, R: Read + Send + 'scope>(
-        scope: &'scope std::thread::Scope<'scope, '_>,
-        mut reader: R,
-        chunk_size: usize,
-    ) -> Self {
-        let (tx, rx) = mpsc::sync_channel::<std::io::Result<Vec<u8>>>(2);
-        let (recycle_tx, recycle_rx) = mpsc::channel::<Vec<u8>>();
-        scope.spawn(move || loop {
-            let mut buf = recycle_rx.try_recv().unwrap_or_default();
-            buf.resize(chunk_size.max(1), 0);
-            match reader.read(&mut buf) {
-                Ok(0) => break,
-                Ok(n) => {
-                    buf.truncate(n);
-                    if tx.send(Ok(buf)).is_err() {
-                        break; // driver gone (it hit an error) — stop reading
-                    }
-                }
-                Err(e) => {
-                    let _ = tx.send(Err(e));
-                    break;
-                }
-            }
-        });
-        ChunkFeeder {
-            rx,
-            recycle: recycle_tx,
-        }
-    }
-
-    /// The next chunk: `None` at EOF, `Some(Err)` on the stream's first
-    /// I/O error (the feeder stops after it, like the serial loop did).
-    pub(crate) fn next(&self) -> Option<std::io::Result<Vec<u8>>> {
-        self.rx.recv().ok()
-    }
-
-    /// Returns a spent buffer for reuse.
-    pub(crate) fn recycle(&self, buf: Vec<u8>) {
-        let _ = self.recycle.send(buf);
+impl<T> Drop for CloseOnDrop<'_, T> {
+    fn drop(&mut self) {
+        self.0.close();
     }
 }
-
-/// A bundle of whole records cut from the stream by the reading thread,
-/// bound for a parser worker.
-struct Bundle {
-    /// Dispatch order — the tiebreak that makes "first error in document
-    /// order" well-defined across workers.
-    idx: usize,
-    /// Stream position where the bundle starts.
-    pos: TextPos,
-    bytes: Vec<u8>,
-}
-
-/// Parallel streaming parse→infer over any [`Read`] source, in bounded
-/// memory.
-///
-/// Three thread roles overlap: a `ChunkFeeder` I/O thread keeps the
-/// next `Read` in flight while the driver thread runs the cheap
-/// boundary scan, cutting chunks at the last record boundary into
-/// complete-record bundles; `jobs` parser workers pull those bundles
-/// from a shared byte-budgeted `WorkQueue` — whichever worker goes
-/// idle first takes the next bundle, so skewed record sizes no longer
-/// idle the pool the way the old round-robin deal did. Each worker
-/// folds each bundle into its own [`InferAccumulator`] and returns one
-/// shape *per bundle*, which the merge joins with [`csh`] in bundle
-/// order — `csh` appends record fields in first-encounter order, so
-/// only the document-order join reproduces the sequential fold byte for
-/// byte (shapes stay schema-sized, so keeping one per bundle costs
-/// little; the scheduler changes who parses a bundle, never the join
-/// order). Records that straddle chunk ends ride along in the carry
-/// buffer, so peak memory is O(jobs · chunk + longest record + one
-/// shape per bundle) regardless of corpus size. `jobs ≤ 1` runs the
-/// sequential [`infer_reader_seq`].
-///
-/// # Errors
-///
-/// The first parse error in document order (stream-global positions) or
-/// I/O error — exactly what the sequential pipeline reports.
-pub fn infer_reader_parallel<F: DataFormat, R: Read + Send>(
-    reader: R,
-    options: &InferOptions,
-    chunk_size: usize,
-    jobs: usize,
-) -> Result<StreamSummary, StreamError> {
-    infer_reader_parallel_with::<F, R>(
-        reader,
-        options,
-        &RecoveryPolicy::default(),
-        chunk_size,
-        jobs,
-        Interner::global(),
-    )
-}
-
-/// [`infer_reader_parallel`] interning every name into `interner` — the
-/// parser workers all share the one corpus arena.
-///
-/// # Errors
-///
-/// As [`infer_reader_parallel`].
-pub fn infer_reader_parallel_in<F: DataFormat, R: Read + Send>(
-    reader: R,
-    options: &InferOptions,
-    chunk_size: usize,
-    jobs: usize,
-    interner: &Interner,
-) -> Result<StreamSummary, StreamError> {
-    infer_reader_parallel_with::<F, R>(
-        reader,
-        options,
-        &RecoveryPolicy::default(),
-        chunk_size,
-        jobs,
-        interner,
-    )
-}
-
-#[allow(clippy::expect_used)] // checked invariant, documented at each site
-/// [`infer_reader_parallel`] under a policy's resource limits
-/// (fail-fast). On top of the per-worker streamer caps, the reading
-/// thread's own carry buffer is bounded: a record that outgrows
-/// `max_record_bytes` while straddling chunks aborts with the format's
-/// record-size error instead of buffering without bound.
-pub(crate) fn infer_reader_parallel_with<F: DataFormat, R: Read + Send>(
-    reader: R,
-    options: &InferOptions,
-    policy: &RecoveryPolicy,
-    chunk_size: usize,
-    jobs: usize,
-    interner: &Interner,
-) -> Result<StreamSummary, StreamError> {
-    if jobs <= 1 {
-        return infer_reader_seq_with::<F, R>(reader, options, policy, chunk_size, interner);
-    }
-    let failed = AtomicBool::new(false);
-    // The smallest bundle index any worker has failed on: bundles past
-    // it are beyond the (sequentially poisoned) first error and are
-    // skipped, exactly like the sequential pipeline never parsing them.
-    let poisoned = AtomicUsize::new(usize::MAX);
-    // Byte budget ≈ two chunks per worker in flight: enough slack that
-    // workers never starve behind the scan, small enough that streaming
-    // memory stays O(jobs · chunk).
-    let queue: WorkQueue<Bundle> =
-        WorkQueue::new(jobs.saturating_mul(chunk_size.max(1)).saturating_mul(2));
-    std::thread::scope(|scope| {
-        let queue = &queue;
-        let failed = &failed;
-        let poisoned = &poisoned;
-        let feeder = ChunkFeeder::spawn(scope, reader, chunk_size);
-        let mut scanner = F::boundaries();
-        let mut carry: Vec<u8> = Vec::new();
-        let mut boundaries: Vec<usize> = Vec::new(); // relative to `carry`
-        let mut bytes_total = 0u64;
-        let mut pos = TextPos::start();
-        let mut ctx_established = false;
-        let mut handles = Vec::new();
-        let mut bundle_idx = 0usize;
-        // Workers borrow `queue` and block in `pop` until it closes, so
-        // no path may leave this closure before `queue.close()` runs —
-        // an early `return`/`?` would deadlock the scope join. Every
-        // failure sets `fatal` and falls through to the single exit.
-        let mut fatal: Option<StreamError> = None;
-
-        // Consumes the prologue from `carry[..first_record_end]` and
-        // spawns the worker pool (deferred until here because workers
-        // need the context).
-        macro_rules! establish_ctx {
-            ($first_record_end:expr) => {{
-                match F::prologue(&carry[..$first_record_end], interner) {
-                    Err(e) => Err(F::wrap_error(e)),
-                    Ok((consumed, c)) => {
-                        F::advance_pos(&mut pos, &carry[..consumed]);
-                        carry.drain(..consumed);
-                        for b in &mut boundaries {
-                            *b -= consumed;
-                        }
-                        let ctx_arc = Arc::new(c);
-                        for _ in 0..jobs {
-                            let worker_ctx = Arc::clone(&ctx_arc);
-                            let options = options.clone();
-                            handles.push(scope.spawn(move || {
-                                let mut folds: Vec<(usize, Shape, usize)> = Vec::new();
-                                let mut first_err: Option<(usize, F::Error)> = None;
-                                while let Some(Bundle { idx, pos, bytes }) = queue.pop() {
-                                    if idx > poisoned.load(Ordering::Relaxed) {
-                                        continue;
-                                    }
-                                    let mut acc = InferAccumulator::new(options.clone());
-                                    match run_shard::<F>(
-                                        &bytes,
-                                        &pos,
-                                        &worker_ctx,
-                                        policy,
-                                        interner,
-                                        &mut |v| acc.push(&v),
-                                    ) {
-                                        Ok(()) => {
-                                            let records = acc.records();
-                                            folds.push((idx, acc.finish(), records));
-                                        }
-                                        Err(e) => {
-                                            // Earlier bundles (possibly on
-                                            // other workers) must still
-                                            // parse — one of them may hold
-                                            // an even earlier error.
-                                            poisoned.fetch_min(idx, Ordering::Relaxed);
-                                            failed.store(true, Ordering::Relaxed);
-                                            if first_err
-                                                .as_ref()
-                                                .is_none_or(|(best, _)| idx < *best)
-                                            {
-                                                first_err = Some((idx, e));
-                                            }
-                                        }
-                                    }
-                                }
-                                (first_err, folds)
-                            }));
-                        }
-                        Ok(())
-                    }
-                }
-            }};
-        }
-
-        loop {
-            // A worker hit a parse error: the first error in document
-            // order is already among the dispatched bundles (every
-            // earlier bundle parsed clean or will surface an even
-            // earlier error), so reading further is pure waste — the
-            // sequential pipeline would have stopped here too.
-            if failed.load(Ordering::Relaxed) {
-                carry.clear();
-                break;
-            }
-            let chunk = match feeder.next() {
-                None => break, // EOF
-                Some(Err(e)) => {
-                    fatal = Some(StreamError::Io(e));
-                    break;
-                }
-                Some(Ok(chunk)) => chunk,
-            };
-            bytes_total += chunk.len() as u64;
-            let base = carry.len();
-            F::scan(&mut scanner, &chunk, &mut |off| {
-                boundaries.push(base + off);
-            });
-            carry.extend_from_slice(&chunk);
-            feeder.recycle(chunk);
-            if !ctx_established {
-                match boundaries.first().copied() {
-                    Some(b0) => {
-                        if let Err(e) = establish_ctx!(b0) {
-                            fatal = Some(e);
-                            break;
-                        }
-                        ctx_established = true;
-                    }
-                    None => continue, // no complete record yet
-                }
-            }
-            if let Some(&last) = boundaries.last() {
-                if last > 0 {
-                    let bundle: Vec<u8> = carry[..last].to_vec();
-                    let bpos = pos;
-                    F::advance_pos(&mut pos, &bundle);
-                    carry.drain(..last);
-                    let size = bundle.len();
-                    queue.push(
-                        Bundle {
-                            idx: bundle_idx,
-                            pos: bpos,
-                            bytes: bundle,
-                        },
-                        size,
-                    );
-                    bundle_idx += 1;
-                }
-                boundaries.clear();
-            }
-            // After draining complete records, the carry holds only the
-            // open record: bound it, so one pathological record cannot
-            // buffer the rest of the stream.
-            if carry.len() > policy.max_record_bytes {
-                fatal = Some(F::wrap_error(F::record_too_large(
-                    policy.max_record_bytes,
-                    &pos,
-                )));
-                break;
-            }
-        }
-        if fatal.is_none() {
-            // End of input: whatever never completed a record is the
-            // prologue (a boundary-free corpus) …
-            if !ctx_established {
-                let end = carry.len();
-                if let Err(e) = establish_ctx!(end) {
-                    fatal = Some(e);
-                }
-            }
-            // … and the remaining tail is the final bundle, whose worker
-            // `finish` reproduces the sequential EOF behaviour.
-            if fatal.is_none() && !carry.is_empty() {
-                let bundle = std::mem::take(&mut carry);
-                let size = bundle.len();
-                queue.push(
-                    Bundle {
-                        idx: bundle_idx,
-                        pos,
-                        bytes: bundle,
-                    },
-                    size,
-                );
-            }
-        }
-        // The single exit: release the workers, join, then report.
-        queue.close();
-
-        let mut folds: Vec<(usize, Shape, usize)> = Vec::new();
-        let mut first_err: Option<(usize, F::Error)> = None;
-        for h in handles {
-            let (err, worker_folds) = h.join().expect("parser worker panicked");
-            if let Some((idx, e)) = err {
-                if first_err.as_ref().is_none_or(|(best, _)| idx < *best) {
-                    first_err = Some((idx, e));
-                }
-            }
-            folds.extend(worker_folds);
-        }
-        // Reader-side failures (I/O, carry cap, prologue) outrank
-        // worker parse errors, as they did when the serial reader
-        // returned them before joining.
-        if let Some(e) = fatal {
-            return Err(e);
-        }
-        if let Some((_, e)) = first_err {
-            return Err(F::wrap_error(e));
-        }
-        // Join the per-bundle shapes in document order: csh appends
-        // record fields in first-encounter order, so this — and only
-        // this — order reproduces the sequential fold byte for byte.
-        folds.sort_unstable_by_key(|(idx, _, _)| *idx);
-        let mut shape = Shape::Bottom;
-        let mut records = 0usize;
-        for (_, s, r) in folds {
-            shape = csh(shape, s);
-            records += r;
-        }
-        Ok(StreamSummary {
-            shape,
-            records,
-            bytes: bytes_total,
-        })
-    })
-}
-
-// --- Dynamic dispatch: one place that maps a runtime `StreamFormat` to
-// --- the static witnesses, replacing the per-format match arms the
-// --- CLI, the provider macros and the bench harness used to carry. ---
-
-/// Dispatches `$body` with `$F` bound to the witness for `$fmt`.
-macro_rules! with_format {
-    ($fmt:expr, $F:ident => $body:expr) => {
-        match $fmt {
-            StreamFormat::Json => {
-                type $F = JsonFormat;
-                $body
-            }
-            StreamFormat::Xml => {
-                type $F = XmlFormat;
-                $body
-            }
-            StreamFormat::Csv => {
-                type $F = CsvFormat;
-                $body
-            }
-        }
-    };
-}
-pub(crate) use with_format;
 
 /// The inference preset for a runtime-chosen format.
 pub fn infer_options_dyn(format: StreamFormat) -> InferOptions {
     with_format!(format, F => F::infer_options())
 }
 
-/// One-shot single-document parse for a runtime-chosen format.
-///
-/// # Errors
-///
-/// The format's parse error, format-erased.
-pub fn parse_value_dyn(format: StreamFormat, text: &str) -> Result<Value, StreamError> {
-    parse_value_dyn_in(format, text, Interner::global())
-}
-
-/// [`parse_value_dyn`] interning into `interner`.
+/// [`DataFormat::parse_value`] for a runtime-chosen format.
 ///
 /// # Errors
 ///
@@ -1478,16 +1328,7 @@ pub fn parse_value_dyn_in(
     with_format!(format, F => F::parse_value(text, interner).map_err(F::wrap_error))
 }
 
-/// One-shot multi-record parse for a runtime-chosen format.
-///
-/// # Errors
-///
-/// The format's parse error, format-erased.
-pub fn parse_many_values_dyn(format: StreamFormat, text: &str) -> Result<Vec<Value>, StreamError> {
-    parse_many_values_dyn_in(format, text, Interner::global())
-}
-
-/// [`parse_many_values_dyn`] interning into `interner`.
+/// [`DataFormat::parse_many_values`] for a runtime-chosen format.
 ///
 /// # Errors
 ///
@@ -1506,25 +1347,11 @@ pub fn wrap_corpus_shape_dyn(format: StreamFormat, shape: Shape) -> Shape {
     with_format!(format, F => F::wrap_corpus_shape(shape))
 }
 
-/// [`infer_slice`] for a runtime-chosen format.
+/// [`run`] over an in-memory corpus, fail-fast.
 ///
 /// # Errors
 ///
-/// As [`infer_slice`], format-erased.
-pub fn infer_slice_dyn(
-    format: StreamFormat,
-    corpus: &[u8],
-    options: &InferOptions,
-    jobs: usize,
-) -> Result<StreamSummary, StreamError> {
-    infer_slice_dyn_in(format, corpus, options, jobs, Interner::global())
-}
-
-/// [`infer_slice_in`] for a runtime-chosen format.
-///
-/// # Errors
-///
-/// As [`infer_slice`], format-erased.
+/// As [`run`].
 pub fn infer_slice_dyn_in(
     format: StreamFormat,
     corpus: &[u8],
@@ -1532,52 +1359,20 @@ pub fn infer_slice_dyn_in(
     jobs: usize,
     interner: &Interner,
 ) -> Result<StreamSummary, StreamError> {
-    with_format!(format, F =>
-        infer_slice_in::<F>(corpus, options, jobs, interner).map_err(F::wrap_error))
-}
-
-/// [`parse_slice`] for a runtime-chosen format.
-///
-/// # Errors
-///
-/// As [`parse_slice`], format-erased.
-pub fn parse_slice_dyn(
-    format: StreamFormat,
-    corpus: &[u8],
-    jobs: usize,
-) -> Result<Vec<Value>, StreamError> {
-    with_format!(format, F => parse_slice::<F>(corpus, jobs).map_err(F::wrap_error))
-}
-
-/// [`infer_reader_parallel`] for a runtime-chosen format (`jobs ≤ 1` is
-/// the sequential reader pipeline).
-///
-/// # Errors
-///
-/// As [`infer_reader_parallel`].
-pub fn infer_reader_parallel_dyn<R: Read + Send>(
-    format: StreamFormat,
-    reader: R,
-    options: &InferOptions,
-    chunk_size: usize,
-    jobs: usize,
-) -> Result<StreamSummary, StreamError> {
-    infer_reader_parallel_dyn_in(
-        format,
-        reader,
-        options,
-        chunk_size,
+    let config = IngestConfig {
         jobs,
-        Interner::global(),
-    )
+        options: options.clone(),
+        ..IngestConfig::new(format)
+    };
+    run(Source::Bytes(corpus), &config, interner).map(|r| r.summary)
 }
 
-/// [`infer_reader_parallel_in`] for a runtime-chosen format.
+/// [`run`] over a reader, fail-fast.
 ///
 /// # Errors
 ///
-/// As [`infer_reader_parallel`].
-pub fn infer_reader_parallel_dyn_in<R: Read + Send>(
+/// As [`run`].
+pub fn infer_reader_parallel_dyn_in<'r, R: Read + Send + 'r>(
     format: StreamFormat,
     reader: R,
     options: &InferOptions,
@@ -1585,200 +1380,77 @@ pub fn infer_reader_parallel_dyn_in<R: Read + Send>(
     jobs: usize,
     interner: &Interner,
 ) -> Result<StreamSummary, StreamError> {
-    with_format!(format, F =>
-        infer_reader_parallel_in::<F, R>(reader, options, chunk_size, jobs, interner))
+    let config = IngestConfig {
+        jobs,
+        chunk_size,
+        options: options.clone(),
+        ..IngestConfig::new(format)
+    };
+    run(Source::Reader(Box::new(reader)), &config, interner).map(|r| r.summary)
 }
 
 #[cfg(test)]
+#[allow(clippy::unwrap_used)]
 mod tests {
     use super::*;
-    use crate::infer_many;
 
-    fn json_opts() -> InferOptions {
-        InferOptions::json()
+    /// Serves `bytes`, then fails every later read.
+    struct Failing(&'static [u8]);
+
+    impl Read for Failing {
+        fn read(&mut self, buf: &mut [u8]) -> std::io::Result<usize> {
+            if self.0.is_empty() {
+                return Err(std::io::Error::other("disk gone"));
+            }
+            let n = buf.len().min(self.0.len());
+            buf[..n].copy_from_slice(&self.0[..n]);
+            self.0 = &self.0[n..];
+            Ok(n)
+        }
     }
 
-    #[test]
-    fn parallel_json_matches_sequential_for_all_shard_counts() {
-        let corpus: String = (0..50)
-            .map(|i| format!("{{\"i\": {i}, \"t\": \"row-{i}\"}}\n"))
-            .collect();
-        let seq = infer_slice::<JsonFormat>(corpus.as_bytes(), &json_opts(), 1).unwrap();
-        for jobs in [2, 3, 7, 64, 1000] {
-            let par = infer_slice::<JsonFormat>(corpus.as_bytes(), &json_opts(), jobs).unwrap();
-            assert_eq!(par, seq, "jobs {jobs}");
-        }
-        assert_eq!(seq.records, 50);
-    }
-
-    #[test]
-    fn parallel_csv_seeds_headers_into_every_shard() {
-        let mut corpus = String::from("id,name,score\n");
-        for i in 0..40 {
-            corpus.push_str(&format!("{i},item-{i},{i}.5\n"));
-        }
-        let opts = InferOptions::csv();
-        let seq = infer_slice::<CsvFormat>(corpus.as_bytes(), &opts, 1).unwrap();
-        for jobs in [2, 4, 39, 40, 200] {
-            let par = infer_slice::<CsvFormat>(corpus.as_bytes(), &opts, jobs).unwrap();
-            assert_eq!(par, seq, "jobs {jobs}");
-        }
-        assert_eq!(seq.records, 40);
-        // And the corpus wrap matches the one-shot front-end.
-        let oneshot = crate::infer_with(
-            &tfd_csv::parse_value(&corpus).unwrap(),
-            &InferOptions::csv(),
-        );
-        assert_eq!(CsvFormat::wrap_corpus_shape(seq.shape), oneshot);
-    }
-
-    #[test]
-    fn parallel_xml_matches_sequential() {
-        let corpus: String = (0..30)
-            .map(|i| format!("<row id=\"{i}\"><v>x{i}</v></row>\n"))
-            .collect();
-        let opts = InferOptions::xml();
-        let seq = infer_slice::<XmlFormat>(corpus.as_bytes(), &opts, 1).unwrap();
-        for jobs in [2, 5, 64] {
-            assert_eq!(
-                infer_slice::<XmlFormat>(corpus.as_bytes(), &opts, jobs).unwrap(),
-                seq,
-                "jobs {jobs}"
-            );
+    fn config(jobs: usize, policy: RecoveryPolicy) -> IngestConfig {
+        IngestConfig {
+            jobs,
+            chunk_size: 4,
+            policy,
+            ..IngestConfig::new(StreamFormat::Json)
         }
     }
 
     #[test]
-    fn parallel_error_positions_are_stream_global() {
-        // The error sits in the last record; shard workers must report
-        // it at the sequential stream position no matter the cut.
-        let corpus = "{\"a\": 1}\n{\"a\": 2}\n{\"a\": @}\n";
-        let seq = infer_slice::<JsonFormat>(corpus.as_bytes(), &json_opts(), 1).unwrap_err();
-        for jobs in [2, 3, 64] {
-            let par = infer_slice::<JsonFormat>(corpus.as_bytes(), &json_opts(), jobs).unwrap_err();
-            assert_eq!(par, seq, "jobs {jobs}");
-        }
-        assert_eq!(seq.pos.line, 3);
-    }
-
-    #[test]
-    fn first_error_in_document_order_wins() {
-        // Two errors in different shards: the earlier one is reported,
-        // exactly as the sequential (poisoning) pipeline behaves.
-        let corpus = "{\"a\": 1} {\"b\": @} {\"c\": 2} {\"d\": %}";
-        let seq = infer_slice::<JsonFormat>(corpus.as_bytes(), &json_opts(), 1).unwrap_err();
-        for jobs in [2, 4, 16] {
-            let par = infer_slice::<JsonFormat>(corpus.as_bytes(), &json_opts(), jobs).unwrap_err();
-            assert_eq!(par, seq, "jobs {jobs}");
+    fn a_lost_stream_is_an_io_error() {
+        for jobs in [1, 2] {
+            for policy in [RecoveryPolicy::default(), RecoveryPolicy::skip()] {
+                let source = Source::Reader(Box::new(Failing(b"{\"a\": 1}\n{\"a\"")));
+                let err = run(source, &config(jobs, policy), &Interner::new()).unwrap_err();
+                assert!(matches!(err, StreamError::Io(_)), "jobs {jobs}: {err:?}");
+            }
         }
     }
 
     #[test]
-    fn empty_and_headerless_edges_match_sequential() {
-        // Empty JSON corpus: 0 records, ⊥ shape.
-        let s = infer_slice::<JsonFormat>(b"", &json_opts(), 4).unwrap();
-        assert_eq!(s.records, 0);
-        assert_eq!(s.shape, Shape::Bottom);
-        // Empty CSV corpus: the sequential CsvError::Empty.
-        let e = infer_slice::<CsvFormat>(b"", &InferOptions::csv(), 4).unwrap_err();
-        assert_eq!(e, tfd_csv::CsvError::Empty);
-        // Header-only CSV (no trailing newline): 0 records, like the
-        // sequential streamer.
-        let s = infer_slice::<CsvFormat>(b"a,b", &InferOptions::csv(), 4).unwrap();
-        assert_eq!(s.records, 0);
-    }
-
-    #[test]
-    fn parse_slice_returns_values_in_input_order() {
-        let corpus: String = (0..20).map(|i| format!("{{\"i\": {i}}} ")).collect();
-        let seq = parse_slice::<JsonFormat>(corpus.as_bytes(), 1).unwrap();
-        for jobs in [2, 7, 32] {
-            assert_eq!(
-                parse_slice::<JsonFormat>(corpus.as_bytes(), jobs).unwrap(),
-                seq,
-                "jobs {jobs}"
-            );
-        }
-        assert_eq!(seq, tfd_json::parse_many_values(&corpus).unwrap());
-    }
-
-    #[test]
-    fn reader_parallel_matches_sequential_reader() {
-        let corpus: String = (0..200)
-            .map(|i| format!("{{\"i\": {i}, \"f\": {i}.5}}\n"))
-            .collect();
-        let seq = infer_reader_seq::<JsonFormat, _>(corpus.as_bytes(), &json_opts(), 64).unwrap();
-        for (chunk, jobs) in [(7, 2), (64, 4), (4096, 3), (13, 64)] {
-            let par = infer_reader_parallel::<JsonFormat, _>(
-                corpus.as_bytes(),
-                &json_opts(),
-                chunk,
-                jobs,
+    fn a_parse_error_before_a_lost_stream_wins_in_document_order() {
+        for jobs in [1, 2] {
+            let source = Source::Reader(Box::new(Failing(b"{\"a\": @}\n{\"a\": 1}\n")));
+            let err = run(
+                source,
+                &config(jobs, RecoveryPolicy::default()),
+                &Interner::new(),
             )
-            .unwrap();
-            assert_eq!(par, seq, "chunk {chunk} jobs {jobs}");
-        }
-    }
-
-    #[test]
-    fn reader_parallel_csv_small_chunks() {
-        let mut corpus = String::from("a,b\n");
-        for i in 0..50 {
-            corpus.push_str(&format!("{i},\"x,{i}\"\r\n"));
-        }
-        let opts = InferOptions::csv();
-        let seq = infer_reader_seq::<CsvFormat, _>(corpus.as_bytes(), &opts, 64).unwrap();
-        for (chunk, jobs) in [(1, 2), (3, 4), (64, 8)] {
-            let par = infer_reader_parallel::<CsvFormat, _>(corpus.as_bytes(), &opts, chunk, jobs)
-                .unwrap();
-            assert_eq!(par, seq, "chunk {chunk} jobs {jobs}");
-        }
-    }
-
-    #[test]
-    fn reader_parallel_reports_sequential_errors() {
-        let corpus = "<a/>\n<b/>\n<bad @>\n";
-        let opts = InferOptions::xml();
-        let seq = infer_reader_seq::<XmlFormat, _>(corpus.as_bytes(), &opts, 64).unwrap_err();
-        let par =
-            infer_reader_parallel::<XmlFormat, _>(corpus.as_bytes(), &opts, 5, 4).unwrap_err();
-        assert_eq!(format!("{par}"), format!("{seq}"));
-        // Empty CSV through the parallel reader: the sequential Empty.
-        let e = infer_reader_parallel::<CsvFormat, _>(&b""[..], &InferOptions::csv(), 8, 4)
             .unwrap_err();
-        assert!(matches!(e, StreamError::Csv(tfd_csv::CsvError::Empty)));
+            assert!(matches!(err, StreamError::Json(_)), "jobs {jobs}: {err:?}");
+        }
     }
 
     #[test]
-    fn dyn_dispatch_agrees_with_static() {
-        let corpus = "a,b\n1,x\n2,y\n";
-        let opts = infer_options_dyn(StreamFormat::Csv);
-        let via_dyn = infer_slice_dyn(StreamFormat::Csv, corpus.as_bytes(), &opts, 4).unwrap();
-        let via_static =
-            infer_slice::<CsvFormat>(corpus.as_bytes(), &InferOptions::csv(), 4).unwrap();
-        assert_eq!(via_dyn, via_static);
-        assert_eq!(
-            wrap_corpus_shape_dyn(StreamFormat::Csv, via_dyn.shape),
-            crate::infer_with(&parse_value_dyn(StreamFormat::Csv, corpus).unwrap(), &opts)
-        );
-    }
-
-    #[test]
-    fn shard_fold_agrees_with_infer_many() {
-        // The parallel fold is the Fig. 3 fold: compare against
-        // `infer_many` over the one-shot record sequence.
-        let corpus: String = (0..25)
-            .map(|i| {
-                if i % 3 == 0 {
-                    format!("{{\"n\": {i}}} ")
-                } else {
-                    format!("{{\"n\": {i}.5, \"extra\": true}} ")
-                }
-            })
-            .collect();
-        let docs = tfd_json::parse_many_values(&corpus).unwrap();
-        let expected = infer_many(&docs, &json_opts());
-        let par = infer_slice::<JsonFormat>(corpus.as_bytes(), &json_opts(), 8).unwrap();
-        assert_eq!(par.shape, expected);
+    fn text_positions_compose() {
+        let mut whole = TextPos::start();
+        JsonFormat::advance_pos(&mut whole, "ab\nčd\nef".as_bytes());
+        let (mut head, mut tail) = (TextPos::start(), TextPos::start());
+        JsonFormat::advance_pos(&mut head, "ab\nč".as_bytes());
+        JsonFormat::advance_pos(&mut tail, "d\nef".as_bytes());
+        assert_eq!(head.then(&tail), whole);
+        assert_eq!(head.then(&TextPos::start()), head);
     }
 }

@@ -64,7 +64,7 @@ mod tags;
 pub use conforms::{conforms, conforms_in, value_matches_tag};
 pub use corpus::{infer_files_parallel, infer_sources_parallel, CorpusSource, FileSummary};
 pub use csh::{csh, csh_all, csh_in};
-pub use engine::{CsvFormat, DataFormat, JsonFormat, XmlFormat};
+pub use engine::{run, CsvFormat, DataFormat, IngestConfig, JsonFormat, Source, XmlFormat};
 pub use env::{GlobalShape, ShapeEnv};
 
 /// [`csh`] for callers that only hold references: clones both arguments
@@ -79,5 +79,5 @@ pub use multiplicity::Multiplicity;
 pub use prefer::{is_preferred, is_preferred_global, is_preferred_in};
 pub use recover::{ErrorReport, Recovered, RecoveryMode, RecoveryPolicy};
 pub use shape::{FieldShape, RecordShape, Shape};
-pub use stream::{infer_reader, InferAccumulator, StreamFormat, StreamSummary};
+pub use stream::{InferAccumulator, StreamFormat, StreamSummary};
 pub use tags::{tag_of, tag_of_in, Tag};

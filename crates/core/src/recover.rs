@@ -1,62 +1,64 @@
-//! Resilient ingest: error-recovering, resource-bounded parse→infer.
+//! Resilient ingest: what the pipeline does with malformed records, and
+//! the resource caps it never exceeds.
 //!
 //! The paper's multi-sample inference is a semilattice fold (Fig. 3:
 //! `σi = csh(σi−1, S(di))`), and the fold is associative and
 //! commutative. That makes *recovery* composable in a way it is not for
 //! most parsers: dropping a malformed record is exactly the same thing
-//! as deleting it from the corpus before folding, so a skip-mode run
+//! as deleting it from the corpus before folding, so a Skip-mode run
 //! over a corrupted corpus must produce **byte-identically** the shape
 //! of the clean subset — a property `tests/recovery_differential.rs`
-//! checks for every format × driver × shard-count combination.
+//! checks for every format × source × job count.
 //!
-//! The module contributes three things on top of the engine:
+//! This module holds the vocabulary of [`crate::engine::run`]:
 //!
 //! 1. [`RecoveryPolicy`] — how a run responds to malformed records
 //!    ([`RecoveryMode::FailFast`] or [`RecoveryMode::Skip`]) and the
-//!    hard resource caps every driver honours (`max_record_bytes`,
-//!    `max_depth`, and in Skip mode the `max_errors` budget).
+//!    hard resource caps it honours (`max_record_bytes`, `max_depth` —
+//!    at most [`MAX_DEPTH_CEILING`] — and in Skip mode the `max_errors`
+//!    budget).
 //! 2. [`ErrorReport`] — the bounded, document-ordered record of what a
 //!    Skip-mode run dropped: the first [`ERROR_REPORT_KEEP`] errors
 //!    verbatim, plus the total count and the last error.
-//! 3. The policy drivers [`infer_slice_policy`] /
-//!    [`infer_reader_policy`] (and their `*_dyn` twins), which wrap the
-//!    engine's four pipelines. Fail-fast mode delegates to the engine
-//!    with the caps applied; Skip mode re-synchronises at the next
-//!    record boundary after every malformed record, using the same
-//!    boundary scanner the parallel planner trusts not to split
-//!    records.
+//! 3. [`Recovered`] — a run's fold plus its report.
 //!
 //! Skip-mode recovery leans on one invariant: the per-format boundary
 //! scanners are *resumable state machines over raw bytes* that never
 //! feed back into the parser, so a record whose **content** is garbage
 //! still gets delimited correctly as long as its string/quote/depth
-//! structure closes. Each delimited record then runs through a fresh,
-//! context-seeded streamer (the engine's shard primitive), so a failed
-//! record reproduces exactly the error the sequential pipeline would
-//! report for it — shifted to stream-global coordinates — and a clean
-//! record contributes exactly its sequential shape.
+//! structure closes. A bundle that fails its one-shot parse is re-parsed
+//! record by record between those boundaries, so a failed record reports
+//! exactly the error a fail-fast run reports for it — at its
+//! stream-global position — and a clean record contributes exactly its
+//! shape. Fail-fast is the same path with a budget of 0.
 
-use crate::csh::csh;
-use crate::engine::{
-    infer_reader_parallel_with, infer_slice_with, run_shard, with_format, ChunkFeeder, CsvFormat,
-    DataFormat, JsonFormat, TextPos, WorkQueue, XmlFormat,
-};
+use crate::engine::{run, IngestConfig, Source};
 use crate::infer::InferOptions;
-use crate::stream::{InferAccumulator, StreamError, StreamFormat, StreamSummary};
-use crate::Shape;
-use std::io::Read;
-use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::Arc;
-use tfd_value::{Interner, Value};
+use crate::stream::{StreamError, StreamFormat, StreamSummary};
+use tfd_value::Interner;
 
 /// Default Skip-mode error budget: after this many skipped records the
 /// run aborts with [`StreamError::TooManyErrors`] instead of silently
 /// inferring a shape from what may be mostly noise.
 pub const DEFAULT_MAX_ERRORS: usize = 1000;
 
-/// Default cap on a single record's byte size (16 MiB), matching the
-/// front-end streamers' own carry-over default.
+/// Default cap on a single record's byte size (16 MiB): large enough
+/// for any schema-shaped record, small enough that an unclosed string
+/// cannot buffer a multi-gigabyte stream.
 pub const DEFAULT_MAX_RECORD_BYTES: usize = 16 * 1024 * 1024;
+
+/// The deepest nesting a `max_depth` override may ask for. The parsers
+/// recurse once per nesting level, so an unbounded override would let
+/// one document overflow a worker's stack; the CLI (`--max-depth`) and
+/// the registry (`?max_depth=`) reject anything deeper.
+pub const MAX_DEPTH_CEILING: usize = 1024;
+
+/// The stack every thread that parses records is given: room for
+/// [`MAX_DEPTH_CEILING`] levels of the recursive parsers, with headroom
+/// even in unoptimized builds (which need 4–8 MiB for it, against about
+/// 1 MiB optimized). The reservation is virtual: only touched pages
+/// count toward resident memory.
+pub const PARSER_STACK_BYTES: usize = 16 << 20;
 
 /// How many skipped errors an [`ErrorReport`] keeps verbatim; beyond
 /// this the report keeps counting (and remembers the last error) but
@@ -79,9 +81,7 @@ pub enum RecoveryMode {
 /// How a parse→infer run responds to malformed input and how much of
 /// any one record it is willing to buffer.
 ///
-/// The default policy is fail-fast with the streamers' default caps, so
-/// threading it through the engine changes nothing for existing
-/// callers.
+/// The default policy is fail-fast with the default caps.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct RecoveryPolicy {
     /// Fail fast or skip-and-log.
@@ -89,14 +89,14 @@ pub struct RecoveryPolicy {
     /// Skip mode only: abort with [`StreamError::TooManyErrors`] once
     /// more than this many records have been skipped.
     pub max_errors: usize,
-    /// Hard cap on a single record's byte size. In every driver this
-    /// bounds the carry-over buffering for records that straddle chunk
-    /// boundaries; in Skip mode it is additionally enforced per record,
-    /// and an oversized record is dropped like any other bad record.
+    /// Hard cap on a single record's byte size: a reader source never
+    /// buffers more than this of one record, and an oversized record is
+    /// an error like any other (dropped in Skip mode).
     pub max_record_bytes: usize,
     /// Overrides the format's nesting-depth limit (JSON default 128,
     /// XML default 256); `None` keeps the format default. CSV has no
-    /// nesting and ignores it.
+    /// nesting and ignores it. Callers accepting untrusted values keep
+    /// it at most [`MAX_DEPTH_CEILING`].
     pub max_depth: Option<usize>,
 }
 
@@ -126,17 +126,30 @@ impl RecoveryPolicy {
 ///
 /// The first [`ERROR_REPORT_KEEP`] errors are kept verbatim; past that
 /// the report keeps only the running total and the most recent error,
-/// so its memory is bounded no matter how corrupt the corpus is.
-#[derive(Debug, Clone, Default, PartialEq)]
-pub struct ErrorReport {
-    errors: Vec<StreamError>,
+/// so its memory is bounded no matter how corrupt the corpus is. The
+/// pipeline's workers keep reports of their format's own error type,
+/// positioned within a bundle, and [`map`](ErrorReport::map) them into
+/// stream-global [`StreamError`]s at the join.
+#[derive(Debug, Clone, PartialEq)]
+pub struct ErrorReport<E = StreamError> {
+    errors: Vec<E>,
     total: usize,
-    last: Option<StreamError>,
+    last: Option<E>,
 }
 
-impl ErrorReport {
+impl<E> Default for ErrorReport<E> {
+    fn default() -> Self {
+        ErrorReport {
+            errors: Vec::new(),
+            total: 0,
+            last: None,
+        }
+    }
+}
+
+impl<E> ErrorReport<E> {
     /// An empty report.
-    pub fn new() -> ErrorReport {
+    pub fn new() -> ErrorReport<E> {
         ErrorReport::default()
     }
 
@@ -152,24 +165,24 @@ impl ErrorReport {
 
     /// The kept document-order prefix of skipped errors (at most
     /// [`ERROR_REPORT_KEEP`] of them).
-    pub fn errors(&self) -> &[StreamError] {
+    pub fn errors(&self) -> &[E] {
         &self.errors
     }
 
     /// The first skipped error in document order, if any.
-    pub fn first(&self) -> Option<&StreamError> {
+    pub fn first(&self) -> Option<&E> {
         self.errors.first()
     }
 
     /// The last skipped error in document order, if any (kept even when
     /// the middle of the report was dropped).
-    pub fn last(&self) -> Option<&StreamError> {
+    pub fn last(&self) -> Option<&E> {
         self.last.as_ref().or_else(|| self.errors.last())
     }
 
     /// Logs one skipped error (document order is the caller's
     /// responsibility).
-    pub fn record(&mut self, e: StreamError) {
+    pub fn record(&mut self, e: E) {
         self.total += 1;
         if self.errors.len() < ERROR_REPORT_KEEP {
             self.errors.push(e);
@@ -178,9 +191,20 @@ impl ErrorReport {
         }
     }
 
+    /// The same report with every error converted by `f`.
+    pub fn map<T>(self, mut f: impl FnMut(E) -> T) -> ErrorReport<T> {
+        ErrorReport {
+            errors: self.errors.into_iter().map(&mut f).collect(),
+            total: self.total,
+            last: self.last.map(f),
+        }
+    }
+}
+
+impl<E: Clone> ErrorReport<E> {
     /// Appends `other` (whose errors all follow `self`'s in document
     /// order), preserving the kept-prefix + total + last structure.
-    pub fn merge(&mut self, other: ErrorReport) {
+    pub fn merge(&mut self, other: ErrorReport<E>) {
         if other.total == 0 {
             return;
         }
@@ -191,13 +215,8 @@ impl ErrorReport {
         let self_complete = self.total == self.errors.len();
         self.total += other.total;
         if self_complete {
-            for e in other.errors {
-                if self.errors.len() < ERROR_REPORT_KEEP {
-                    self.errors.push(e);
-                } else {
-                    break;
-                }
-            }
+            let room = ERROR_REPORT_KEEP.saturating_sub(self.errors.len());
+            self.errors.extend(other.errors.into_iter().take(room));
         }
         self.last = if self.total > self.errors.len() {
             new_last
@@ -205,11 +224,13 @@ impl ErrorReport {
             None
         };
     }
+}
 
+impl ErrorReport<StreamError> {
     #[allow(clippy::expect_used)] // checked invariant, documented at each site
     /// Consumes the report into the budget-exceeded error. Must only be
     /// called when at least one error was recorded.
-    fn into_budget_error(mut self, limit: usize) -> StreamError {
+    pub(crate) fn into_budget_error(mut self, limit: usize) -> StreamError {
         let first = self
             .errors
             .drain(..)
@@ -225,9 +246,9 @@ impl ErrorReport {
 /// A successful (possibly partial) resilient run: the fold over every
 /// record that parsed, plus the report of everything that did not.
 ///
-/// As with the engine drivers, `summary.shape` is the *record fold*;
-/// lift it with [`DataFormat::wrap_corpus_shape`] /
-/// [`crate::engine::wrap_corpus_shape_dyn`] to match the one-shot
+/// `summary.shape` is the *record fold*; lift it with
+/// [`DataFormat::wrap_corpus_shape`](crate::DataFormat::wrap_corpus_shape)
+/// / [`crate::engine::wrap_corpus_shape_dyn`] to match the one-shot
 /// corpus shape.
 #[derive(Debug, Clone, PartialEq)]
 pub struct Recovered {
@@ -237,651 +258,11 @@ pub struct Recovered {
     pub report: ErrorReport,
 }
 
-/// Runs one delimited record through the engine's per-record primitive,
-/// folding its value on success and logging its (stream-global) error
-/// on failure. The record-size cap is enforced here explicitly, so
-/// oversized records are skipped uniformly across drivers.
-fn skip_record<F: DataFormat>(
-    slice: &[u8],
-    pos: &TextPos,
-    ctx: &F::Context,
-    policy: &RecoveryPolicy,
-    interner: &Interner,
-    acc: &mut InferAccumulator,
-    report: &mut ErrorReport,
-) {
-    if slice.len() > policy.max_record_bytes {
-        report.record(F::wrap_error(F::record_too_large(
-            policy.max_record_bytes,
-            pos,
-        )));
-        return;
-    }
-    // Stage values so a record that errors after partial progress
-    // contributes nothing to the fold (a delimited slice holds one
-    // record, but this keeps the invariant local and obvious).
-    let mut staged: Vec<Value> = Vec::new();
-    match run_shard::<F>(slice, pos, ctx, policy, interner, &mut |v| staged.push(v)) {
-        Ok(()) => {
-            for v in &staged {
-                acc.push(v);
-            }
-        }
-        Err(e) => report.record(F::wrap_error(e)),
-    }
-}
-
-/// Policy-driven parse→infer over an in-memory corpus: the resilient
-/// sibling of [`infer_slice`](crate::engine::infer_slice).
-///
-/// Fail-fast mode is the engine driver with the policy's resource caps
-/// applied. Skip mode delimits every record with the format's boundary
-/// scanner, runs each through a fresh context-seeded streamer (in
-/// `jobs` document-order shards), folds the survivors, and logs the
-/// rest — so the returned shape equals, byte for byte, a fail-fast run
-/// over the corpus with the bad records deleted.
+/// [`run`] over an in-memory corpus under `policy`.
 ///
 /// # Errors
 ///
-/// In fail-fast mode, the first parse error in document order. In Skip
-/// mode, [`StreamError::TooManyErrors`] once more than
-/// `policy.max_errors` records were skipped — plus, for an empty CSV
-/// corpus, the format's empty-input error, exactly as fail-fast reports
-/// it (an absent corpus is not a skippable record).
-///
-/// ```
-/// use tfd_core::engine::JsonFormat;
-/// use tfd_core::recover::{infer_slice_policy, RecoveryPolicy};
-/// use tfd_core::InferOptions;
-///
-/// let corpus = br#"{"a": 1} {"a": ???} {"a": 3}"#;
-/// let out = infer_slice_policy::<JsonFormat>(
-///     corpus,
-///     &InferOptions::json(),
-///     &RecoveryPolicy::skip(),
-///     4,
-/// )?;
-/// assert_eq!(out.summary.records, 2);
-/// assert_eq!(out.report.total(), 1);
-/// # Ok::<(), tfd_core::stream::StreamError>(())
-/// ```
-pub fn infer_slice_policy<F: DataFormat>(
-    corpus: &[u8],
-    options: &InferOptions,
-    policy: &RecoveryPolicy,
-    jobs: usize,
-) -> Result<Recovered, StreamError> {
-    infer_slice_policy_in::<F>(corpus, options, policy, jobs, Interner::global())
-}
-
-/// [`infer_slice_policy`] interning every name into `interner`.
-///
-/// # Errors
-///
-/// As [`infer_slice_policy`].
-pub fn infer_slice_policy_in<F: DataFormat>(
-    corpus: &[u8],
-    options: &InferOptions,
-    policy: &RecoveryPolicy,
-    jobs: usize,
-    interner: &Interner,
-) -> Result<Recovered, StreamError> {
-    match policy.mode {
-        RecoveryMode::FailFast => {
-            let summary = infer_slice_with::<F>(corpus, options, policy, jobs, interner)
-                .map_err(F::wrap_error)?;
-            Ok(Recovered {
-                summary,
-                report: ErrorReport::new(),
-            })
-        }
-        RecoveryMode::Skip => skip_slice::<F>(corpus, options, policy, jobs, interner),
-    }
-}
-
-#[allow(clippy::expect_used)] // checked invariant, documented at each site
-/// The Skip-mode in-memory driver (see [`infer_slice_policy`]).
-fn skip_slice<F: DataFormat>(
-    corpus: &[u8],
-    options: &InferOptions,
-    policy: &RecoveryPolicy,
-    jobs: usize,
-    interner: &Interner,
-) -> Result<Recovered, StreamError> {
-    let n = corpus.len();
-    if n == 0 {
-        // An empty corpus is not a skippable record: report exactly
-        // what fail-fast reports (CsvError::Empty for CSV; an empty
-        // summary for the self-describing formats).
-        F::prologue(&[], interner).map_err(F::wrap_error)?;
-        return Ok(Recovered {
-            summary: StreamSummary {
-                shape: Shape::Bottom,
-                records: 0,
-                bytes: 0,
-            },
-            report: ErrorReport::new(),
-        });
-    }
-
-    // One pass of the boundary scanner delimits every record.
-    let mut scanner = F::boundaries();
-    let mut bounds: Vec<usize> = Vec::new();
-    F::scan(&mut scanner, corpus, &mut |off| bounds.push(off));
-
-    let mut report = ErrorReport::new();
-    let mut pos = TextPos::start();
-
-    // Prologue hunt: the first record that parses as the prologue wins.
-    // For the self-describing formats the first candidate always
-    // succeeds (consuming nothing); for CSV a corrupt header row is
-    // logged and the next record is tried as the header — exactly what
-    // deleting the bad row from the corpus would mean.
-    let mut start = 0usize;
-    let mut k = 0usize;
-    let (ctx, data_start) = loop {
-        let end = bounds.get(k).copied().unwrap_or(n);
-        match F::prologue(&corpus[start..end], interner) {
-            Ok((consumed, c)) => {
-                F::advance_pos(&mut pos, &corpus[start..start + consumed]);
-                break (Some(c), start + consumed);
-            }
-            Err(e) => {
-                report.record(F::wrap_error(F::shift_error(e, &pos)));
-                if report.total() > policy.max_errors {
-                    return Err(report.into_budget_error(policy.max_errors));
-                }
-                F::advance_pos(&mut pos, &corpus[start..end]);
-                start = end;
-                k += 1;
-                if start >= n {
-                    break (None, n);
-                }
-            }
-        }
-    };
-    let Some(ctx) = ctx else {
-        // Every record failed as a prologue candidate; nothing to fold.
-        return Ok(Recovered {
-            summary: StreamSummary {
-                shape: Shape::Bottom,
-                records: 0,
-                bytes: n as u64,
-            },
-            report,
-        });
-    };
-
-    // Delimit the data records: consecutive boundary-to-boundary
-    // slices from the end of the prologue, plus the unterminated tail.
-    let mut recs: Vec<(usize, usize)> = Vec::new();
-    let mut s = data_start;
-    for &b in bounds.iter().filter(|&&b| b > data_start) {
-        recs.push((s, b));
-        s = b;
-    }
-    if s < n {
-        recs.push((s, n));
-    }
-
-    // Shard the record list into document-order runs and recover each
-    // run on its own thread, exactly like the engine's shard workers.
-    let jobs = jobs.max(1);
-    let per_shard = recs.len().div_ceil(jobs.min(recs.len().max(1)));
-    let mut shards: Vec<(usize, usize, TextPos)> = Vec::new();
-    {
-        let mut p = pos;
-        let mut i = 0;
-        while i < recs.len() {
-            let j = (i + per_shard).min(recs.len());
-            shards.push((i, j, p));
-            F::advance_pos(&mut p, &corpus[recs[i].0..recs[j - 1].1]);
-            i = j;
-        }
-    }
-    let results: Vec<(InferAccumulator, ErrorReport)> = std::thread::scope(|scope| {
-        let ctx = &ctx;
-        let recs = &recs;
-        let handles: Vec<_> = shards
-            .iter()
-            .map(|&(i, j, p)| {
-                let options = options.clone();
-                scope.spawn(move || {
-                    let mut acc = InferAccumulator::new(options);
-                    let mut rep = ErrorReport::new();
-                    let mut pos = p;
-                    for &(s, e) in &recs[i..j] {
-                        let slice = &corpus[s..e];
-                        skip_record::<F>(slice, &pos, ctx, policy, interner, &mut acc, &mut rep);
-                        if rep.total() > policy.max_errors {
-                            // This shard alone exceeds the budget, so
-                            // the merged run aborts no matter what the
-                            // other shards find; stop wasting work.
-                            break;
-                        }
-                        F::advance_pos(&mut pos, slice);
-                    }
-                    (acc, rep)
-                })
-            })
-            .collect();
-        handles
-            .into_iter()
-            .map(|h| h.join().expect("recovery worker panicked"))
-            .collect()
-    });
-
-    let mut shape = Shape::Bottom;
-    let mut records = 0usize;
-    for (acc, rep) in results {
-        records += acc.records();
-        shape = csh(shape, acc.finish());
-        report.merge(rep);
-    }
-    if report.total() > policy.max_errors {
-        return Err(report.into_budget_error(policy.max_errors));
-    }
-    Ok(Recovered {
-        summary: StreamSummary {
-            shape,
-            records,
-            bytes: n as u64,
-        },
-        report,
-    })
-}
-
-/// A bundle of whole records bound for a Skip-mode parser worker: the
-/// reading thread also forwards the record boundaries it already
-/// scanned, so the worker can recover per record without re-scanning.
-struct SkipBundle {
-    idx: usize,
-    pos: TextPos,
-    bytes: Vec<u8>,
-    /// Bundle-relative record end offsets (ascending; a final implicit
-    /// segment runs to `bytes.len()` when the last cut falls short,
-    /// which only happens for the EOF tail bundle).
-    cuts: Vec<usize>,
-}
-
-/// Policy-driven streaming parse→infer over any [`Read`] source, in
-/// bounded memory: the resilient sibling of
-/// [`infer_reader_parallel`](crate::engine::infer_reader_parallel).
-///
-/// Fail-fast mode is the engine driver with the policy's resource caps
-/// applied (including the reading thread's carry cap). Skip mode keeps
-/// the same reading-thread/worker split, but workers recover per
-/// record, and the reading thread handles the two failures only it can
-/// see: a corrupt prologue (the next record is tried as the prologue)
-/// and a record that outgrows `max_record_bytes` while straddling
-/// chunks (it is dropped *while streaming* — the carry is discarded and
-/// re-synchronised at the record's eventual end, so memory stays
-/// bounded by the cap, not the record).
-///
-/// # Errors
-///
-/// I/O errors always abort (a lost stream is not a malformed record).
-/// Otherwise as [`infer_slice_policy`].
-pub fn infer_reader_policy<F: DataFormat, R: Read + Send>(
-    reader: R,
-    options: &InferOptions,
-    policy: &RecoveryPolicy,
-    chunk_size: usize,
-    jobs: usize,
-) -> Result<Recovered, StreamError> {
-    infer_reader_policy_in::<F, R>(
-        reader,
-        options,
-        policy,
-        chunk_size,
-        jobs,
-        Interner::global(),
-    )
-}
-
-/// [`infer_reader_policy`] interning every name into `interner`.
-///
-/// # Errors
-///
-/// As [`infer_reader_policy`].
-pub fn infer_reader_policy_in<F: DataFormat, R: Read + Send>(
-    reader: R,
-    options: &InferOptions,
-    policy: &RecoveryPolicy,
-    chunk_size: usize,
-    jobs: usize,
-    interner: &Interner,
-) -> Result<Recovered, StreamError> {
-    match policy.mode {
-        RecoveryMode::FailFast => {
-            let summary = infer_reader_parallel_with::<F, R>(
-                reader, options, policy, chunk_size, jobs, interner,
-            )?;
-            Ok(Recovered {
-                summary,
-                report: ErrorReport::new(),
-            })
-        }
-        RecoveryMode::Skip => {
-            skip_reader::<F, R>(reader, options, policy, chunk_size, jobs, interner)
-        }
-    }
-}
-
-#[allow(clippy::expect_used)] // checked invariant, documented at each site
-/// The Skip-mode streaming driver (see [`infer_reader_policy`]).
-fn skip_reader<F: DataFormat, R: Read + Send>(
-    reader: R,
-    options: &InferOptions,
-    policy: &RecoveryPolicy,
-    chunk_size: usize,
-    jobs: usize,
-    interner: &Interner,
-) -> Result<Recovered, StreamError> {
-    let jobs = jobs.max(1);
-    // Shared skip counter: workers add their skips so the reading
-    // thread can stop dispatching once the budget is certainly blown.
-    let err_count = AtomicUsize::new(0);
-    // The engine driver's shared injector queue (see
-    // `engine::WorkQueue`): idle-worker pull instead of round-robin
-    // dealing, byte-budgeted to two chunks per worker.
-    let queue: WorkQueue<SkipBundle> =
-        WorkQueue::new(jobs.saturating_mul(chunk_size.max(1)).saturating_mul(2));
-    std::thread::scope(|scope| {
-        let err_count = &err_count;
-        let queue = &queue;
-        let feeder = ChunkFeeder::spawn(scope, reader, chunk_size);
-        let mut scanner = F::boundaries();
-        let mut carry: Vec<u8> = Vec::new();
-        let mut cuts: Vec<usize> = Vec::new(); // relative to `carry`
-        let mut bytes_total = 0u64;
-        let mut pos = TextPos::start();
-        let mut dropping = false;
-        let mut ctx: Option<Arc<F::Context>> = None;
-        let mut handles = Vec::new();
-        let mut bundle_idx = 0usize;
-        // Workers borrow `queue` and block in `pop` until it closes, so
-        // no path may leave this closure before `queue.close()` — every
-        // failure sets `fatal` and falls through to the single exit.
-        let mut fatal: Option<StreamError> = None;
-        // Error-report fragments keyed for the document-order merge:
-        // reader-side errors land at key 2·(next bundle idx) — they sit
-        // between the already-dispatched bundles and the next one —
-        // and bundle `k`'s worker report lands at 2k + 1.
-        let mut parts: Vec<(u64, ErrorReport)> = Vec::new();
-
-        macro_rules! reader_record_err {
-            ($e:expr) => {{
-                let mut r = ErrorReport::new();
-                r.record($e);
-                err_count.fetch_add(1, Ordering::Relaxed);
-                parts.push(((bundle_idx as u64) * 2, r));
-            }};
-        }
-        macro_rules! spawn_workers {
-            ($ctx_value:expr) => {{
-                let ctx_arc = Arc::new($ctx_value);
-                for _ in 0..jobs {
-                    let worker_ctx = Arc::clone(&ctx_arc);
-                    let options = options.clone();
-                    handles.push(scope.spawn(move || {
-                        let mut out: Vec<(usize, Shape, usize, ErrorReport)> = Vec::new();
-                        while let Some(SkipBundle {
-                            idx,
-                            pos,
-                            bytes,
-                            mut cuts,
-                        }) = queue.pop()
-                        {
-                            if cuts.last().copied().unwrap_or(0) < bytes.len() {
-                                cuts.push(bytes.len());
-                            }
-                            let mut acc = InferAccumulator::new(options.clone());
-                            let mut rep = ErrorReport::new();
-                            let mut p = pos;
-                            let mut s = 0usize;
-                            for e in cuts {
-                                let slice = &bytes[s..e];
-                                let before = rep.total();
-                                skip_record::<F>(
-                                    slice,
-                                    &p,
-                                    &worker_ctx,
-                                    policy,
-                                    interner,
-                                    &mut acc,
-                                    &mut rep,
-                                );
-                                let added = rep.total() - before;
-                                if added > 0 {
-                                    err_count.fetch_add(added, Ordering::Relaxed);
-                                }
-                                F::advance_pos(&mut p, slice);
-                                s = e;
-                            }
-                            let records = acc.records();
-                            out.push((idx, acc.finish(), records, rep));
-                        }
-                        out
-                    }));
-                }
-                ctx = Some(ctx_arc);
-            }};
-        }
-
-        loop {
-            if err_count.load(Ordering::Relaxed) > policy.max_errors {
-                // The budget is certainly blown: the dispatched bundles
-                // form a document-order prefix that already contains
-                // more than `max_errors` skips (and therefore the first
-                // error), so reading further cannot change the outcome.
-                carry.clear();
-                cuts.clear();
-                break;
-            }
-            let chunk = match feeder.next() {
-                None => break, // EOF
-                Some(Err(e)) => {
-                    fatal = Some(StreamError::Io(e));
-                    break;
-                }
-                Some(Ok(chunk)) => chunk,
-            };
-            bytes_total += chunk.len() as u64;
-            let mut newb: Vec<usize> = Vec::new(); // chunk-relative
-            F::scan(&mut scanner, &chunk, &mut |off| newb.push(off));
-            if dropping {
-                // The oversized record (already logged) is still open:
-                // discard its bytes until its end boundary shows up.
-                match newb.first().copied() {
-                    None => {
-                        F::advance_pos(&mut pos, &chunk);
-                        feeder.recycle(chunk);
-                        continue;
-                    }
-                    Some(b0) => {
-                        F::advance_pos(&mut pos, &chunk[..b0]);
-                        dropping = false;
-                        carry.extend_from_slice(&chunk[b0..]);
-                        cuts.extend(newb[1..].iter().map(|&b| b - b0));
-                    }
-                }
-            } else {
-                let base = carry.len();
-                cuts.extend(newb.iter().map(|&b| base + b));
-                carry.extend_from_slice(&chunk);
-            }
-            feeder.recycle(chunk);
-            // Prologue hunt over the complete records available so far.
-            while ctx.is_none() {
-                let Some(&c0) = cuts.first() else { break };
-                match F::prologue(&carry[..c0], interner) {
-                    Ok((consumed, c)) => {
-                        F::advance_pos(&mut pos, &carry[..consumed]);
-                        carry.drain(..consumed);
-                        for b in &mut cuts {
-                            *b -= consumed;
-                        }
-                        if cuts.first() == Some(&0) {
-                            // The prologue was the whole first record
-                            // (CSV): its boundary is spent.
-                            cuts.remove(0);
-                        }
-                        spawn_workers!(c);
-                    }
-                    Err(e) => {
-                        reader_record_err!(F::wrap_error(F::shift_error(e, &pos)));
-                        F::advance_pos(&mut pos, &carry[..c0]);
-                        carry.drain(..c0);
-                        cuts.remove(0);
-                        for b in &mut cuts {
-                            *b -= c0;
-                        }
-                    }
-                }
-            }
-            // Dispatch everything up to the last known boundary.
-            if ctx.is_some() {
-                if let Some(&last) = cuts.last() {
-                    if last > 0 {
-                        let bytes = carry[..last].to_vec();
-                        let bcuts: Vec<usize> = std::mem::take(&mut cuts);
-                        let bpos = pos;
-                        F::advance_pos(&mut pos, &bytes);
-                        carry.drain(..last);
-                        let size = bytes.len();
-                        queue.push(
-                            SkipBundle {
-                                idx: bundle_idx,
-                                pos: bpos,
-                                bytes,
-                                cuts: bcuts,
-                            },
-                            size,
-                        );
-                        bundle_idx += 1;
-                    } else {
-                        cuts.clear();
-                    }
-                }
-            }
-            // After draining, the carry holds only the open record (or
-            // open prologue candidate). If it has outgrown the cap,
-            // log it and switch to discard mode: memory stays bounded
-            // by the cap while the scanner hunts the record's end.
-            if carry.len() > policy.max_record_bytes {
-                reader_record_err!(F::wrap_error(F::record_too_large(
-                    policy.max_record_bytes,
-                    &pos,
-                )));
-                F::advance_pos(&mut pos, &carry);
-                carry.clear();
-                cuts.clear();
-                dropping = true;
-            }
-        }
-
-        // End of input (budget aborts arrive here too, with an empty
-        // carry). A still-dropping record was already logged; an under-
-        // budget run finishes the prologue hunt and the tail bundle.
-        if fatal.is_none() && !dropping && err_count.load(Ordering::Relaxed) <= policy.max_errors {
-            if ctx.is_none() {
-                if bytes_total == 0 {
-                    // Empty input: behave exactly like fail-fast.
-                    if let Err(e) = F::prologue(&[], interner) {
-                        fatal = Some(F::wrap_error(e));
-                    }
-                } else if !carry.is_empty() {
-                    // A boundary-free corpus (or one whose every record
-                    // already failed the hunt): the rest is the final
-                    // prologue candidate.
-                    let tail = std::mem::take(&mut carry);
-                    match F::prologue(&tail, interner) {
-                        Ok((consumed, c)) => {
-                            F::advance_pos(&mut pos, &tail[..consumed]);
-                            carry = tail[consumed..].to_vec();
-                            spawn_workers!(c);
-                        }
-                        Err(e) => {
-                            reader_record_err!(F::wrap_error(F::shift_error(e, &pos)));
-                        }
-                    }
-                }
-            }
-            if fatal.is_none() && !carry.is_empty() && ctx.is_some() {
-                let bytes = std::mem::take(&mut carry);
-                let bcuts: Vec<usize> = std::mem::take(&mut cuts);
-                let size = bytes.len();
-                queue.push(
-                    SkipBundle {
-                        idx: bundle_idx,
-                        pos,
-                        bytes,
-                        cuts: bcuts,
-                    },
-                    size,
-                );
-            }
-        }
-        // The single exit: release the workers, join, then report.
-        queue.close();
-
-        let mut folds: Vec<(usize, Shape, usize, ErrorReport)> = Vec::new();
-        for h in handles {
-            folds.extend(h.join().expect("recovery worker panicked"));
-        }
-        if let Some(e) = fatal {
-            return Err(e);
-        }
-        folds.sort_unstable_by_key(|f| f.0);
-        let mut shape = Shape::Bottom;
-        let mut records = 0usize;
-        for (idx, s, r, rep) in folds {
-            parts.push((idx as u64 * 2 + 1, rep));
-            shape = csh(shape, s);
-            records += r;
-        }
-        // Stable sort: reader-side fragments sharing a key keep their
-        // insertion (document) order.
-        parts.sort_by_key(|p| p.0);
-        let mut report = ErrorReport::new();
-        for (_, rep) in parts {
-            report.merge(rep);
-        }
-        if report.total() > policy.max_errors {
-            return Err(report.into_budget_error(policy.max_errors));
-        }
-        Ok(Recovered {
-            summary: StreamSummary {
-                shape,
-                records,
-                bytes: bytes_total,
-            },
-            report,
-        })
-    })
-}
-
-/// [`infer_slice_policy`] for a runtime-chosen format.
-///
-/// # Errors
-///
-/// As [`infer_slice_policy`].
-pub fn infer_slice_policy_dyn(
-    format: StreamFormat,
-    corpus: &[u8],
-    options: &InferOptions,
-    policy: &RecoveryPolicy,
-    jobs: usize,
-) -> Result<Recovered, StreamError> {
-    with_format!(format, F => infer_slice_policy::<F>(corpus, options, policy, jobs))
-}
-
-/// [`infer_slice_policy_in`] for a runtime-chosen format.
-///
-/// # Errors
-///
-/// As [`infer_slice_policy`].
+/// As [`run`].
 pub fn infer_slice_policy_dyn_in(
     format: StreamFormat,
     corpus: &[u8],
@@ -890,208 +271,18 @@ pub fn infer_slice_policy_dyn_in(
     jobs: usize,
     interner: &Interner,
 ) -> Result<Recovered, StreamError> {
-    with_format!(format, F => infer_slice_policy_in::<F>(corpus, options, policy, jobs, interner))
-}
-
-/// [`infer_reader_policy`] for a runtime-chosen format.
-///
-/// # Errors
-///
-/// As [`infer_reader_policy`].
-pub fn infer_reader_policy_dyn<R: Read + Send>(
-    format: StreamFormat,
-    reader: R,
-    options: &InferOptions,
-    policy: &RecoveryPolicy,
-    chunk_size: usize,
-    jobs: usize,
-) -> Result<Recovered, StreamError> {
-    with_format!(format, F => infer_reader_policy::<F, R>(reader, options, policy, chunk_size, jobs))
-}
-
-/// [`infer_reader_policy_in`] for a runtime-chosen format.
-///
-/// # Errors
-///
-/// As [`infer_reader_policy`].
-pub fn infer_reader_policy_dyn_in<R: Read + Send>(
-    format: StreamFormat,
-    reader: R,
-    options: &InferOptions,
-    policy: &RecoveryPolicy,
-    chunk_size: usize,
-    jobs: usize,
-    interner: &Interner,
-) -> Result<Recovered, StreamError> {
-    with_format!(format, F =>
-        infer_reader_policy_in::<F, R>(reader, options, policy, chunk_size, jobs, interner))
+    let config = IngestConfig {
+        jobs,
+        policy: *policy,
+        options: options.clone(),
+        ..IngestConfig::new(format)
+    };
+    run(Source::Bytes(corpus), &config, interner)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::engine::infer_slice;
-
-    fn skip() -> RecoveryPolicy {
-        RecoveryPolicy::skip()
-    }
-
-    #[test]
-    fn skip_mode_shape_equals_clean_subset_json() {
-        let dirty = "{\"a\": 1}\n{\"a\": @}\n{\"a\": 2, \"b\": true}\n[1,]\n{\"a\": 3}\n";
-        let clean = "{\"a\": 1}\n{\"a\": 2, \"b\": true}\n{\"a\": 3}\n";
-        let opts = InferOptions::json();
-        let want = infer_slice::<JsonFormat>(clean.as_bytes(), &opts, 1).unwrap();
-        for jobs in [1, 2, 7] {
-            let got =
-                infer_slice_policy::<JsonFormat>(dirty.as_bytes(), &opts, &skip(), jobs).unwrap();
-            assert_eq!(got.summary.shape, want.shape, "jobs {jobs}");
-            assert_eq!(got.summary.records, 3, "jobs {jobs}");
-            assert_eq!(got.report.total(), 2, "jobs {jobs}");
-        }
-    }
-
-    #[test]
-    fn skip_mode_error_positions_are_stream_global() {
-        let dirty = "{\"a\": 1}\n{\"a\": @}\n{\"a\": 3}\n";
-        let got =
-            infer_slice_policy::<JsonFormat>(dirty.as_bytes(), &InferOptions::json(), &skip(), 3)
-                .unwrap();
-        assert_eq!(got.report.total(), 1);
-        match got.report.first().unwrap() {
-            StreamError::Json(e) => assert_eq!(e.pos.line, 2),
-            other => panic!("expected a JSON error, got {other:?}"),
-        }
-    }
-
-    #[test]
-    fn skip_mode_csv_recovers_rows_and_a_corrupt_header() {
-        let opts = InferOptions::csv();
-        // A corrupt data row is dropped; the rest folds.
-        let dirty = "a,b\n1,x\n\"bad\"y,2\n3,z\n";
-        let clean = "a,b\n1,x\n3,z\n";
-        let want = infer_slice::<CsvFormat>(clean.as_bytes(), &opts, 1).unwrap();
-        let got = infer_slice_policy::<CsvFormat>(dirty.as_bytes(), &opts, &skip(), 2).unwrap();
-        assert_eq!(got.summary.shape, want.shape);
-        assert_eq!(got.summary.records, 2);
-        assert_eq!(got.report.total(), 1);
-        // A corrupt header row (the quote closes, so the row still ends
-        // at its newline): the next record becomes the header — exactly
-        // what deleting the bad row means.
-        let dirty = "\"a\"!,b\nx,y\n1,2\n";
-        let clean = "x,y\n1,2\n";
-        let want = infer_slice::<CsvFormat>(clean.as_bytes(), &opts, 1).unwrap();
-        let got = infer_slice_policy::<CsvFormat>(dirty.as_bytes(), &opts, &skip(), 1).unwrap();
-        assert_eq!(got.summary.shape, want.shape);
-        assert_eq!(got.report.total(), 1);
-    }
-
-    #[test]
-    fn skip_mode_empty_csv_is_still_a_hard_error() {
-        let e = infer_slice_policy::<CsvFormat>(b"", &InferOptions::csv(), &skip(), 1).unwrap_err();
-        assert_eq!(e, StreamError::Csv(tfd_csv::CsvError::Empty));
-        let e = infer_reader_policy::<CsvFormat, _>(&b""[..], &InferOptions::csv(), &skip(), 8, 2)
-            .unwrap_err();
-        assert_eq!(e, StreamError::Csv(tfd_csv::CsvError::Empty));
-    }
-
-    #[test]
-    fn exceeding_the_error_budget_aborts_with_the_first_error() {
-        let dirty = "{\"a\": @}\n{\"b\": @}\n{\"c\": @}\n{\"a\": 1}\n";
-        let policy = RecoveryPolicy {
-            max_errors: 2,
-            ..RecoveryPolicy::skip()
-        };
-        for jobs in [1, 4] {
-            let e = infer_slice_policy::<JsonFormat>(
-                dirty.as_bytes(),
-                &InferOptions::json(),
-                &policy,
-                jobs,
-            )
-            .unwrap_err();
-            match e {
-                StreamError::TooManyErrors { limit, first } => {
-                    assert_eq!(limit, 2);
-                    match *first {
-                        StreamError::Json(ref pe) => assert_eq!(pe.pos.line, 1),
-                        ref other => panic!("expected a JSON first error, got {other:?}"),
-                    }
-                }
-                other => panic!("expected TooManyErrors, got {other:?}"),
-            }
-        }
-    }
-
-    #[test]
-    fn reader_skip_agrees_with_slice_skip_across_chunk_sizes() {
-        // The corrupt records keep their tag depth balanced, so the
-        // boundary scanner still delimits them as single records (an
-        // unquoted attribute and an unknown entity are content-level
-        // errors the scanner never sees).
-        let dirty = "<r><v>1</v></r>\n<bad x=1></bad>\n<r><v>2</v><w/></r>\n<r>&undef;</r>\n<r/>\n";
-        let opts = InferOptions::xml();
-        let want = infer_slice_policy::<XmlFormat>(dirty.as_bytes(), &opts, &skip(), 1).unwrap();
-        assert_eq!(want.report.total(), 2);
-        for (chunk, jobs) in [(1, 1), (3, 2), (7, 4), (4096, 2)] {
-            let got =
-                infer_reader_policy::<XmlFormat, _>(dirty.as_bytes(), &opts, &skip(), chunk, jobs)
-                    .unwrap();
-            assert_eq!(got.summary.shape, want.summary.shape, "chunk {chunk}");
-            assert_eq!(got.summary.records, want.summary.records, "chunk {chunk}");
-            assert_eq!(got.report.total(), 2, "chunk {chunk}");
-        }
-    }
-
-    #[test]
-    fn reader_skip_drops_a_record_that_outgrows_the_cap_in_bounded_memory() {
-        // Record 2 is a string that never closes until much later; with
-        // a 64-byte cap it must be dropped mid-stream and the fold must
-        // still see records 1 and 3.
-        let mut dirty = String::from("{\"ok\": 1}\n");
-        dirty.push_str(&format!("\"{}\"\n", "x".repeat(1000)));
-        dirty.push_str("{\"ok\": 3}\n");
-        let clean = "{\"ok\": 1}\n{\"ok\": 3}\n";
-        let opts = InferOptions::json();
-        let policy = RecoveryPolicy {
-            max_record_bytes: 64,
-            ..RecoveryPolicy::skip()
-        };
-        let want = infer_slice::<JsonFormat>(clean.as_bytes(), &opts, 1).unwrap();
-        for (chunk, jobs) in [(1, 1), (8, 2), (4096, 4)] {
-            let got =
-                infer_reader_policy::<JsonFormat, _>(dirty.as_bytes(), &opts, &policy, chunk, jobs)
-                    .unwrap();
-            assert_eq!(got.summary.shape, want.shape, "chunk {chunk}");
-            assert_eq!(got.summary.records, 2, "chunk {chunk}");
-            assert_eq!(got.report.total(), 1, "chunk {chunk}");
-            assert!(
-                matches!(
-                    got.report.first(),
-                    Some(StreamError::Json(e))
-                        if matches!(e.kind, tfd_json::ParseErrorKind::RecordTooLarge(64))
-                ),
-                "chunk {chunk}: {:?}",
-                got.report.first()
-            );
-        }
-    }
-
-    #[test]
-    fn failfast_policy_matches_the_plain_engine_driver() {
-        let corpus = "{\"a\": 1}\n{\"a\": 2}\n";
-        let opts = InferOptions::json();
-        let plain = infer_slice::<JsonFormat>(corpus.as_bytes(), &opts, 2).unwrap();
-        let via_policy = infer_slice_policy::<JsonFormat>(
-            corpus.as_bytes(),
-            &opts,
-            &RecoveryPolicy::default(),
-            2,
-        )
-        .unwrap();
-        assert_eq!(via_policy.summary, plain);
-        assert!(via_policy.report.is_empty());
-    }
 
     #[test]
     fn error_report_keeps_a_prefix_a_total_and_the_last() {
@@ -1124,6 +315,13 @@ mod tests {
         assert_eq!(
             a.last(),
             Some(&StreamError::Csv(tfd_csv::CsvError::UnterminatedQuote(9)))
+        );
+        // Mapping keeps the structure too.
+        let mapped = a.map(|e| e.to_string());
+        assert_eq!(mapped.total(), 2);
+        assert_eq!(
+            mapped.first().map(String::as_str),
+            Some("input contains no rows")
         );
     }
 }

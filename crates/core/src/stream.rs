@@ -9,16 +9,15 @@
 //! for a whole corpus is one record plus one shape, independent of
 //! corpus size.
 //!
-//! [`infer_reader`] wires any [`Read`] source through a chunk-fed
-//! front-end streamer (`tfd_json::stream`, `tfd_xml::stream`,
-//! `tfd_csv::stream`) into the accumulator, which is how the CLI's
-//! `--stream` mode processes larger-than-RAM corpora.
+//! [`crate::engine::run`] folds every record of a corpus — in memory or
+//! from any `Read` source, in bounded memory — into accumulators like
+//! this one, which is how the CLI's `--stream` mode processes
+//! larger-than-RAM corpora.
 
 use crate::csh::csh;
 use crate::infer::{infer_with, InferOptions};
 use crate::Shape;
 use std::fmt;
-use std::io::Read;
 use tfd_value::Value;
 
 /// The incremental `S(d1, …, dn)` fold: `σi = csh(σi−1, S(di))`.
@@ -222,7 +221,7 @@ impl PartialEq for StreamError {
     }
 }
 
-/// What [`infer_reader`] found in the stream.
+/// What a run of [`crate::engine::run`] found in the stream.
 #[derive(Debug, Clone, PartialEq)]
 pub struct StreamSummary {
     /// The folded shape `σn` (`⊥` for an empty stream). For CSV this is
@@ -235,39 +234,11 @@ pub struct StreamSummary {
     pub bytes: u64,
 }
 
-/// Default chunk size for [`infer_reader`] callers that have no reason
-/// to pick one (64 KiB: large enough that most records never straddle a
-/// boundary, small enough to stay cache-friendly).
+/// Default chunk size for [`crate::engine::IngestConfig`] (64 KiB:
+/// large enough that most records never straddle a read, small enough
+/// to stay cache-friendly and to bound what one failing bundle costs
+/// to re-parse).
 pub const DEFAULT_CHUNK_SIZE: usize = 64 * 1024;
-
-/// Streams `reader` through the `format` front-end, folding every record
-/// into an [`InferAccumulator`] — the whole parse→infer pipeline in
-/// `O(1 record)` memory. Records are parsed incrementally from
-/// `chunk_size`-byte reads and dropped as soon as their shape is joined.
-///
-/// # Errors
-///
-/// The first parse error (with stream-global positions) or I/O error.
-///
-/// ```
-/// use tfd_core::{stream::{infer_reader, StreamFormat}, InferOptions, Shape};
-///
-/// let jsonl = b"{\"a\": 1}\n{\"a\": 2.5, \"b\": true}\n" as &[u8];
-/// let summary = infer_reader(jsonl, StreamFormat::Json, &InferOptions::json(), 7)?;
-/// assert_eq!(summary.records, 2);
-/// assert!(matches!(summary.shape, Shape::Record(_)));
-/// # Ok::<(), tfd_core::stream::StreamError>(())
-/// ```
-pub fn infer_reader<R: Read + Send>(
-    reader: R,
-    format: StreamFormat,
-    options: &InferOptions,
-    chunk_size: usize,
-) -> Result<StreamSummary, StreamError> {
-    // One worker means sequential: this is the jobs-agnostic entry the
-    // engine's parallel driver degrades to.
-    crate::engine::infer_reader_parallel_dyn(format, reader, options, chunk_size, 1)
-}
 
 #[cfg(test)]
 mod tests {
@@ -359,52 +330,5 @@ mod tests {
             }
             assert_eq!(*acc.shape(), first, "{options:?}");
         }
-    }
-
-    #[test]
-    fn infer_reader_small_chunks_match_in_memory_inference() {
-        let jsonl = "{\"a\": 1}\n{\"a\": 2, \"b\": [1, null]}\n{\"a\": 3.5}\n";
-        let docs = tfd_json::parse_many_values(jsonl).unwrap();
-        let expected = infer_many(&docs, &InferOptions::json());
-        for chunk_size in [1, 3, 16, 4096] {
-            let summary = infer_reader(
-                jsonl.as_bytes(),
-                StreamFormat::Json,
-                &InferOptions::json(),
-                chunk_size,
-            )
-            .unwrap();
-            assert_eq!(summary.shape, expected);
-            assert_eq!(summary.records, 3);
-            assert_eq!(summary.bytes, jsonl.len() as u64);
-        }
-    }
-
-    #[test]
-    fn infer_reader_csv_gives_the_row_shape() {
-        let csv = "a,b\n1,x\n2,y\n";
-        let summary =
-            infer_reader(csv.as_bytes(), StreamFormat::Csv, &InferOptions::csv(), 4).unwrap();
-        assert_eq!(summary.records, 2);
-        let oneshot = crate::infer_with(&tfd_csv::parse_value(csv).unwrap(), &InferOptions::csv());
-        assert_eq!(Shape::list(summary.shape), oneshot);
-    }
-
-    #[test]
-    fn infer_reader_xml_single_document() {
-        let xml = r#"<root id="1"><item>Hello!</item></root>"#;
-        let summary =
-            infer_reader(xml.as_bytes(), StreamFormat::Xml, &InferOptions::xml(), 5).unwrap();
-        assert_eq!(summary.records, 1);
-        let oneshot = crate::infer_with(&tfd_xml::parse_value(xml).unwrap(), &InferOptions::xml());
-        assert_eq!(summary.shape, oneshot);
-    }
-
-    #[test]
-    fn infer_reader_propagates_parse_errors() {
-        let r = infer_reader(&b"[1,]"[..], StreamFormat::Json, &InferOptions::json(), 2);
-        assert!(matches!(r, Err(StreamError::Json(_))));
-        let r = infer_reader(&b""[..], StreamFormat::Csv, &InferOptions::csv(), 2);
-        assert!(matches!(r, Err(StreamError::Csv(tfd_csv::CsvError::Empty))));
     }
 }

@@ -43,9 +43,10 @@ pub mod stream;
 
 pub use literal::{parse_date, parse_literal, Date, LiteralOptions};
 pub use parser::{
-    parse, parse_value, parse_value_in, parse_value_with, parse_with, CsvError, CsvOptions,
+    parse, parse_header_in, parse_rows_in, parse_value, parse_value_in, parse_value_with,
+    parse_with, CsvError, CsvOptions,
 };
-pub use stream::{BoundaryScanner, Streamer};
+pub use stream::BoundaryScanner;
 
 use tfd_value::{body_name, Name, Value};
 

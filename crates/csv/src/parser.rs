@@ -66,15 +66,14 @@ pub enum CsvError {
     /// 1-based line and the offending character.
     CharAfterQuote(usize, char),
     /// The byte stream is not valid UTF-8; the payload is the 1-based
-    /// line where the invalid sequence starts. Only the chunk-fed
-    /// [`Streamer`](crate::stream::Streamer) reports this: the one-shot
+    /// line where the invalid sequence starts. Only the byte-fed ingest
+    /// pipeline (`tfd_core::engine::run`) reports this: the one-shot
     /// entry points take `&str` and cannot observe it.
     InvalidUtf8(usize),
-    /// A single record exceeded the streamer's byte cap; the payload is
-    /// the configured limit and the 1-based line where the record
-    /// starts. Only the chunk-fed [`Streamer`](crate::stream::Streamer)
-    /// and the engine's recovery drivers report this — the one-shot
-    /// entry points already hold the whole input.
+    /// A single record exceeded the ingest pipeline's byte cap; the
+    /// payload is the configured limit and the 1-based line where the
+    /// record starts. Only `tfd_core::engine::run` reports this — the
+    /// one-shot entry points already hold the whole input.
     RecordTooLarge(usize, usize),
 }
 
@@ -212,20 +211,9 @@ pub fn parse_value_in(
     let mut fields: Vec<Cow<'_, str>> = Vec::new();
     let row_name = body_name();
     if options.has_header {
-        if !splitter.next_record(&mut fields)? {
-            return Err(CsvError::Empty);
-        }
-        let headers: Vec<Name> = fields.iter().map(|h| interner.intern(h.trim())).collect();
+        let headers = header_names(&mut splitter, interner)?;
         let mut rows = Vec::new();
-        while splitter.next_record(&mut fields)? {
-            rows.push(Value::record(
-                row_name,
-                headers.iter().enumerate().map(|(i, &h)| {
-                    let cell = fields.get(i).map(Cow::as_ref).unwrap_or("");
-                    (h, parse_literal(cell, literals))
-                }),
-            ));
-        }
+        each_row(&mut splitter, &headers, literals, &mut |row| rows.push(row))?;
         Ok(Value::List(rows))
     } else {
         // Headerless mode needs the max width before columns can be
@@ -252,6 +240,77 @@ pub fn parse_value_in(
     }
 }
 
+/// Parses the header row at the front of `input` into the interned,
+/// trimmed column names — the prologue the ingest pipeline seeds every
+/// bundle parse with ([`parse_rows_in`]).
+///
+/// # Errors
+///
+/// [`CsvError::Empty`] when `input` holds no record, else as [`parse`].
+pub fn parse_header_in(
+    input: &str,
+    options: &CsvOptions,
+    interner: &Interner,
+) -> Result<Vec<Name>, CsvError> {
+    header_names(&mut RecordSplitter::new(input, options.delimiter), interner)
+}
+
+/// Parses header-less data rows against already-parsed column `headers`,
+/// handing each row record to `each` as soon as it is split — the rows
+/// [`parse_value_with`] would return after the header, without
+/// collecting them.
+///
+/// # Errors
+///
+/// As [`parse`]; rows before the first error have already been handed
+/// to `each`.
+pub fn parse_rows_in(
+    input: &str,
+    options: &CsvOptions,
+    literals: &LiteralOptions,
+    headers: &[Name],
+    each: &mut dyn FnMut(Value),
+) -> Result<(), CsvError> {
+    let mut splitter = RecordSplitter::new(input, options.delimiter);
+    each_row(&mut splitter, headers, literals, each)
+}
+
+/// Reads the next record as the header row: trimmed names (the paper's
+/// air-quality sample writes "Ozone, Temp, ..." yet the provided type has
+/// fields Ozone/Temp), interned into `interner`.
+fn header_names(
+    splitter: &mut RecordSplitter<'_>,
+    interner: &Interner,
+) -> Result<Vec<Name>, CsvError> {
+    let mut fields: Vec<Cow<'_, str>> = Vec::new();
+    if !splitter.next_record(&mut fields)? {
+        return Err(CsvError::Empty);
+    }
+    Ok(fields.iter().map(|h| interner.intern(h.trim())).collect())
+}
+
+/// Reads every remaining record as a `•`-named row over `headers`:
+/// short rows pad with empty cells, extra cells are dropped.
+fn each_row(
+    splitter: &mut RecordSplitter<'_>,
+    headers: &[Name],
+    literals: &LiteralOptions,
+    each: &mut dyn FnMut(Value),
+) -> Result<(), CsvError> {
+    let row_name = body_name();
+    let mut fields: Vec<Cow<'_, str>> = Vec::new();
+    while splitter.next_record(&mut fields)? {
+        each(Value::record(
+            row_name,
+            headers.iter().enumerate().map(|(i, &h)| {
+                let cell = fields.get(i).map(Cow::as_ref).unwrap_or("");
+                (h, parse_literal(cell, literals))
+            }),
+        ));
+    }
+    Ok(())
+}
+
 /// Streaming byte-level record splitter: one pass over the input,
 /// borrowed cells wherever the source text needs no unescaping, and a
 /// caller-owned field buffer reused across records.
@@ -260,7 +319,7 @@ pub fn parse_value_in(
 /// only occur as standalone characters, and a multi-byte delimiter is
 /// matched from its lead byte, which likewise only occurs at a character
 /// boundary.
-pub(crate) struct RecordSplitter<'a> {
+struct RecordSplitter<'a> {
     input: &'a str,
     bytes: &'a [u8],
     delim_buf: [u8; 4],
@@ -270,7 +329,7 @@ pub(crate) struct RecordSplitter<'a> {
 }
 
 impl<'a> RecordSplitter<'a> {
-    pub(crate) fn new(input: &'a str, delimiter: char) -> RecordSplitter<'a> {
+    fn new(input: &'a str, delimiter: char) -> RecordSplitter<'a> {
         let mut delim_buf = [0u8; 4];
         let delim_len = delimiter.encode_utf8(&mut delim_buf).len();
         RecordSplitter {
@@ -285,24 +344,15 @@ impl<'a> RecordSplitter<'a> {
 
     /// Clears `fields` and reads the next record into it. `Ok(false)`
     /// signals end of input (with `fields` left empty).
-    pub(crate) fn next_record(&mut self, fields: &mut Vec<Cow<'a, str>>) -> Result<bool, CsvError> {
+    fn next_record(&mut self, fields: &mut Vec<Cow<'a, str>>) -> Result<bool, CsvError> {
         fields.clear();
         self.next_record_each(|f| fields.push(f))
-    }
-
-    /// Byte offset of the next unread record (the chunk-fed streamer
-    /// uses it to know how much a speculative record parse consumed).
-    pub(crate) fn pos(&self) -> usize {
-        self.pos
     }
 
     /// Reads the next record, handing each field to `push` as it
     /// completes (no intermediate collection). `Ok(false)` signals end
     /// of input.
-    pub(crate) fn next_record_each(
-        &mut self,
-        mut push: impl FnMut(Cow<'a, str>),
-    ) -> Result<bool, CsvError> {
+    fn next_record_each(&mut self, mut push: impl FnMut(Cow<'a, str>)) -> Result<bool, CsvError> {
         if self.pos >= self.bytes.len() {
             return Ok(false);
         }

@@ -1,47 +1,19 @@
-//! Chunk-fed, incremental CSV parsing — the streaming front-end.
+//! The resumable CSV record-boundary scanner.
 //!
-//! [`Streamer`] accepts arbitrary `feed(&[u8])` slices — the corpus may
-//! be split at **any** byte boundary, including inside a CRLF pair, a
-//! `""` escape, a quoted field or a multi-byte delimiter/cell character
-//! — and emits one row [`Value`] per completed record. In header mode
-//! the first record is interned as the column names (once, exactly as
-//! the one-shot [`parse_value_with`](crate::parse_value_with) does) and
-//! every following record becomes a `•`-named row record. Peak memory is
-//! one record plus the header names, independent of corpus size.
+//! [`BoundaryScanner`] accepts arbitrary `feed(&[u8])` slices — the
+//! corpus may be split at **any** byte boundary, including inside a CRLF
+//! pair, a `""` escape, a quoted field or a multi-byte delimiter — and
+//! reports where each record ends (line endings outside quoted fields).
+//! It is an explicit state machine with one state per quoting situation
+//! (`CMode`), a partial-match counter for multi-byte delimiters and a
+//! pending-LF state for CRLF pairs split across chunks.
 //!
-//! The design mirrors `tfd_json::stream`:
-//!
-//! 1. a **resumable boundary scanner** — an explicit state machine with
-//!    one state per quoting situation (`CMode`), a partial-match
-//!    counter for multi-byte delimiters and a pending-LF state for CRLF
-//!    pairs split across chunks — finds record boundaries (line endings
-//!    outside quoted fields) wherever the chunks fall;
-//! 2. each completed record is split by the one-shot byte-level
-//!    `RecordSplitter` (borrowed from the chunk when
-//!    the record does not cross a boundary) and fed cell-by-cell into
-//!    the shared literal inference, so streaming rows are
-//!    **byte-identical** to the one-shot rows by construction.
-//!
-//! Error line numbers are translated from record-local to stream-global,
-//! so malformed quoting reports exactly the line the one-shot parser
-//! would, regardless of chunking.
-//!
-//! One documented divergence remains in headerless mode: the one-shot
-//! parser pads short rows with nulls up to the *corpus-global* maximum
-//! width `W` — which requires the whole corpus — while the streamer
-//! emits each row at its own width. Column **names**, however, are
-//! interned exactly once per streamer (a single `Column1..ColumnN`
-//! table grown on demand, shared by the speculative and resumable
-//! paths), so every row's `ColumnK` is the same `Name` symbol the
-//! one-shot parser uses and the inferred shapes agree *structurally*: a
-//! missing field and an explicit null both make the field nullable.
-//! `tests/streaming_agreement.rs` pins this with a headerless
-//! differential regression.
+//! The ingest pipeline (`tfd_core::engine::run`) parses the header record
+//! once ([`parse_header_in`](crate::parse_header_in)), cuts the rest into
+//! whole-record bundles at these boundaries and splits each bundle with
+//! [`parse_rows_in`](crate::parse_rows_in), seeded with the header names.
 
-use crate::literal::{parse_literal, LiteralOptions};
-use crate::parser::{CsvError, CsvOptions, RecordSplitter};
-use std::borrow::Cow;
-use tfd_value::{body_name, Field, Interner, Name, Value};
+use crate::parser::CsvOptions;
 
 /// Scanner state between two consumed bytes. Every variant is resumable:
 /// a chunk may end (and the next begin) in any of them. The `u8` on
@@ -70,13 +42,11 @@ enum CMode {
     AfterQuote(u8),
 }
 
-/// A scan-only record-boundary finder: the [`Streamer`]'s resumable
-/// quoting state machine (`CMode`) without the cell splitting — it
-/// never materializes a row, only reports where records end (line
-/// endings outside quoted fields).
+/// A scan-only record-boundary finder: it never materializes a row, only
+/// reports where records end (line endings outside quoted fields).
 ///
-/// This is what the parallel driver (`tfd_core::engine`) uses to cut a
-/// corpus into shards that never split a row. A boundary after a bare
+/// The ingest pipeline (`tfd_core::engine`) cuts corpora into bundles
+/// that never split a row at these offsets. A boundary after a bare
 /// `\r` is deliberately *deferred* until the next byte proves it is not
 /// the first half of a CRLF pair — so a reported offset is always a
 /// position where a fresh parser sees exactly the remaining record
@@ -267,749 +237,8 @@ impl BoundaryScanner {
     /// True when the last fed byte was inside a record — including the
     /// half-open state after a bare `\r`, whose boundary is still
     /// deferred (the stream ending there is a complete record; the
-    /// engine's tail handling covers it).
+    /// pipeline's tail handling covers it).
     pub fn in_record(&self) -> bool {
         !matches!(self.mode, CMode::Between)
-    }
-}
-
-/// Default cap on one record's carry-over bytes (16 MiB): large enough
-/// for any schema-shaped row, small enough that an unclosed quote
-/// cannot buffer a multi-gigabyte stream.
-pub const DEFAULT_MAX_RECORD_BYTES: usize = 16 * 1024 * 1024;
-
-/// A chunk-fed incremental CSV parser.
-///
-/// Feed arbitrary byte slices; each completed row is handed to the sink
-/// as a `•`-named record (never the header row, which is interned as the
-/// column names). Call [`finish`](Streamer::finish) after the last
-/// chunk.
-///
-/// ```
-/// use tfd_value::Value;
-/// let mut s = tfd_csv::stream::Streamer::new();
-/// let mut rows = Vec::new();
-/// s.feed(b"a,b\n1,\"x", &mut |v| rows.push(v))?;   // split inside quotes
-/// s.feed(b",y\"\r", &mut |v| rows.push(v))?;       // split inside CRLF
-/// s.feed(b"\n2,z\n", &mut |v| rows.push(v))?;
-/// s.finish(&mut |v| rows.push(v))?;
-/// assert_eq!(rows.len(), 2);
-/// assert_eq!(rows[0].field("b"), Some(&Value::str("x,y")));
-/// # Ok::<(), tfd_csv::CsvError>(())
-/// ```
-pub struct Streamer {
-    delimiter: char,
-    has_header: bool,
-    /// Cap on one record's carry-over bytes: a row still open after
-    /// buffering this much fails with [`CsvError::RecordTooLarge`]
-    /// instead of buffering the rest of the stream.
-    max_record_bytes: usize,
-    literals: LiteralOptions,
-    /// Column names, interned from the first record in header mode.
-    headers: Option<Vec<Name>>,
-    /// Cache of `Column1..ColumnN` names for headerless mode.
-    columns: Vec<Name>,
-    /// Arena column names intern into (a shared handle — cloning an
-    /// [`Interner`] shares the arena).
-    interner: Interner,
-    row_name: Name,
-    mode: CMode,
-    delim: [u8; 4],
-    dlen: u8,
-    /// Carry-over bytes of a record that spans chunk boundaries.
-    buf: Vec<u8>,
-    /// 1-based line of the next byte (same counting rules as the
-    /// one-shot splitter: LF, CRLF and bare CR each advance once).
-    line: usize,
-    prev_cr: bool,
-    /// Line on which the current record starts.
-    start_line: usize,
-    failed: Option<CsvError>,
-}
-
-impl Default for Streamer {
-    fn default() -> Self {
-        Streamer::new()
-    }
-}
-
-impl Streamer {
-    /// A streamer with default [`CsvOptions`] and [`LiteralOptions`]
-    /// (comma-delimited, first record is the header).
-    pub fn new() -> Streamer {
-        Streamer::with_options(&CsvOptions::default(), &LiteralOptions::default())
-    }
-
-    /// A streamer with explicit CSV and literal-inference options.
-    pub fn with_options(options: &CsvOptions, literals: &LiteralOptions) -> Streamer {
-        Streamer::with_options_in(options, literals, Interner::global().clone())
-    }
-
-    /// A streamer interning column names into a caller-supplied arena —
-    /// the corpus-scoped streaming path. The handle is cloned per
-    /// streamer; all clones share one arena, so parallel shard workers
-    /// can stream into a single corpus arena.
-    pub fn with_options_in(
-        options: &CsvOptions,
-        literals: &LiteralOptions,
-        interner: Interner,
-    ) -> Streamer {
-        let mut delim = [0u8; 4];
-        let dlen = options.delimiter.encode_utf8(&mut delim).len() as u8;
-        Streamer {
-            delimiter: options.delimiter,
-            has_header: options.has_header,
-            max_record_bytes: DEFAULT_MAX_RECORD_BYTES,
-            literals: literals.clone(),
-            headers: None,
-            columns: Vec::new(),
-            interner,
-            row_name: body_name(),
-            mode: CMode::Between,
-            delim,
-            dlen,
-            buf: Vec::new(),
-            line: 1,
-            prev_cr: false,
-            start_line: 1,
-            failed: None,
-        }
-    }
-
-    /// The header names captured so far (`None` until the header record
-    /// completes, or forever in headerless mode).
-    pub fn headers(&self) -> Option<&[Name]> {
-        self.headers.as_deref()
-    }
-
-    /// Pre-seeds the captured header names, as if the header record had
-    /// already streamed past. The parallel driver uses this to hand
-    /// every shard worker the header that shard 0's byte range carries —
-    /// a seeded streamer treats its very first record as a data row.
-    pub fn seed_headers(&mut self, headers: Vec<Name>) {
-        self.headers = Some(headers);
-    }
-
-    /// Caps one record's carry-over bytes (default
-    /// [`DEFAULT_MAX_RECORD_BYTES`]): a row still open after buffering
-    /// `limit` bytes fails with [`CsvError::RecordTooLarge`] carrying
-    /// the row's start line, so an unclosed quote cannot buffer the
-    /// whole stream.
-    pub fn set_max_record_bytes(&mut self, limit: usize) {
-        self.max_record_bytes = limit;
-    }
-
-    /// Feeds one chunk; every row completed within it is passed to
-    /// `sink` in input order.
-    ///
-    /// # Errors
-    ///
-    /// The first malformed record poisons the streamer: the error is
-    /// returned now and again from any later call.
-    pub fn feed(&mut self, chunk: &[u8], sink: &mut impl FnMut(Value)) -> Result<(), CsvError> {
-        if let Some(e) = &self.failed {
-            return Err(e.clone());
-        }
-        let r = self.feed_inner(chunk, sink);
-        if let Err(e) = &r {
-            self.failed = Some(e.clone());
-        }
-        r
-    }
-
-    /// Signals end of input: a pending final record (no trailing
-    /// newline) is parsed and emitted.
-    ///
-    /// # Errors
-    ///
-    /// As [`feed`](Streamer::feed); additionally [`CsvError::Empty`]
-    /// when a header was required but the input held no records at all.
-    pub fn finish(&mut self, sink: &mut impl FnMut(Value)) -> Result<(), CsvError> {
-        if let Some(e) = &self.failed {
-            return Err(e.clone());
-        }
-        let r = self.finish_inner(sink);
-        if let Err(e) = &r {
-            self.failed = Some(e.clone());
-        }
-        r
-    }
-
-    fn finish_inner(&mut self, sink: &mut impl FnMut(Value)) -> Result<(), CsvError> {
-        match self.mode {
-            CMode::Between | CMode::PendingLf => {}
-            _ => {
-                let buf = std::mem::take(&mut self.buf);
-                let r = self.emit_record(&buf, sink);
-                self.buf = buf;
-                self.buf.clear();
-                self.mode = CMode::Between;
-                r?;
-            }
-        }
-        if self.has_header && self.headers.is_none() {
-            return Err(CsvError::Empty);
-        }
-        Ok(())
-    }
-
-    #[allow(clippy::expect_used)] // checked invariant, documented at each site
-    fn feed_inner(&mut self, chunk: &[u8], sink: &mut impl FnMut(Value)) -> Result<(), CsvError> {
-        let d0 = self.delim[0];
-        let dlen = self.dlen;
-        let n = chunk.len();
-        // The chunk's valid-UTF-8 prefix, validated once: records that
-        // start inside it can be split straight off the chunk when their
-        // line ending falls before the chunk end — no boundary pre-scan.
-        let text: &str = match std::str::from_utf8(chunk) {
-            Ok(t) => t,
-            Err(e) => std::str::from_utf8(&chunk[..e.valid_up_to()]).expect("validated prefix"),
-        };
-        // Index in `chunk` where the unbuffered part of the current
-        // record starts (0 while a record carried over in `buf` is open).
-        let mut rec_start = 0usize;
-        let mut i = 0usize;
-        while i < n {
-            match self.mode {
-                CMode::Between => {
-                    self.start_line = self.line;
-                    rec_start = i;
-                    debug_assert!(self.buf.is_empty());
-                    // Fast path: split the row straight off the chunk.
-                    // Indefinite outcomes (the row may continue past the
-                    // chunk end) and errors are discarded; the resumable
-                    // scanner below re-derives them from the exact
-                    // record slice.
-                    if i < text.len() {
-                        if let Some(consumed) = self.speculative_row(&text[i..], sink) {
-                            if consumed > self.max_record_bytes {
-                                return Err(self.too_large());
-                            }
-                            self.advance_over(&chunk[i..i + consumed]);
-                            i += consumed;
-                            continue;
-                        }
-                    }
-                    self.mode = CMode::Start(0);
-                    // Re-examine the byte as the first of the record.
-                }
-                CMode::PendingLf => {
-                    self.mode = CMode::Between;
-                    if chunk[i] == b'\n' {
-                        self.advance(b'\n');
-                        i += 1;
-                    }
-                    // Otherwise re-examine the byte in `Between`.
-                }
-                CMode::Start(m) | CMode::Unquoted(m) | CMode::AfterQuote(m) if m > 0 => {
-                    if chunk[i] == self.delim[m as usize] {
-                        i += 1;
-                        self.mode = if m + 1 == dlen {
-                            CMode::Start(0) // delimiter complete: next field
-                        } else {
-                            match self.mode {
-                                CMode::Start(_) => CMode::Start(m + 1),
-                                CMode::Unquoted(_) => CMode::Unquoted(m + 1),
-                                _ => CMode::AfterQuote(m + 1),
-                            }
-                        };
-                    } else {
-                        // Failed partial match: the matched prefix was
-                        // ordinary content; re-examine the byte.
-                        self.mode = CMode::Unquoted(0);
-                    }
-                }
-                CMode::Start(_) => {
-                    let b = chunk[i];
-                    match b {
-                        b'"' => {
-                            i += 1;
-                            self.mode = CMode::Quoted;
-                        }
-                        b'\n' | b'\r' => self.end_record(chunk, rec_start, &mut i, b, sink)?,
-                        _ if b == d0 => {
-                            i += 1;
-                            self.mode = if dlen == 1 {
-                                CMode::Start(0)
-                            } else {
-                                CMode::Start(1)
-                            };
-                        }
-                        _ => {
-                            i += 1;
-                            self.mode = CMode::Unquoted(0);
-                        }
-                    }
-                }
-                // Hot loop: unquoted content runs to the next delimiter
-                // or line ending, SWAR-scanned eight bytes at a time
-                // (`crate::scan`); mid-field quotes are literal. Line
-                // accounting is settled in bulk when the record ends.
-                // (`m > 0` was handled above, so `m == 0` here.)
-                CMode::Unquoted(_) => match crate::scan::find_any3(&chunk[i..], d0, b'\n', b'\r') {
-                    None => i = n, // the whole remaining chunk is content
-                    Some(off) => {
-                        i += off;
-                        let b = chunk[i];
-                        match b {
-                            b'\n' | b'\r' => {
-                                self.end_record(chunk, rec_start, &mut i, b, sink)?;
-                            }
-                            _ => {
-                                // d0: a (possibly partial) delimiter.
-                                i += 1;
-                                self.mode = if dlen == 1 {
-                                    CMode::Start(0)
-                                } else {
-                                    CMode::Unquoted(1)
-                                };
-                            }
-                        }
-                    }
-                },
-                // Hot loop: quoted content runs to the next quote (line
-                // endings within are content) — a single-needle SWAR scan.
-                CMode::Quoted => match crate::scan::find_byte(&chunk[i..], b'"') {
-                    None => i = n,
-                    Some(off) => {
-                        i += off + 1;
-                        self.mode = CMode::QuoteQuote;
-                    }
-                },
-                CMode::QuoteQuote => {
-                    if chunk[i] == b'"' {
-                        // `""` escape: still inside the quoted field.
-                        i += 1;
-                        self.mode = CMode::Quoted;
-                    } else {
-                        // The previous quote closed the field; re-examine
-                        // the byte as whatever follows it.
-                        self.mode = CMode::AfterQuote(0);
-                    }
-                }
-                CMode::AfterQuote(_) => {
-                    let b = chunk[i];
-                    match b {
-                        b'\n' | b'\r' => self.end_record(chunk, rec_start, &mut i, b, sink)?,
-                        _ if b == d0 => {
-                            i += 1;
-                            self.mode = if dlen == 1 {
-                                CMode::Start(0)
-                            } else {
-                                CMode::AfterQuote(1)
-                            };
-                        }
-                        _ => {
-                            // Stray byte after a closing quote: scan on
-                            // as content; the record parse reproduces
-                            // the one-shot `CharAfterQuote` error.
-                            i += 1;
-                            self.mode = CMode::Unquoted(0);
-                        }
-                    }
-                }
-            }
-        }
-        match self.mode {
-            CMode::Between | CMode::PendingLf => {}
-            _ => {
-                self.buf.extend_from_slice(&chunk[rec_start..]);
-                if self.buf.len() > self.max_record_bytes {
-                    return Err(self.too_large());
-                }
-            }
-        }
-        Ok(())
-    }
-
-    /// The [`CsvError::RecordTooLarge`] error for the current record,
-    /// at its start line (deterministic under any chunking).
-    fn too_large(&self) -> CsvError {
-        CsvError::RecordTooLarge(self.max_record_bytes, self.start_line)
-    }
-
-    /// Attempts to split one row straight from the chunk front (`rest`
-    /// is the chunk's remaining valid-UTF-8 text). Returns the consumed
-    /// byte length — line ending included — when the row definitively
-    /// ended inside the chunk, after emitting the row (or capturing the
-    /// header). Returns `None` when the outcome is not definitive: the
-    /// row reached the chunk end (it may continue in the next chunk) or
-    /// failed to split (the error may be an artifact of truncation) —
-    /// the resumable scanner re-derives both from the exact record
-    /// bytes.
-    fn speculative_row(&mut self, rest: &str, sink: &mut impl FnMut(Value)) -> Option<usize> {
-        let mut sp = RecordSplitter::new(rest, self.delimiter);
-        let lits = &self.literals;
-        let row_name = self.row_name;
-        match &self.headers {
-            Some(headers) => {
-                let mut fields: Vec<Field> = Vec::with_capacity(headers.len());
-                let mut idx = 0usize;
-                let ok = sp.next_record_each(|cell| {
-                    if let Some(&h) = headers.get(idx) {
-                        fields.push(Field {
-                            name: h,
-                            value: parse_literal(&cell, lits),
-                        });
-                    }
-                    idx += 1;
-                });
-                if !matches!(ok, Ok(true)) || sp.pos() >= rest.len() {
-                    return None;
-                }
-                // Short rows pad with empty cells, as the one-shot path
-                // does.
-                for &h in &headers[idx.min(headers.len())..] {
-                    fields.push(Field {
-                        name: h,
-                        value: parse_literal("", lits),
-                    });
-                }
-                sink(Value::Record {
-                    name: row_name,
-                    fields,
-                });
-                Some(sp.pos())
-            }
-            None if self.has_header => {
-                let interner = &self.interner;
-                let mut names: Vec<Name> = Vec::new();
-                let ok = sp.next_record_each(|cell| names.push(interner.intern(cell.trim())));
-                if !matches!(ok, Ok(true)) || sp.pos() >= rest.len() {
-                    return None;
-                }
-                self.headers = Some(names);
-                Some(sp.pos())
-            }
-            None => {
-                let columns = &mut self.columns;
-                let interner = &self.interner;
-                let mut fields: Vec<Field> = Vec::new();
-                let mut idx = 0usize;
-                let ok = sp.next_record_each(|cell| {
-                    let name = column(columns, idx, interner);
-                    fields.push(Field {
-                        name,
-                        value: parse_literal(&cell, lits),
-                    });
-                    idx += 1;
-                });
-                if !matches!(ok, Ok(true)) || sp.pos() >= rest.len() {
-                    return None;
-                }
-                sink(Value::Record {
-                    name: row_name,
-                    fields,
-                });
-                Some(sp.pos())
-            }
-        }
-    }
-
-    /// Ends the record *before* the line-ending byte `b` at `chunk[*i]`,
-    /// consumes that byte and emits the row.
-    fn end_record(
-        &mut self,
-        chunk: &[u8],
-        rec_start: usize,
-        i: &mut usize,
-        b: u8,
-        sink: &mut impl FnMut(Value),
-    ) -> Result<(), CsvError> {
-        let end = *i;
-        // The size cap applies to every record, even one arriving whole
-        // in a single feed (the buf-growth check only sees carry-over).
-        if self.buf.len() + (end - rec_start) > self.max_record_bytes {
-            return Err(self.too_large());
-        }
-        *i += 1;
-        self.mode = if b == b'\r' {
-            CMode::PendingLf
-        } else {
-            CMode::Between
-        };
-        let r = if self.buf.is_empty() {
-            let r = self.emit_record(&chunk[rec_start..end], sink);
-            self.advance_over(&chunk[rec_start..end]);
-            r
-        } else {
-            let mut buf = std::mem::take(&mut self.buf);
-            buf.extend_from_slice(&chunk[rec_start..end]);
-            let r = self.emit_record(&buf, sink);
-            self.advance_over(&buf);
-            buf.clear();
-            self.buf = buf; // keep the allocation for the next carry-over
-            r
-        };
-        self.advance(b); // the line ending itself
-        r
-    }
-
-    /// Splits one complete record (line endings already stripped), turns
-    /// it into a row value — or the header — and emits it. Error lines
-    /// are translated from record-local to stream-global.
-    fn emit_record(&mut self, bytes: &[u8], sink: &mut impl FnMut(Value)) -> Result<(), CsvError> {
-        let start_line = self.start_line;
-        let text = std::str::from_utf8(bytes).map_err(|e| {
-            CsvError::InvalidUtf8(start_line + count_csv_lines(&bytes[..e.valid_up_to()]))
-        })?;
-        let mut splitter = RecordSplitter::new(text, self.delimiter);
-        let mut fields: Vec<Cow<'_, str>> = Vec::new();
-        let got = splitter.next_record(&mut fields).map_err(|e| match e {
-            CsvError::UnterminatedQuote(l) => CsvError::UnterminatedQuote(start_line + l - 1),
-            CsvError::CharAfterQuote(l, c) => CsvError::CharAfterQuote(start_line + l - 1, c),
-            other => other,
-        })?;
-        if !got {
-            // An empty record slice is an empty line: a record holding
-            // one empty field, exactly as the one-shot splitter yields.
-            fields.push(Cow::Borrowed(""));
-        }
-        if self.has_header && self.headers.is_none() {
-            // Header names are trimmed, matching the one-shot path.
-            self.headers = Some(
-                fields
-                    .iter()
-                    .map(|h| self.interner.intern(h.trim()))
-                    .collect(),
-            );
-            return Ok(());
-        }
-        let row = match &self.headers {
-            Some(headers) => Value::record(
-                self.row_name,
-                headers.iter().enumerate().map(|(i, &h)| {
-                    let cell = fields.get(i).map(Cow::as_ref).unwrap_or("");
-                    (h, parse_literal(cell, &self.literals))
-                }),
-            ),
-            None => {
-                // Headerless: name this row's columns by its own width
-                // (see the module docs for the padding divergence note).
-                if !fields.is_empty() {
-                    column(&mut self.columns, fields.len() - 1, &self.interner);
-                }
-                Value::record(
-                    self.row_name,
-                    fields
-                        .iter()
-                        .enumerate()
-                        .map(|(i, c)| (self.columns[i], parse_literal(c, &self.literals))),
-                )
-            }
-        };
-        sink(row);
-        Ok(())
-    }
-
-    /// Advances the line accounting over one consumed line-ending byte:
-    /// LF, CRLF and bare CR each count once, matching the one-shot
-    /// splitter.
-    fn advance(&mut self, b: u8) {
-        if b == b'\r' || (b == b'\n' && !self.prev_cr) {
-            self.line += 1;
-        }
-        self.prev_cr = b == b'\r';
-    }
-
-    /// Settles the line accounting over a completed record's bytes in
-    /// one bulk pass (only quoted fields can contain line endings; the
-    /// hot scanner loops never count lines).
-    fn advance_over(&mut self, bytes: &[u8]) {
-        self.line += count_csv_lines(bytes);
-        if let Some(&last) = bytes.last() {
-            self.prev_cr = last == b'\r';
-        }
-    }
-}
-
-/// The interned `Column{idx+1}` name, growing the streamer's
-/// once-per-corpus cache on demand. Every row of a headerless stream
-/// shares the same `Name` symbols — both the speculative and the
-/// resumable path draw from this one table, so shape agreement with the
-/// one-shot front-end is structural, not an accident of the arena
-/// deduplicating per-row spellings.
-fn column(columns: &mut Vec<Name>, idx: usize, interner: &Interner) -> Name {
-    while columns.len() <= idx {
-        columns.push(interner.intern(format!("Column{}", columns.len() + 1)));
-    }
-    columns[idx]
-}
-
-/// Line breaks (LF / CRLF / bare CR, each once) within `bytes`.
-fn count_csv_lines(bytes: &[u8]) -> usize {
-    // Fast path (no CR — the overwhelming case, since only quoted
-    // fields can contain line endings at all): a vectorizable LF count.
-    if bytes.iter().all(|&b| b != b'\r') {
-        return bytes.iter().filter(|&&b| b == b'\n').count();
-    }
-    let mut n = 0usize;
-    let mut prev_cr = false;
-    for &b in bytes {
-        if b == b'\r' || (b == b'\n' && !prev_cr) {
-            n += 1;
-        }
-        prev_cr = b == b'\r';
-    }
-    n
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-    use crate::{parse_value, parse_value_with};
-
-    /// Streams `text` in chunks of `size` bytes; returns the rows.
-    fn stream_chunked(text: &str, size: usize) -> Result<Vec<Value>, CsvError> {
-        let mut s = Streamer::new();
-        let mut out = Vec::new();
-        for chunk in text.as_bytes().chunks(size.max(1)) {
-            s.feed(chunk, &mut |v| out.push(v))?;
-        }
-        s.finish(&mut |v| out.push(v))?;
-        Ok(out)
-    }
-
-    /// Asserts streaming at several chunk sizes agrees with the one-shot
-    /// `parse_value` row list, values and errors alike.
-    fn assert_agrees(text: &str) {
-        let oneshot = parse_value(text).map(|v| match v {
-            Value::List(rows) => rows,
-            other => panic!("expected a row list, got {other}"),
-        });
-        for size in [1, 2, 3, 5, 64, 4096] {
-            let streamed = stream_chunked(text, size);
-            assert_eq!(streamed, oneshot, "chunk size {size} on {text:?}");
-        }
-    }
-
-    #[test]
-    fn rows_stream_with_any_split() {
-        assert_agrees("a,b\n1,2\n3,4\n");
-        assert_agrees("a,b\r\n1,2\r\n");
-        assert_agrees("a\r1\r2");
-        assert_agrees("a,b\n1\n2,y,z\n"); // ragged rows
-        assert_agrees("a\n\n1"); // empty line row
-        assert_agrees("a,b\n1,"); // trailing delimiter at EOF
-        assert_agrees("Ozone, Temp\n41, 67\n17.5, #N/A\n");
-        assert_agrees("a\n"); // header only
-        assert_agrees("a"); // header only, no newline
-    }
-
-    #[test]
-    fn quoting_streams_with_any_split() {
-        assert_agrees("a\n\"x,y\"\n");
-        assert_agrees("a\n\"x\ny\"\n");
-        assert_agrees("a\n\"x\r\ny\"\n");
-        assert_agrees("a\n\"he said \"\"hi\"\"\"\n");
-        assert_agrees("h1,h2\nab\"c,d\"e\n"); // mid-field quotes literal
-        assert_agrees("a\n\"x\"");
-        assert_agrees("a\n\"\"\n");
-    }
-
-    #[test]
-    fn utf8_cells_stream_with_any_split() {
-        assert_agrees("sloupec,météo\nžluťoučký,🌧\n");
-    }
-
-    #[test]
-    fn errors_agree_with_oneshot() {
-        assert_agrees(""); // Empty
-        assert_agrees("a\n\"oops"); // UnterminatedQuote(2)
-        assert_agrees("a\n\"x\"y"); // CharAfterQuote(2, 'y')
-        assert_agrees("h\n\"a\rb\"x"); // bare CR counts a line
-        assert_agrees("h\n\"a\r\nb\"x"); // CRLF counts once
-        assert_agrees("h\n\"a\rb\",ok\n\"oops"); // later unterminated quote
-    }
-
-    #[test]
-    fn semicolon_and_multibyte_delimiters() {
-        let opts = CsvOptions {
-            delimiter: ';',
-            ..CsvOptions::default()
-        };
-        let lits = LiteralOptions::default();
-        for text in ["a;b\n1;2\n", "a;b\n\"x;y\";2\n"] {
-            let oneshot = parse_value_with(text, &opts, &lits).unwrap();
-            let mut s = Streamer::with_options(&opts, &lits);
-            let mut rows = Vec::new();
-            for chunk in text.as_bytes().chunks(1) {
-                s.feed(chunk, &mut |v| rows.push(v)).unwrap();
-            }
-            s.finish(&mut |v| rows.push(v)).unwrap();
-            assert_eq!(Value::List(rows), oneshot, "{text:?}");
-        }
-        // A multi-byte delimiter split across 1-byte feeds.
-        let opts = CsvOptions {
-            delimiter: '§',
-            ..CsvOptions::default()
-        };
-        let text = "a§b\n1§\"x§y\"\n";
-        let oneshot = parse_value_with(text, &opts, &lits).unwrap();
-        let mut s = Streamer::with_options(&opts, &lits);
-        let mut rows = Vec::new();
-        for chunk in text.as_bytes().chunks(1) {
-            s.feed(chunk, &mut |v| rows.push(v)).unwrap();
-        }
-        s.finish(&mut |v| rows.push(v)).unwrap();
-        assert_eq!(Value::List(rows), oneshot);
-    }
-
-    #[test]
-    fn headerless_names_columns_per_row() {
-        let opts = CsvOptions {
-            has_header: false,
-            ..CsvOptions::default()
-        };
-        let lits = LiteralOptions::default();
-        let mut s = Streamer::with_options(&opts, &lits);
-        let mut rows = Vec::new();
-        s.feed(b"1,2\n3,4,5\n", &mut |v| rows.push(v)).unwrap();
-        s.finish(&mut |v| rows.push(v)).unwrap();
-        assert_eq!(rows.len(), 2);
-        // Row 1 has two fields (no Column3 padding — documented
-        // divergence from the one-shot path on ragged corpora).
-        assert_eq!(rows[0].field("Column2"), Some(&Value::Int(2)));
-        assert_eq!(rows[0].field("Column3"), None);
-        assert_eq!(rows[1].field("Column3"), Some(&Value::Int(5)));
-    }
-
-    #[test]
-    fn stream_is_poisoned_after_error() {
-        let mut s = Streamer::new();
-        let mut out = Vec::new();
-        s.feed(b"a\n\"x\"y\n1\n", &mut |v| out.push(v)).unwrap_err();
-        let err = s.feed(b"2\n", &mut |v| out.push(v)).unwrap_err();
-        assert!(matches!(err, CsvError::CharAfterQuote(2, 'y')));
-        assert!(out.is_empty());
-    }
-
-    #[test]
-    fn unclosed_quote_trips_the_record_cap_at_one_byte_chunks() {
-        let mut s = Streamer::new();
-        s.set_max_record_bytes(64);
-        let mut n = 0usize;
-        s.feed(b"a,b\n1,\"never closes ", &mut |_| n += 1).unwrap();
-        assert_eq!(n, 0); // only the header so far
-        let mut err = None;
-        for _ in 0..1000 {
-            if let Err(e) = s.feed(b"x", &mut |_| n += 1) {
-                err = Some(e);
-                break;
-            }
-        }
-        let err = err.expect("the cap must trip long before 1000 bytes");
-        // The error names the row's start line.
-        assert_eq!(err, CsvError::RecordTooLarge(64, 2));
-        assert!(s.buf.len() <= 64 + 1, "buf grew to {}", s.buf.len());
-        assert_eq!(s.finish(&mut |_| n += 1), Err(err));
-    }
-
-    #[test]
-    fn invalid_utf8_reports_the_line() {
-        let mut s = Streamer::new();
-        s.feed(b"a\nok\n", &mut |_| ()).unwrap();
-        s.feed(&[0xFF, b'\n'], &mut |_| ()).unwrap_err();
-        assert_eq!(s.finish(&mut |_| ()), Err(CsvError::InvalidUtf8(3)));
     }
 }

@@ -40,11 +40,11 @@ mod writer;
 
 pub use lexer::Pos;
 pub use parser::{
-    parse, parse_many, parse_many_values, parse_many_values_in, parse_many_values_with,
-    parse_value, parse_value_in, parse_value_with, parse_with, ParseError, ParseErrorKind,
-    ParserOptions,
+    parse, parse_many, parse_many_values, parse_many_values_each, parse_many_values_in,
+    parse_many_values_with, parse_value, parse_value_in, parse_value_with, parse_with, ParseError,
+    ParseErrorKind, ParserOptions,
 };
-pub use stream::{BoundaryScanner, Streamer};
+pub use stream::BoundaryScanner;
 pub use writer::{to_json_string, to_json_string_pretty};
 
 use tfd_value::{Name, Value};

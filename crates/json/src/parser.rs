@@ -44,15 +44,14 @@ pub enum ParseErrorKind {
     TrailingContent(String),
     /// Document nesting exceeded [`ParserOptions::max_depth`].
     TooDeep(usize),
-    /// The byte stream is not valid UTF-8. Only the chunk-fed
-    /// [`Streamer`](crate::stream::Streamer) reports this: the one-shot
+    /// The byte stream is not valid UTF-8. Only the byte-fed ingest
+    /// pipeline (`tfd_core::engine::run`) reports this: the one-shot
     /// entry points take `&str` and cannot observe it.
     InvalidUtf8,
-    /// A single record exceeded the streamer's byte cap; the payload is
-    /// the configured limit. Only the chunk-fed
-    /// [`Streamer`](crate::stream::Streamer) and the engine's recovery
-    /// drivers report this — the one-shot entry points already hold the
-    /// whole input. The position is the record's start.
+    /// A single record exceeded the ingest pipeline's byte cap; the
+    /// payload is the configured limit. Only `tfd_core::engine::run`
+    /// reports this — the one-shot entry points already hold the whole
+    /// input. The position is the record's start.
     RecordTooLarge(usize),
 }
 
@@ -239,9 +238,8 @@ pub fn parse_many(input: &str) -> Result<Vec<Json>, ParseError> {
 }
 
 /// Parses several whitespace-separated JSON documents straight into
-/// universal [`Value`]s — the one-shot counterpart of the chunk-fed
-/// [`Streamer`](crate::stream::Streamer), and the reference the streaming
-/// differential suite compares against.
+/// universal [`Value`]s — the reference the ingest pipeline's
+/// differential suites compare against.
 ///
 /// # Errors
 ///
@@ -280,48 +278,33 @@ pub fn parse_many_values_in(
     options: &ParserOptions,
     interner: &Interner,
 ) -> Result<Vec<Value>, ParseError> {
-    let mut p = Parser::new(input, options.max_depth, interner);
-    let mut sink = ValueSink { body: body_name() };
     let mut docs = Vec::new();
-    p.skip_ws();
-    while !p.at_eof() {
-        docs.push(p.parse_value(&mut sink, 0)?);
-        p.skip_ws();
-    }
+    parse_many_values_each(input, options, interner, &mut |v| docs.push(v))?;
     Ok(docs)
 }
 
-/// Parses exactly one document through a caller-held [`ValueSink`] — the
-/// chunk-fed streamer's per-record entry point, kept separate from
-/// [`parse_value_with`] so the hot path pays no per-record sink setup.
-pub(crate) fn parse_value_record(
+/// [`parse_many_values_in`] handing each document to `each` as soon as
+/// it is parsed, so a caller folding the documents never holds more
+/// than one of them.
+///
+/// # Errors
+///
+/// As [`parse_many_values_with`]; documents before the first error have
+/// already been handed to `each`.
+pub fn parse_many_values_each(
     input: &str,
-    max_depth: usize,
-    sink: &mut ValueSink,
+    options: &ParserOptions,
     interner: &Interner,
-) -> Result<Value, ParseError> {
-    let mut p = Parser::new(input, max_depth, interner);
+    each: &mut dyn FnMut(Value),
+) -> Result<(), ParseError> {
+    let mut p = Parser::new(input, options.max_depth, interner);
+    let mut sink = ValueSink { body: body_name() };
     p.skip_ws();
-    let doc = p.parse_value(sink, 0)?;
-    p.expect_eof()?;
-    Ok(doc)
-}
-
-/// Parses one value from the *front* of `input` (which must start at a
-/// value, no leading whitespace) and returns it with the byte length
-/// consumed. The streamer uses this to parse a self-delimiting record
-/// (object/array/string) straight out of a chunk without first scanning
-/// for its boundary; on failure the caller falls back to the resumable
-/// scanner and this error is discarded.
-pub(crate) fn parse_one_value(
-    input: &str,
-    max_depth: usize,
-    sink: &mut ValueSink,
-    interner: &Interner,
-) -> Result<(Value, usize), ParseError> {
-    let mut p = Parser::new(input, max_depth, interner);
-    let doc = p.parse_value(sink, 0)?;
-    Ok((doc, p.pos))
+    while !p.at_eof() {
+        each(p.parse_value(&mut sink, 0)?);
+        p.skip_ws();
+    }
+    Ok(())
 }
 
 /// How parsed pieces are assembled into an output document. Two
@@ -379,8 +362,8 @@ impl Sink for JsonSink {
     }
 }
 
-pub(crate) struct ValueSink {
-    pub(crate) body: Name,
+struct ValueSink {
+    body: Name,
 }
 
 impl Sink for ValueSink {

@@ -1,39 +1,20 @@
-//! Chunk-fed, incremental JSON parsing — the streaming front-end.
+//! The resumable JSON record-boundary scanner.
 //!
-//! [`Streamer`] accepts arbitrary `feed(&[u8])` slices — a corpus may be
-//! split at **any** byte boundary, including mid-UTF-8-sequence and
-//! mid-escape — and emits one universal [`Value`] per completed
-//! whitespace-separated top-level document, exactly the documents the
-//! one-shot [`parse_many_values`](crate::parse_many_values) returns.
-//! Peak memory is one record (plus the fixed scanner state), independent
-//! of corpus size: completed records are parsed and handed to the sink
-//! immediately, and only a record that spans a chunk boundary is ever
-//! copied into the carry-over tail buffer.
+//! [`BoundaryScanner`] accepts arbitrary `feed(&[u8])` slices — a corpus
+//! may be split at **any** byte boundary, including mid-UTF-8-sequence
+//! and mid-escape — and reports where each whitespace-separated
+//! top-level document ends, exactly the documents the one-shot
+//! [`parse_many_values`](crate::parse_many_values) returns. It is an
+//! explicit state machine (`Mode`/`NumState`, one small enum step per
+//! byte, no recursion) that tracks just enough structure (bracket depth,
+//! string/escape state, the RFC 8259 number grammar, keyword runs) to
+//! find the byte range of each record, wherever chunk boundaries fall,
+//! without ever materializing a value.
 //!
-//! The design splits the work in two:
-//!
-//! 1. a **resumable boundary scanner** — an explicit state machine
-//!    (`Mode`/`NumState`, one small enum step per byte, no recursion)
-//!    that tracks just enough structure (bracket depth, string/escape
-//!    state, the RFC 8259 number grammar, keyword runs) to find the byte
-//!    range of each top-level record, wherever chunk boundaries fall;
-//! 2. the existing byte-level [`crate::parse_value_with`] run on each completed
-//!    record (borrowed straight from the chunk when the record does not
-//!    cross a boundary), so the streaming path produces **byte-identical
-//!    values and errors** to the one-shot path by construction.
-//!
-//! Error positions are translated from record-local to stream-global
-//! coordinates (`offset`/`line`/char-correct `column`), so a malformed
-//! record reports exactly the position the one-shot parser would —
-//! regardless of how the input was chunked. The differential suite
-//! (`tests/streaming_agreement.rs`) asserts this agreement under
-//! adversarial splits, 1-byte feeds included.
-
-use crate::lexer::Pos;
-use crate::parser::{
-    parse_one_value, parse_value_record, ParseError, ParseErrorKind, ParserOptions, ValueSink,
-};
-use tfd_value::{body_name, Interner, Value};
+//! The ingest pipeline (`tfd_core::engine::run`) cuts corpora into
+//! whole-record bundles at these boundaries and parses each bundle with
+//! [`parse_many_values_each`](crate::parse_many_values_each); a bundle
+//! that fails is re-parsed record by record between the same boundaries.
 
 /// Scanner state between two consumed bytes. Every variant is resumable:
 /// a chunk may end (and the next begin) in any of them.
@@ -108,29 +89,72 @@ enum Step {
     CutBefore,
 }
 
-/// The resumable boundary state machine itself — the part of the
-/// streaming front-end that knows where records end, factored out so the
-/// chunk-fed [`Streamer`] and the scan-only [`BoundaryScanner`] share
-/// one implementation (any drift between them would silently break the
-/// parallel driver's shard cuts).
+/// A scan-only record-boundary finder: it never materializes a value,
+/// only reports where top-level documents end.
+///
+/// The ingest pipeline (`tfd_core::engine`) cuts corpora into bundles
+/// that never split a record at these offsets: every reported offset is
+/// a position between records, so a fresh parser started there sees
+/// exactly the remaining record sequence.
+///
+/// ```
+/// let mut s = tfd_json::stream::BoundaryScanner::new();
+/// let mut cuts = Vec::new();
+/// s.feed(br#"{"a": 1} [2, "}"] 7 "#, &mut |off| cuts.push(off));
+/// assert_eq!(cuts, vec![8, 17, 19]);
+/// assert!(!s.in_record());
+/// ```
 #[derive(Debug, Clone)]
-struct Scan {
+pub struct BoundaryScanner {
     mode: Mode,
     /// Container nesting depth of the current record.
     depth: usize,
 }
 
-impl Scan {
-    fn new() -> Scan {
-        Scan {
+impl Default for BoundaryScanner {
+    fn default() -> Self {
+        BoundaryScanner::new()
+    }
+}
+
+impl BoundaryScanner {
+    /// A scanner positioned between records at the start of a stream.
+    pub fn new() -> BoundaryScanner {
+        BoundaryScanner {
             mode: Mode::Between,
             depth: 0,
         }
     }
 
-    /// True while inside a record (a chunk or the input ended mid-record).
-    fn in_record(&self) -> bool {
+    /// True when the last fed byte was inside a record (the stream ends
+    /// with an unterminated document).
+    pub fn in_record(&self) -> bool {
         !matches!(self.mode, Mode::Between)
+    }
+
+    /// Feeds one chunk; `boundary` receives the chunk-relative offset
+    /// just past each record completed within it (state carries across
+    /// calls, so chunks may split records anywhere).
+    pub fn feed(&mut self, chunk: &[u8], boundary: &mut impl FnMut(usize)) {
+        let n = chunk.len();
+        let mut i = 0usize;
+        while i < n {
+            if self.in_record() {
+                match self.run(chunk, i) {
+                    Some(end) => {
+                        boundary(end);
+                        i = end;
+                    }
+                    None => i = n,
+                }
+            } else {
+                let b = chunk[i];
+                i += 1;
+                if !matches!(b, b' ' | b'\t' | b'\r' | b'\n') && self.open(b) {
+                    boundary(i);
+                }
+            }
+        }
     }
 
     /// Classifies the first byte of a record (the one-shot `parse_value`
@@ -255,37 +279,11 @@ impl Scan {
     }
 
     /// One scanner transition for a byte inside a record (cold modes;
-    /// the hot modes are inlined in [`Scan::run`]).
-    fn step(&mut self, b: u8) -> Step {
+    /// the hot modes are inlined in [`BoundaryScanner::run`]).
+    fn step(&self, b: u8) -> Step {
         match self.mode {
             Mode::Between => unreachable!("handled by the caller"),
-            Mode::Container => match b {
-                b'"' => Step::Consume(Mode::Str),
-                b'{' | b'[' => {
-                    self.depth += 1;
-                    Step::Consume(Mode::Container)
-                }
-                b'}' | b']' => {
-                    self.depth -= 1;
-                    if self.depth == 0 {
-                        Step::ConsumeEnd
-                    } else {
-                        Step::Consume(Mode::Container)
-                    }
-                }
-                _ => Step::Consume(Mode::Container),
-            },
-            Mode::Str => match b {
-                b'"' => {
-                    if self.depth == 0 {
-                        Step::ConsumeEnd
-                    } else {
-                        Step::Consume(Mode::Container)
-                    }
-                }
-                b'\\' => Step::Consume(Mode::StrEsc),
-                _ => Step::Consume(Mode::Str),
-            },
+            Mode::Container | Mode::Str => unreachable!("inlined in run"),
             Mode::StrEsc => Step::Consume(Mode::Str),
             Mode::Num(st) => self.step_number(st, b),
             Mode::NumTail(pending) => match pending {
@@ -317,7 +315,7 @@ impl Scan {
     /// keeps the violating character — and, in the leading-zero case,
     /// one character beyond it — so the record parse reproduces the
     /// one-shot `BadNumber` payload exactly.
-    fn step_number(&mut self, st: NumState, b: u8) -> Step {
+    fn step_number(&self, st: NumState, b: u8) -> Step {
         use NumState::*;
         let next = match (st, b) {
             (Minus, b'0') => Some(IntZero),
@@ -347,626 +345,11 @@ impl Scan {
     }
 }
 
-/// A scan-only record-boundary finder: the [`Streamer`]'s resumable
-/// state machine without the parsing — it never materializes a value,
-/// only reports where top-level documents end.
-///
-/// This is what the parallel driver (`tfd_core::engine`) uses to cut a
-/// corpus into shards that never split a record: every reported offset
-/// is a position where the sequential streamer is between records, so a
-/// fresh parser started there sees exactly the remaining record
-/// sequence.
-///
-/// ```
-/// let mut s = tfd_json::stream::BoundaryScanner::new();
-/// let mut cuts = Vec::new();
-/// s.feed(br#"{"a": 1} [2, "}"] 7 "#, &mut |off| cuts.push(off));
-/// assert_eq!(cuts, vec![8, 17, 19]);
-/// assert!(!s.in_record());
-/// ```
-#[derive(Debug, Clone, Default)]
-pub struct BoundaryScanner {
-    scan: Scan,
-}
-
-impl Default for Scan {
-    fn default() -> Self {
-        Scan::new()
-    }
-}
-
-impl BoundaryScanner {
-    /// A scanner positioned between records at the start of a stream.
-    pub fn new() -> BoundaryScanner {
-        BoundaryScanner { scan: Scan::new() }
-    }
-
-    /// Feeds one chunk; `boundary` receives the chunk-relative offset
-    /// just past each record completed within it (state carries across
-    /// calls, so chunks may split records anywhere).
-    pub fn feed(&mut self, chunk: &[u8], boundary: &mut impl FnMut(usize)) {
-        let n = chunk.len();
-        let mut i = 0usize;
-        while i < n {
-            if self.scan.in_record() {
-                match self.scan.run(chunk, i) {
-                    Some(end) => {
-                        boundary(end);
-                        i = end;
-                    }
-                    None => i = n,
-                }
-            } else {
-                let b = chunk[i];
-                match b {
-                    b' ' | b'\t' | b'\r' | b'\n' => i += 1,
-                    _ => {
-                        i += 1;
-                        if self.scan.open(b) {
-                            boundary(i);
-                        }
-                    }
-                }
-            }
-        }
-    }
-
-    /// True when the last fed byte was inside a record (the stream ends
-    /// with an unterminated document).
-    pub fn in_record(&self) -> bool {
-        self.scan.in_record()
-    }
-}
-
-/// Default cap on one record's carry-over bytes (16 MiB): large enough
-/// for any schema-shaped record, small enough that an unclosed string
-/// cannot buffer a multi-gigabyte stream.
-pub const DEFAULT_MAX_RECORD_BYTES: usize = 16 * 1024 * 1024;
-
-/// A chunk-fed incremental JSON parser.
-///
-/// Feed arbitrary byte slices; each completed top-level document is
-/// parsed with the byte-level [`crate::parse_value_with`] and handed to the
-/// sink. Call [`finish`](Streamer::finish) after the last chunk.
-///
-/// ```
-/// use tfd_value::Value;
-/// let mut s = tfd_json::stream::Streamer::new();
-/// let mut out = Vec::new();
-/// // A record split mid-escape and mid-number:
-/// s.feed(br#"{"a": "x\"#, &mut |v| out.push(v))?;
-/// s.feed(br#"ny", "b": 4"#, &mut |v| out.push(v))?;
-/// s.feed(b"2} 7 ", &mut |v| out.push(v))?;
-/// s.finish(&mut |v| out.push(v))?;
-/// assert_eq!(out.len(), 2);
-/// assert_eq!(out[0].field("b"), Some(&Value::Int(42)));
-/// assert_eq!(out[1], Value::Int(7));
-/// # Ok::<(), tfd_json::ParseError>(())
-/// ```
-pub struct Streamer {
-    max_depth: usize,
-    /// Cap on one record's carry-over bytes: a record still open after
-    /// buffering this much fails with
-    /// [`ParseErrorKind::RecordTooLarge`] instead of buffering the rest
-    /// of the stream. Peak memory stays O(cap), not O(stream).
-    max_record_bytes: usize,
-    /// Reused across records: one sink, one cached `•` name.
-    vsink: ValueSink,
-    /// Arena record keys intern into (a shared handle — cloning an
-    /// [`Interner`] shares the arena).
-    interner: Interner,
-    /// The resumable boundary state machine (shared with
-    /// [`BoundaryScanner`]).
-    scan: Scan,
-    /// Carry-over bytes of a record that spans chunk boundaries.
-    buf: Vec<u8>,
-    /// Global position of the current record's start (bytes inside a
-    /// record are accounted in bulk when it completes — the hot scanner
-    /// loops never touch these).
-    offset: usize,
-    line: usize,
-    /// 1-based char column of the next character on the current line.
-    col: usize,
-    /// Snapshot of (offset, line, col) where the current record starts.
-    start: (usize, usize, usize),
-    /// A previously reported error; the stream is poisoned after it,
-    /// mirroring the one-shot parsers (first error wins).
-    failed: Option<ParseError>,
-}
-
-impl Default for Streamer {
-    fn default() -> Self {
-        Streamer::new()
-    }
-}
-
-impl Streamer {
-    /// A streamer with default [`ParserOptions`].
-    pub fn new() -> Streamer {
-        Streamer::with_options(ParserOptions::default())
-    }
-
-    /// A streamer with explicit [`ParserOptions`] (applied to every
-    /// record).
-    pub fn with_options(options: ParserOptions) -> Streamer {
-        Streamer::with_options_in(options, Interner::global().clone())
-    }
-
-    /// A streamer interning record keys into a caller-supplied arena —
-    /// the corpus-scoped streaming path. The handle is cloned per
-    /// streamer; all clones share one arena, so parallel shard workers
-    /// can stream into a single corpus arena.
-    pub fn with_options_in(options: ParserOptions, interner: Interner) -> Streamer {
-        Streamer {
-            max_depth: options.max_depth,
-            max_record_bytes: DEFAULT_MAX_RECORD_BYTES,
-            vsink: ValueSink { body: body_name() },
-            interner,
-            scan: Scan::new(),
-            buf: Vec::new(),
-            offset: 0,
-            line: 1,
-            col: 1,
-            start: (0, 1, 1),
-            failed: None,
-        }
-    }
-
-    /// Caps one record's carry-over bytes (default
-    /// [`DEFAULT_MAX_RECORD_BYTES`]): a record still open after
-    /// buffering `limit` bytes fails with
-    /// [`ParseErrorKind::RecordTooLarge`] at the record's start
-    /// position, so an unclosed string cannot buffer the whole stream.
-    pub fn set_max_record_bytes(&mut self, limit: usize) {
-        self.max_record_bytes = limit;
-    }
-
-    /// Feeds one chunk; every record completed within it is parsed and
-    /// passed to `sink` in input order.
-    ///
-    /// # Errors
-    ///
-    /// The first malformed record poisons the streamer: the error is
-    /// returned now and again from any later call.
-    pub fn feed(&mut self, chunk: &[u8], sink: &mut impl FnMut(Value)) -> Result<(), ParseError> {
-        if let Some(e) = &self.failed {
-            return Err(e.clone());
-        }
-        let r = self.feed_inner(chunk, sink);
-        if let Err(e) = &r {
-            self.failed = Some(e.clone());
-        }
-        r
-    }
-
-    /// Signals end of input: a pending unterminated record is parsed
-    /// (reporting exactly the error the one-shot parser gives at EOF, or
-    /// emitting the record when it is complete, e.g. a number awaiting
-    /// its delimiter).
-    ///
-    /// # Errors
-    ///
-    /// As [`feed`](Streamer::feed).
-    pub fn finish(&mut self, sink: &mut impl FnMut(Value)) -> Result<(), ParseError> {
-        if let Some(e) = &self.failed {
-            return Err(e.clone());
-        }
-        if !self.scan.in_record() {
-            return Ok(());
-        }
-        let buf = std::mem::take(&mut self.buf);
-        let r = self.parse_record(&buf, 0, buf.len()).map(sink);
-        self.buf = buf;
-        self.buf.clear();
-        self.scan.mode = Mode::Between;
-        if let Err(e) = &r {
-            self.failed = Some(e.clone());
-        }
-        r
-    }
-
-    #[allow(clippy::expect_used)] // checked invariant, documented at each site
-    fn feed_inner(&mut self, chunk: &[u8], sink: &mut impl FnMut(Value)) -> Result<(), ParseError> {
-        let n = chunk.len();
-        // The chunk's valid-UTF-8 prefix, validated once: records that
-        // start inside it and are self-delimiting can be parsed straight
-        // off the chunk, with no boundary pre-scan.
-        let text: &str = match std::str::from_utf8(chunk) {
-            Ok(t) => t,
-            Err(e) => std::str::from_utf8(&chunk[..e.valid_up_to()]).expect("validated prefix"),
-        };
-        // Index in `chunk` where the unbuffered part of the current
-        // record starts (0 while a record carried over in `buf` is open).
-        let mut rec_start = 0usize;
-        let mut i = 0usize;
-        while i < n {
-            if self.scan.in_record() {
-                // Inside a record: the shared scanner hops to its end
-                // (or the chunk's) — positions are settled in bulk at
-                // completion.
-                match self.scan.run(chunk, i) {
-                    Some(end) => {
-                        self.complete(chunk, rec_start, end, sink)?;
-                        i = end;
-                    }
-                    None => i = n,
-                }
-            } else {
-                // Not inside a record: skip whitespace, or open a record
-                // at this byte.
-                let b = chunk[i];
-                match b {
-                    b' ' | b'\t' | b'\r' | b'\n' => {
-                        self.advance_ws(b);
-                        i += 1;
-                    }
-                    _ => {
-                        self.start = (self.offset, self.line, self.col);
-                        rec_start = i;
-                        debug_assert!(self.buf.is_empty());
-                        // Fast path: objects, arrays and strings are
-                        // self-delimiting, so a successful parse from
-                        // the chunk front IS the record — wherever it
-                        // ends. Failures (straddling the chunk end,
-                        // or truly malformed) are discarded; the
-                        // resumable scanner re-derives them from the
-                        // exact record slice.
-                        if matches!(b, b'{' | b'[' | b'"') && i < text.len() {
-                            if let Ok((v, consumed)) = parse_one_value(
-                                &text[i..],
-                                self.max_depth,
-                                &mut self.vsink,
-                                &self.interner,
-                            ) {
-                                if consumed > self.max_record_bytes {
-                                    return Err(self.too_large());
-                                }
-                                sink(v);
-                                self.advance_over(&chunk[i..i + consumed]);
-                                i += consumed;
-                                continue;
-                            }
-                        }
-                        i += 1;
-                        if self.scan.open(b) {
-                            self.complete(chunk, rec_start, i, sink)?;
-                        }
-                    }
-                }
-            }
-        }
-        if self.scan.in_record() {
-            self.buf.extend_from_slice(&chunk[rec_start..]);
-            if self.buf.len() > self.max_record_bytes {
-                return Err(self.too_large());
-            }
-        }
-        Ok(())
-    }
-
-    /// The [`ParseErrorKind::RecordTooLarge`] error for the current
-    /// record, positioned at its start (deterministic under any
-    /// chunking).
-    fn too_large(&self) -> ParseError {
-        let (offset, line, column) = self.start;
-        ParseError {
-            kind: ParseErrorKind::RecordTooLarge(self.max_record_bytes),
-            pos: Pos {
-                offset,
-                line,
-                column,
-            },
-        }
-    }
-
-    /// Completes the current record, whose bytes are `buf` (carry-over)
-    /// followed by `chunk[rec_start..end]`, parses it and emits the
-    /// value.
-    fn complete(
-        &mut self,
-        chunk: &[u8],
-        rec_start: usize,
-        end: usize,
-        sink: &mut impl FnMut(Value),
-    ) -> Result<(), ParseError> {
-        // The size cap applies to every record, even one arriving whole
-        // in a single feed (the buf-growth check only sees carry-over).
-        if self.buf.len() + (end - rec_start) > self.max_record_bytes {
-            return Err(self.too_large());
-        }
-        self.scan.mode = Mode::Between;
-        let r = if self.buf.is_empty() {
-            // The record lies wholly within this chunk: parse it
-            // borrowed, no copy.
-            let v = self.parse_record(chunk, rec_start, end);
-            self.advance_over(&chunk[rec_start..end]);
-            v
-        } else {
-            let mut buf = std::mem::take(&mut self.buf);
-            buf.extend_from_slice(&chunk[rec_start..end]);
-            let v = self.parse_record(&buf, 0, buf.len());
-            self.advance_over(&buf);
-            buf.clear();
-            self.buf = buf; // keep the allocation for the next carry-over
-            v
-        };
-        r.map(sink)
-    }
-
-    /// Parses the complete record `bytes[from..to]` and translates any
-    /// error position from record-local to stream-global coordinates.
-    fn parse_record(&mut self, bytes: &[u8], from: usize, to: usize) -> Result<Value, ParseError> {
-        let bytes = &bytes[from..to];
-        let text = std::str::from_utf8(bytes).map_err(|e| ParseError {
-            kind: ParseErrorKind::InvalidUtf8,
-            pos: self.compose(local_pos(&bytes[..e.valid_up_to()])),
-        })?;
-        parse_value_record(text, self.max_depth, &mut self.vsink, &self.interner).map_err(|e| {
-            ParseError {
-                kind: e.kind,
-                pos: self.compose(e.pos),
-            }
-        })
-    }
-
-    /// Lifts a record-local position into the stream-global frame.
-    fn compose(&self, local: Pos) -> Pos {
-        let (offset, line, col) = self.start;
-        Pos {
-            offset: offset + local.offset,
-            line: line + local.line - 1,
-            column: if local.line == 1 {
-                col + local.column - 1
-            } else {
-                local.column
-            },
-        }
-    }
-
-    /// Advances the global position over one whitespace byte between
-    /// records (always ASCII; only `\n` ends a line, matching the
-    /// one-shot parser).
-    fn advance_ws(&mut self, b: u8) {
-        self.offset += 1;
-        if b == b'\n' {
-            self.line += 1;
-            self.col = 1;
-        } else {
-            self.col += 1;
-        }
-    }
-
-    #[allow(clippy::expect_used)] // checked invariant, documented at each site
-    /// Settles the global position over a completed record's bytes in
-    /// one bulk pass (the hot scanner loops never track positions).
-    /// Columns count characters: continuation bytes (`10xxxxxx`) extend
-    /// the previous character.
-    fn advance_over(&mut self, bytes: &[u8]) {
-        self.offset += bytes.len();
-        // Branchless counts: LLVM vectorizes `filter().count()` and
-        // `is_ascii`, so the common all-ASCII single-line record costs a
-        // fraction of a cycle per byte.
-        let newlines = bytes.iter().filter(|&&b| b == b'\n').count();
-        let tail = if newlines == 0 {
-            bytes
-        } else {
-            self.line += newlines;
-            self.col = 1;
-            let last = bytes
-                .iter()
-                .rposition(|&b| b == b'\n')
-                .expect("newlines > 0");
-            &bytes[last + 1..]
-        };
-        self.col += if tail.is_ascii() {
-            tail.len()
-        } else {
-            tail.iter().filter(|&&b| b & 0xC0 != 0x80).count()
-        };
-    }
-}
-
 /// Byte length of the UTF-8 character introduced by lead byte `b`.
 fn utf8_len(b: u8) -> u8 {
     match b {
         0xC2..=0xDF => 2,
         0xE0..=0xEF => 3,
         _ => 4,
-    }
-}
-
-/// The record-local position of the end of a valid UTF-8 `prefix` of a
-/// record (used to place `InvalidUtf8` errors).
-fn local_pos(prefix: &[u8]) -> Pos {
-    let mut line = 1usize;
-    let mut col = 1usize;
-    for &b in prefix {
-        if b == b'\n' {
-            line += 1;
-            col = 1;
-        } else if b & 0xC0 != 0x80 {
-            col += 1;
-        }
-    }
-    Pos {
-        offset: prefix.len(),
-        line,
-        column: col,
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-    use crate::parse_many_values;
-
-    /// Streams `text` in chunks of `size` bytes; returns the values.
-    fn stream_chunked(text: &str, size: usize) -> Result<Vec<Value>, ParseError> {
-        let mut s = Streamer::new();
-        let mut out = Vec::new();
-        for chunk in text.as_bytes().chunks(size.max(1)) {
-            s.feed(chunk, &mut |v| out.push(v))?;
-        }
-        s.finish(&mut |v| out.push(v))?;
-        Ok(out)
-    }
-
-    /// Asserts streaming at several chunk sizes agrees with the one-shot
-    /// multi-document parse, values and errors alike.
-    fn assert_agrees(text: &str) {
-        let oneshot = parse_many_values(text);
-        for size in [1, 2, 3, 5, 7, 64, 4096] {
-            let streamed = stream_chunked(text, size);
-            assert_eq!(streamed, oneshot, "chunk size {size} on {text:?}");
-        }
-    }
-
-    #[test]
-    fn documents_stream_with_any_split() {
-        assert_agrees(r#"{"a": 1} {"a": 2, "b": [1, 2.5, null]}"#);
-        assert_agrees("1 2 3");
-        assert_agrees("[1][2][3]");
-        assert_agrees("\"x\"\"y\"");
-        assert_agrees("true false null");
-        assert_agrees("  \n\t ");
-        assert_agrees("");
-        assert_agrees("{\"nested\": {\"deep\": [[[1]]]}}\n-2.5e-1");
-    }
-
-    #[test]
-    fn splits_inside_escapes_and_utf8() {
-        assert_agrees(r#""a\nbA\\" "čaj 😀""#);
-        assert_agrees(r#"{"kĺíč": "hodnota", "日本": "語"}"#);
-    }
-
-    #[test]
-    fn adjacent_tokens_split_like_oneshot() {
-        // Numbers and keywords end exactly where the one-shot grammar
-        // ends them, even without separating whitespace.
-        assert_agrees("12-3");
-        assert_agrees("1e3[2]");
-        assert_agrees("0 1");
-        assert_agrees("true\"s\"");
-        assert_agrees("null{}");
-    }
-
-    #[test]
-    fn errors_agree_with_oneshot() {
-        for bad in [
-            "[1, 2",
-            "{\"a\": 1",
-            "\"unterminated",
-            "[1,]",
-            "{,}",
-            "01",
-            "012",
-            "1.",
-            "1.x",
-            "1e+",
-            "-",
-            "tru",
-            "truex",
-            "nul",
-            "@",
-            "]",
-            ",",
-            "{\n  \"a\": @\n}",
-            "{ \"čaj\": @ }",
-            "\"a\nb\"",
-            "[1, \"x\\q\"]",
-            "{\"a\" 1}",
-            "1 2 x",
-            "{\"ok\":1} [2,]",
-            "12-",
-            "1.5.2",
-        ] {
-            assert_agrees(bad);
-        }
-    }
-
-    #[test]
-    fn error_positions_translate_across_records() {
-        // The error sits in the third document, on line 2 of the stream.
-        let text = "{\"a\":1} {\"b\":2}\n{\"c\": @}";
-        let oneshot = parse_many_values(text).unwrap_err();
-        let streamed = stream_chunked(text, 1).unwrap_err();
-        assert_eq!(streamed, oneshot);
-        assert_eq!(streamed.pos.line, 2);
-        assert_eq!(streamed.pos.offset, text.find('@').unwrap());
-    }
-
-    #[test]
-    fn stream_is_poisoned_after_error() {
-        let mut s = Streamer::new();
-        let mut out = Vec::new();
-        let err = s.feed(b"[1,] [2]", &mut |v| out.push(v)).unwrap_err();
-        assert_eq!(s.feed(b"[3]", &mut |v| out.push(v)), Err(err.clone()));
-        assert_eq!(s.finish(&mut |v| out.push(v)), Err(err));
-        assert!(out.is_empty());
-    }
-
-    #[test]
-    fn depth_limit_applies_per_record() {
-        let mut s = Streamer::with_options(ParserOptions { max_depth: 4 });
-        let mut n = 0usize;
-        s.feed(b"[[[1]]] ", &mut |_| n += 1).unwrap();
-        assert_eq!(n, 1);
-        let err = s.feed(b"[[[[[1]]]]]", &mut |_| n += 1).unwrap_err();
-        assert!(matches!(err.kind, ParseErrorKind::TooDeep(4)));
-    }
-
-    #[test]
-    fn invalid_utf8_is_reported_with_position() {
-        let mut s = Streamer::new();
-        s.feed(b"{\"a\": \"", &mut |_| ()).unwrap();
-        s.feed(&[0xFF, 0xFE], &mut |_| ()).unwrap();
-        // The bad bytes are inside a string: the error surfaces when the
-        // record completes and is parsed as a whole.
-        let err = s.feed(b"\"}", &mut |_| ()).unwrap_err();
-        assert_eq!(err.kind, ParseErrorKind::InvalidUtf8);
-        assert_eq!(err.pos.offset, 7);
-    }
-
-    #[test]
-    fn unclosed_string_trips_the_record_cap_at_one_byte_chunks() {
-        // An unclosed string fed byte by byte must fail with
-        // RecordTooLarge once the carry-over passes the cap — not buffer
-        // the stream forever.
-        let mut s = Streamer::new();
-        s.set_max_record_bytes(64);
-        let mut n = 0usize;
-        s.feed(b"{\"ok\": 1} \"never closes ", &mut |_| n += 1)
-            .unwrap();
-        assert_eq!(n, 1);
-        let mut err = None;
-        for _ in 0..1000 {
-            if let Err(e) = s.feed(b"x", &mut |_| n += 1) {
-                err = Some(e);
-                break;
-            }
-        }
-        let err = err.expect("the cap must trip long before 1000 bytes");
-        assert_eq!(err.kind, ParseErrorKind::RecordTooLarge(64));
-        // The error sits at the record's start, not wherever the cap
-        // happened to trip.
-        assert_eq!(err.pos.offset, 10);
-        // Peak memory stayed O(cap): the carry-over never grew past the
-        // limit plus one chunk.
-        assert!(s.buf.len() <= 64 + 1, "buf grew to {}", s.buf.len());
-        // And the streamer is poisoned like any other error.
-        assert_eq!(s.finish(&mut |_| n += 1), Err(err));
-    }
-
-    #[test]
-    fn records_borrow_when_within_one_chunk() {
-        // Smoke: a large single-chunk feed emits all records without
-        // touching the carry-over buffer (observable as capacity 0).
-        let text: String = (0..100).map(|i| format!("{{\"i\": {i}}} ")).collect();
-        let mut s = Streamer::new();
-        let mut n = 0usize;
-        s.feed(text.as_bytes(), &mut |_| n += 1).unwrap();
-        s.finish(&mut |_| n += 1).unwrap();
-        assert_eq!(n, 100);
-        assert_eq!(s.buf.capacity(), 0, "no record crossed a boundary");
     }
 }

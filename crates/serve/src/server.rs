@@ -17,8 +17,9 @@
 //! (`stats` is a reserved word: no tenant may take that name.)
 //!
 //! Ingest query parameters mirror the CLI driver flags: `jobs=N`
-//! (`--jobs`), `skip_errors=1` (`--skip-errors`), `max_errors=N`,
-//! `max_record_bytes=N`, `max_depth=N`.
+//! (`--jobs`, clamped to the host's cores), `skip_errors=1`
+//! (`--skip-errors`), `max_errors=N`, `max_record_bytes=N`,
+//! `max_depth=N` (at most `MAX_DEPTH_CEILING`, else 400 `bad-query`).
 //!
 //! Errors come back as the same machine-readable JSON the CLI's
 //! `--json` mode emits: `{"error":{"code":…,"message":…}}`, with
@@ -33,7 +34,7 @@ use std::thread;
 use std::time::Duration;
 
 use tfd_core::analyze::CompatMode;
-use tfd_core::recover::RecoveryPolicy;
+use tfd_core::recover::{RecoveryPolicy, MAX_DEPTH_CEILING, PARSER_STACK_BYTES};
 use tfd_core::report::{error_report_json, json_escape, stream_error_json};
 
 use crate::http::{self, read_request, HttpError, Request, Response};
@@ -206,10 +207,15 @@ impl Server {
                 Some(guard) => {
                     let registry = registry.clone();
                     let gauge = gauge.clone();
-                    thread::spawn(move || {
-                        let _guard = guard;
-                        handle_connection(stream, &registry, config, &gauge);
-                    });
+                    // A `jobs=1` ingest parses on this thread: give it a
+                    // parser's stack. A failed spawn drops the connection.
+                    let _ =
+                        thread::Builder::new()
+                            .stack_size(PARSER_STACK_BYTES)
+                            .spawn(move || {
+                                let _guard = guard;
+                                handle_connection(stream, &registry, config, &gauge);
+                            });
                 }
                 None => {
                     // Refuse off the accept thread — the write timeout
@@ -419,7 +425,10 @@ fn ingest_params(request: &Request) -> Result<(usize, RecoveryPolicy), Response>
     if request.query_flag("skip_errors") {
         policy.mode = tfd_core::RecoveryMode::Skip;
     }
-    let jobs = parse_usize(request, "jobs")?.unwrap_or(1).max(1);
+    // One request may not start more parser threads than the host has
+    // cores: the clamp is derived, not configured.
+    let cores = std::thread::available_parallelism().map_or(1, usize::from);
+    let jobs = parse_usize(request, "jobs")?.unwrap_or(1).clamp(1, cores);
     if let Some(n) = parse_usize(request, "max_errors")? {
         policy.max_errors = n;
     }
@@ -427,6 +436,13 @@ fn ingest_params(request: &Request) -> Result<(usize, RecoveryPolicy), Response>
         policy.max_record_bytes = n;
     }
     if let Some(n) = parse_usize(request, "max_depth")? {
+        if n > MAX_DEPTH_CEILING {
+            return Err(error_response(
+                400,
+                "bad-query",
+                &format!("query parameter max_depth is at most {MAX_DEPTH_CEILING}, got {n}"),
+            ));
+        }
         policy.max_depth = Some(n);
     }
     Ok((jobs, policy))

@@ -275,6 +275,33 @@ fn malformed_uploads_never_kill_the_daemon() {
         post(&handle, "/v1/u/ingest?format=json", b"  \n").status,
         422
     );
+    // A nesting override past the ceiling is refused before any parse
+    // (unbounded, it would overflow a parser's stack and kill the
+    // daemon); the ceiling itself is accepted.
+    let deep = format!("{}1{}", "[".repeat(1000), "]".repeat(1000));
+    let r = post(
+        &handle,
+        "/v1/v/ingest?format=json&max_depth=100000000",
+        deep.as_bytes(),
+    );
+    assert_eq!(r.status, 400);
+    assert!(r.text().contains("bad-query"), "{}", r.text());
+    let at_ceiling = format!(
+        "/v1/v/ingest?format=json&max_depth={}",
+        tfd_core::recover::MAX_DEPTH_CEILING
+    );
+    assert_eq!(post(&handle, &at_ceiling, deep.as_bytes()).status, 200);
+    // An absurd `jobs` is clamped to the host's cores, not obeyed: the
+    // ingest answers, with the fingerprint a one-job ingest gets.
+    let rows = b"{\"a\": 1, \"b\": \"x\"}\n{\"a\": 2.5}\n{\"b\": null}\n";
+    let one = post(&handle, "/v1/j1/ingest?format=json&jobs=1", rows);
+    let many = post(&handle, "/v1/jn/ingest?format=json&jobs=1000000", rows);
+    assert_eq!(one.status, 200, "{}", one.text());
+    assert_eq!(many.status, 200, "{}", many.text());
+    assert_eq!(
+        json_field(&many.text(), "fingerprint"),
+        json_field(&one.text(), "fingerprint")
+    );
 
     // After all of that abuse the daemon still serves.
     let r = get(&handle, "/v1/t/shape");

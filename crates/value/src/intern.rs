@@ -372,12 +372,22 @@ impl InternStats {
 /// the process-default arena's (schema-sized) vocabulary persists.
 ///
 /// ```
-/// use tfd_value::{intern, Name};
+/// use tfd_value::{intern, Interner, Name};
 /// let before = intern::stats();
 /// Name::new("a-definitely-fresh-spelling");
 /// let after = intern::stats();
 /// assert!(after.symbols > before.symbols);
 /// assert!(after.retained_bytes >= before.retained_bytes + "a-definitely-fresh-spelling".len());
+///
+/// // A dropped corpus arena takes its whole vocabulary with it.
+/// let corpus = Interner::new();
+/// for i in 0..512 {
+///     corpus.intern(format!("corpus-name-{i}"));
+/// }
+/// assert!(intern::stats().symbols >= after.symbols + 512);
+/// drop(corpus);
+/// let dropped = intern::stats();
+/// assert_eq!((dropped.symbols, dropped.retained_bytes), (after.symbols, after.retained_bytes));
 /// ```
 pub fn stats() -> InternStats {
     let arenas: Vec<Arc<ArenaInner>> = registry()
@@ -397,6 +407,26 @@ pub fn stats() -> InternStats {
         });
     }
     total
+}
+
+/// Whether the arena with id `arena_id` is still alive — what a test
+/// asserts about the arenas *it* created, instead of comparing
+/// process-wide [`stats`] that concurrent work also moves.
+///
+/// ```
+/// use tfd_value::{intern, Interner};
+/// let corpus = Interner::new();
+/// let id = corpus.id();
+/// assert!(intern::is_live(id));
+/// drop(corpus);
+/// assert!(!intern::is_live(id));
+/// ```
+pub fn is_live(arena_id: u32) -> bool {
+    registry()
+        .lock()
+        .unwrap_or_else(PoisonError::into_inner)
+        .get(&arena_id)
+        .is_some_and(|w| w.strong_count() > 0)
 }
 
 /// An interned record/field name: a small `Copy` symbol with O(1)
@@ -748,21 +778,22 @@ mod tests {
 
     #[test]
     fn scoped_arena_reclaims_memory_on_drop() {
-        let before = stats();
-        let peak;
-        {
-            let corpus = Interner::new();
-            for i in 0..512 {
-                corpus.intern(format!("scoped-reclaim-{i}"));
-            }
-            assert_eq!(corpus.len(), 512);
-            peak = stats();
-            assert!(peak.symbols >= before.symbols + 512);
-            assert!(peak.arenas > before.arenas);
+        // Only this test's own arena is inspected: process-wide `stats()`
+        // also moves with the arenas of tests running beside it (its
+        // drop-to-baseline contract is the doctest on `stats`, which runs
+        // in a process of its own).
+        let corpus = Interner::new();
+        let id = corpus.id();
+        for i in 0..512 {
+            corpus.intern(format!("scoped-reclaim-{i}"));
         }
-        let after = stats();
-        assert_eq!(after.symbols, before.symbols);
-        assert_eq!(after.retained_bytes, before.retained_bytes);
+        assert_eq!(corpus.len(), 512);
+        let peak = corpus.stats();
+        assert_eq!((peak.symbols, peak.arenas), (512, 1));
+        assert!(peak.retained_bytes >= peak.spelling_bytes);
+        assert!(is_live(id));
+        drop(corpus);
+        assert!(!is_live(id));
         // None of the corpus vocabulary leaked into the default arena.
         assert!(Name::lookup("scoped-reclaim-0").is_none());
     }

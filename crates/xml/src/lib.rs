@@ -52,10 +52,10 @@ pub mod stream;
 
 pub use encode::{element_to_value, EncodeOptions};
 pub use parser::{
-    parse, parse_many_values, parse_many_values_in, parse_many_values_with, parse_value,
-    parse_value_in, parse_value_with, parse_with, XmlError, XmlErrorKind, XmlOptions,
+    parse, parse_many_values, parse_many_values_each, parse_many_values_in, parse_many_values_with,
+    parse_value, parse_value_in, parse_value_with, parse_with, XmlError, XmlErrorKind, XmlOptions,
 };
-pub use stream::{BoundaryScanner, Streamer};
+pub use stream::BoundaryScanner;
 
 use tfd_value::{Name, Value};
 

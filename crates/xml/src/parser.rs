@@ -81,15 +81,14 @@ pub enum XmlErrorKind {
     BadCharRef(String),
     /// Nesting exceeded [`XmlOptions::max_depth`].
     TooDeep(usize),
-    /// The byte stream is not valid UTF-8. Only the chunk-fed
-    /// [`Streamer`](crate::stream::Streamer) reports this: the one-shot
+    /// The byte stream is not valid UTF-8. Only the byte-fed ingest
+    /// pipeline (`tfd_core::engine::run`) reports this: the one-shot
     /// entry points take `&str` and cannot observe it.
     InvalidUtf8,
-    /// A single record exceeded the streamer's byte cap; the payload is
-    /// the configured limit. Only the chunk-fed
-    /// [`Streamer`](crate::stream::Streamer) and the engine's recovery
-    /// drivers report this — the one-shot entry points already hold the
-    /// whole input. The position is the record's start.
+    /// A single record exceeded the ingest pipeline's byte cap; the
+    /// payload is the configured limit. Only `tfd_core::engine::run`
+    /// reports this — the one-shot entry points already hold the whole
+    /// input. The position is the record's start.
     RecordTooLarge(usize),
 }
 
@@ -253,10 +252,9 @@ pub fn parse_value_in(
 
 /// Parses a *sequence* of XML documents laid end to end — each with its
 /// own optional prolog (declaration, DOCTYPE, comments, PIs) — into one
-/// [`Value`] per root element. This is the one-shot counterpart of the
-/// chunk-fed [`Streamer`](crate::stream::Streamer), and the reference
-/// the streaming differential suite compares against. Empty (or
-/// misc-only) input yields an empty vector.
+/// [`Value`] per root element. This is the reference the ingest
+/// pipeline's differential suites compare against. Empty (or misc-only)
+/// input yields an empty vector.
 ///
 /// # Errors
 ///
@@ -296,59 +294,35 @@ pub fn parse_many_values_in(
     encode: &EncodeOptions,
     interner: &Interner,
 ) -> Result<Vec<Value>, XmlError> {
+    let mut docs = Vec::new();
+    parse_many_values_each(input, options, encode, interner, &mut |v| docs.push(v))?;
+    Ok(docs)
+}
+
+/// [`parse_many_values_in`] handing each document to `each` as soon as
+/// its root element closes, so a caller folding the documents never
+/// holds more than one of them.
+///
+/// # Errors
+///
+/// As [`parse_many_values`]; documents before the first error have
+/// already been handed to `each`.
+pub fn parse_many_values_each(
+    input: &str,
+    options: &XmlOptions,
+    encode: &EncodeOptions,
+    interner: &Interner,
+    each: &mut dyn FnMut(Value),
+) -> Result<(), XmlError> {
     let mut p = XmlParser::new_in(input, options.clone(), interner);
     let mut sink = ValueSink {
         options: encode.clone(),
         body: body_name(),
     };
-    let mut docs = Vec::new();
     while p.skip_prolog_opt()? {
-        docs.push(p.parse_element(&mut sink, 0)?);
+        each(p.parse_element(&mut sink, 0)?);
     }
-    Ok(docs)
-}
-
-/// Parses exactly one document through a caller-held [`ValueSink`] — the
-/// chunk-fed streamer's per-record entry point, kept separate from
-/// [`parse_value_with`] so the hot path pays no per-record
-/// [`EncodeOptions`] clone.
-pub(crate) fn parse_value_record(
-    input: &str,
-    options: &XmlOptions,
-    sink: &mut ValueSink,
-    interner: &Interner,
-) -> Result<Value, XmlError> {
-    let mut p = XmlParser::new_in(input, options.clone(), interner);
-    p.skip_prolog()?;
-    let root = p.parse_element(sink, 0)?;
-    p.skip_misc()?;
-    if !p.at_eof() {
-        return Err(p.error(XmlErrorKind::TrailingContent));
-    }
-    Ok(root)
-}
-
-/// Parses one document (prolog + root element) from the *front* of
-/// `input` — which must start at a `<` — and returns its value with the
-/// byte length consumed. The streamer uses this to parse a record
-/// straight out of a chunk without first scanning for its boundary: a
-/// root element is self-delimiting, so success is definitive wherever
-/// the document ends. On failure the caller falls back to the resumable
-/// scanner and this error is discarded.
-pub(crate) fn parse_one_document(
-    input: &str,
-    options: &XmlOptions,
-    sink: &mut ValueSink,
-    interner: &Interner,
-) -> Result<(Value, usize), XmlError> {
-    let mut p = XmlParser::new_in(input, options.clone(), interner);
-    if !p.skip_prolog_opt()? {
-        // Misc-only input is ambiguous from a chunk front (a comment may
-        // continue in the next chunk): never definitive.
-        return Err(p.error(XmlErrorKind::NoRoot));
-    }
-    let root = p.parse_element(sink, 0)?;
-    Ok((root, p.pos))
+    Ok(())
 }
 
 /// How parsed pieces are assembled into an output document. Two
@@ -401,9 +375,9 @@ impl Sink for ElementSink {
     }
 }
 
-pub(crate) struct ValueSink {
-    pub(crate) options: EncodeOptions,
-    pub(crate) body: Name,
+struct ValueSink {
+    options: EncodeOptions,
+    body: Name,
 }
 
 /// Accumulator for one element being encoded as a value: attribute

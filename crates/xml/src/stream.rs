@@ -1,43 +1,25 @@
-//! Chunk-fed, incremental XML parsing — the streaming front-end.
+//! The resumable XML record-boundary scanner.
 //!
-//! [`Streamer`] accepts arbitrary `feed(&[u8])` slices — the stream may
-//! be split at **any** byte boundary, including mid-UTF-8-sequence,
-//! mid-entity, mid-CDATA-terminator or between the `-` bytes of a
-//! comment close — and emits one §6.2-encoded [`Value`] per completed
-//! top-level document. A stream is a sequence of documents laid end to
-//! end (each with its own optional prolog), exactly the documents the
-//! one-shot [`parse_many_values`](crate::parse_many_values) returns; a
-//! single-document file is simply a one-record stream. Peak memory is
-//! one record plus the fixed scanner state.
+//! [`BoundaryScanner`] accepts arbitrary `feed(&[u8])` slices — the
+//! stream may be split at **any** byte boundary, including
+//! mid-UTF-8-sequence, mid-entity, mid-CDATA-terminator or between the
+//! `-` bytes of a comment close — and reports where each top-level
+//! document ends (the `>` closing its root element). A stream is a
+//! sequence of documents laid end to end (each with its own optional
+//! prolog), exactly the documents the one-shot
+//! [`parse_many_values`](crate::parse_many_values) returns.
 //!
-//! The design mirrors `tfd_json::stream`:
+//! The scanner is an explicit state machine (`XMode`, one small enum
+//! step per byte, no recursion) tracking element depth,
+//! tag/attribute-quote state, comments, CDATA sections, DOCTYPE bracket
+//! nesting, processing instructions and entity length. It is
+//! deliberately lenient on malformed markup: it only needs to keep the
+//! record open (or cut it somewhere at or past the offending bytes) — the
+//! record parse then reports exactly the one-shot error.
 //!
-//! 1. a **resumable boundary scanner** — an explicit state machine
-//!    (`XMode`, one small enum step per byte, no recursion) tracking
-//!    element depth, tag/attribute-quote state, comments, CDATA
-//!    sections, DOCTYPE bracket nesting, processing instructions and
-//!    entity length — finds where each top-level document ends (the `>`
-//!    closing its root element), wherever the chunks fall;
-//! 2. the byte-level [`crate::parse_value_with`] is run on each completed
-//!    record (borrowed straight from the chunk when it does not cross a
-//!    boundary), so streaming values and errors are **byte-identical**
-//!    to the one-shot path by construction. The scanner is deliberately
-//!    lenient on malformed markup: it only needs to keep the record open
-//!    (or cut it somewhere at or past the offending bytes) — the record
-//!    parse then reports exactly the one-shot error, and the first error
-//!    poisons the stream.
-//!
-//! Error positions are translated from record-local to stream-global
-//! line/char-correct-column coordinates. The differential suite
-//! (`tests/streaming_agreement.rs`) asserts agreement under adversarial
-//! splits, 1-byte feeds included.
-
-use crate::encode::EncodeOptions;
-use crate::parser::{
-    parse_many_values_with, parse_one_document, parse_value_record, ValueSink, XmlError,
-    XmlErrorKind, XmlOptions,
-};
-use tfd_value::{body_name, Interner, Value};
+//! The ingest pipeline (`tfd_core::engine::run`) cuts corpora into
+//! whole-record bundles at these boundaries and parses each bundle with
+//! [`parse_many_values_each`](crate::parse_many_values_each).
 
 /// Scanner state between two consumed bytes. Every variant is
 /// resumable: a chunk may end (and the next begin) in any of them.
@@ -89,34 +71,72 @@ enum Step {
     Reprocess(XMode),
 }
 
-/// The resumable boundary state machine itself — factored out so the
-/// chunk-fed [`Streamer`] and the scan-only [`BoundaryScanner`] share
-/// one implementation (any drift between them would silently break the
-/// parallel driver's shard cuts).
+/// A scan-only record-boundary finder: it never materializes a value,
+/// only reports where top-level documents end (the `>` closing each root
+/// element).
+///
+/// The ingest pipeline (`tfd_core::engine`) cuts corpora into bundles
+/// that never split a document at these offsets: every reported offset
+/// is a position between records. Inter-document misc (comments, PIs)
+/// is glued to the *following* document.
+///
+/// ```
+/// let mut s = tfd_xml::stream::BoundaryScanner::new();
+/// let mut cuts = Vec::new();
+/// s.feed(b"<a x=\"1\"/> <b><c/></b>", &mut |off| cuts.push(off));
+/// assert_eq!(cuts, vec![10, 22]);
+/// assert!(!s.in_record());
+/// ```
 #[derive(Debug, Clone)]
-struct Scan {
+pub struct BoundaryScanner {
     mode: XMode,
     /// Element nesting depth of the current record's root.
     depth: usize,
 }
 
-impl Default for Scan {
+impl Default for BoundaryScanner {
     fn default() -> Self {
-        Scan::new()
+        BoundaryScanner::new()
     }
 }
 
-impl Scan {
-    fn new() -> Scan {
-        Scan {
+impl BoundaryScanner {
+    /// A scanner positioned between documents at the start of a stream.
+    pub fn new() -> BoundaryScanner {
+        BoundaryScanner {
             mode: XMode::Between,
             depth: 0,
         }
     }
 
-    /// True while inside a record.
-    fn in_record(&self) -> bool {
+    /// True when the last fed byte was inside a document (the stream
+    /// ends with an unterminated document or trailing misc).
+    pub fn in_record(&self) -> bool {
         !matches!(self.mode, XMode::Between)
+    }
+
+    /// Feeds one chunk; `boundary` receives the chunk-relative offset
+    /// just past each document completed within it (state carries across
+    /// calls, so chunks may split documents anywhere).
+    pub fn feed(&mut self, chunk: &[u8], boundary: &mut impl FnMut(usize)) {
+        let n = chunk.len();
+        let mut i = 0usize;
+        while i < n {
+            if self.in_record() {
+                match self.run(chunk, i) {
+                    Some(end) => {
+                        boundary(end);
+                        i = end;
+                    }
+                    None => i = n,
+                }
+            } else {
+                match chunk[i] {
+                    b' ' | b'\t' | b'\r' | b'\n' => i += 1,
+                    _ => self.open(),
+                }
+            }
+        }
     }
 
     /// Opens a record at the current byte (which is *not* consumed — the
@@ -260,7 +280,7 @@ impl Scan {
     }
 
     /// One scanner transition for a byte inside a record (cold modes;
-    /// the hot modes are inlined in [`Scan::run`]).
+    /// the hot modes are inlined in [`BoundaryScanner::run`]).
     fn step(&mut self, b: u8) -> Step {
         use XMode::*;
         match self.mode {
@@ -370,636 +390,11 @@ impl Scan {
     }
 }
 
-/// A scan-only record-boundary finder: the [`Streamer`]'s resumable
-/// state machine without the parsing — it never materializes a value,
-/// only reports where top-level documents end (the `>` closing each root
-/// element).
-///
-/// This is what the parallel driver (`tfd_core::engine`) uses to cut a
-/// corpus into shards that never split a document: every reported offset
-/// is a position where the sequential streamer is between records.
-/// Inter-document misc (comments, PIs) is glued to the *following*
-/// document, exactly as the streamer glues it.
-///
-/// ```
-/// let mut s = tfd_xml::stream::BoundaryScanner::new();
-/// let mut cuts = Vec::new();
-/// s.feed(b"<a x=\"1\"/> <b><c/></b>", &mut |off| cuts.push(off));
-/// assert_eq!(cuts, vec![10, 22]);
-/// assert!(!s.in_record());
-/// ```
-#[derive(Debug, Clone, Default)]
-pub struct BoundaryScanner {
-    scan: Scan,
-}
-
-impl BoundaryScanner {
-    /// A scanner positioned between documents at the start of a stream.
-    pub fn new() -> BoundaryScanner {
-        BoundaryScanner { scan: Scan::new() }
-    }
-
-    /// Feeds one chunk; `boundary` receives the chunk-relative offset
-    /// just past each document completed within it (state carries across
-    /// calls, so chunks may split documents anywhere).
-    pub fn feed(&mut self, chunk: &[u8], boundary: &mut impl FnMut(usize)) {
-        let n = chunk.len();
-        let mut i = 0usize;
-        while i < n {
-            if self.scan.in_record() {
-                match self.scan.run(chunk, i) {
-                    Some(end) => {
-                        boundary(end);
-                        i = end;
-                    }
-                    None => i = n,
-                }
-            } else {
-                match chunk[i] {
-                    b' ' | b'\t' | b'\r' | b'\n' => i += 1,
-                    _ => self.scan.open(),
-                }
-            }
-        }
-    }
-
-    /// True when the last fed byte was inside a document (the stream
-    /// ends with an unterminated document or trailing misc).
-    pub fn in_record(&self) -> bool {
-        self.scan.in_record()
-    }
-}
-
-/// Default cap on one record's carry-over bytes (16 MiB): large enough
-/// for any schema-shaped document, small enough that an unclosed tag
-/// cannot buffer a multi-gigabyte stream.
-pub const DEFAULT_MAX_RECORD_BYTES: usize = 16 * 1024 * 1024;
-
-/// A chunk-fed incremental XML parser.
-///
-/// Feed arbitrary byte slices; each completed top-level document is
-/// parsed with the byte-level [`crate::parse_value_with`] and handed to the
-/// sink as its §6.2 value. Call [`finish`](Streamer::finish) after the
-/// last chunk.
-///
-/// ```
-/// use tfd_value::Value;
-/// let mut s = tfd_xml::stream::Streamer::new();
-/// let mut out = Vec::new();
-/// s.feed(b"<row id=\"4", &mut |v| out.push(v))?;   // split inside an attribute
-/// s.feed(b"2\"/><row id=\"7\"><v>x</v></ro", &mut |v| out.push(v))?;
-/// s.feed(b"w>", &mut |v| out.push(v))?;
-/// s.finish(&mut |v| out.push(v))?;
-/// assert_eq!(out.len(), 2);
-/// assert_eq!(out[0].field("id"), Some(&Value::Int(42)));
-/// # Ok::<(), tfd_xml::XmlError>(())
-/// ```
-pub struct Streamer {
-    options: XmlOptions,
-    /// Cap on one record's carry-over bytes: a document still open after
-    /// buffering this much fails with [`XmlErrorKind::RecordTooLarge`]
-    /// instead of buffering the rest of the stream.
-    max_record_bytes: usize,
-    /// Reused across records: one sink, one `EncodeOptions`, one cached
-    /// `•` name — no per-record clones.
-    vsink: ValueSink,
-    /// Arena element/attribute names intern into (a shared handle —
-    /// cloning an [`Interner`] shares the arena).
-    interner: Interner,
-    /// The resumable boundary state machine (shared with
-    /// [`BoundaryScanner`]).
-    scan: Scan,
-    /// Carry-over bytes of a record that spans chunk boundaries.
-    buf: Vec<u8>,
-    /// Global position of the current record's start (bytes inside a
-    /// record are accounted in bulk when it completes — the hot scanner
-    /// loops never touch these).
-    line: usize,
-    /// 1-based char column of the next character on the current line.
-    col: usize,
-    prev_cr: bool,
-    /// Snapshot of (line, col) where the current record starts.
-    start: (usize, usize),
-    failed: Option<XmlError>,
-}
-
-impl Default for Streamer {
-    fn default() -> Self {
-        Streamer::new()
-    }
-}
-
-impl Streamer {
-    /// A streamer with default [`XmlOptions`] and [`EncodeOptions`].
-    pub fn new() -> Streamer {
-        Streamer::with_options(&XmlOptions::default(), &EncodeOptions::default())
-    }
-
-    /// A streamer with explicit parser and encoding options (applied to
-    /// every record).
-    pub fn with_options(options: &XmlOptions, encode: &EncodeOptions) -> Streamer {
-        Streamer::with_options_in(options, encode, Interner::global().clone())
-    }
-
-    /// A streamer interning element and attribute names into a
-    /// caller-supplied arena — the corpus-scoped streaming path. The
-    /// handle is cloned per streamer; all clones share one arena, so
-    /// parallel shard workers can stream into a single corpus arena.
-    pub fn with_options_in(
-        options: &XmlOptions,
-        encode: &EncodeOptions,
-        interner: Interner,
-    ) -> Streamer {
-        Streamer {
-            options: options.clone(),
-            max_record_bytes: DEFAULT_MAX_RECORD_BYTES,
-            vsink: ValueSink {
-                options: encode.clone(),
-                body: body_name(),
-            },
-            interner,
-            scan: Scan::new(),
-            buf: Vec::new(),
-            line: 1,
-            col: 1,
-            prev_cr: false,
-            start: (1, 1),
-            failed: None,
-        }
-    }
-
-    /// Caps one record's carry-over bytes (default
-    /// [`DEFAULT_MAX_RECORD_BYTES`]): a document still open after
-    /// buffering `limit` bytes fails with
-    /// [`XmlErrorKind::RecordTooLarge`] at the document's start
-    /// position, so an unclosed tag cannot buffer the whole stream.
-    pub fn set_max_record_bytes(&mut self, limit: usize) {
-        self.max_record_bytes = limit;
-    }
-
-    /// Feeds one chunk; every document completed within it is parsed and
-    /// passed to `sink` in input order.
-    ///
-    /// # Errors
-    ///
-    /// The first malformed document poisons the streamer: the error is
-    /// returned now and again from any later call.
-    pub fn feed(&mut self, chunk: &[u8], sink: &mut impl FnMut(Value)) -> Result<(), XmlError> {
-        if let Some(e) = &self.failed {
-            return Err(e.clone());
-        }
-        let r = self.feed_inner(chunk, sink);
-        if let Err(e) = &r {
-            self.failed = Some(e.clone());
-        }
-        r
-    }
-
-    /// Signals end of input. A pending tail is parsed with the one-shot
-    /// multi-document parser, so an unterminated document reports
-    /// exactly the one-shot EOF error and a trailing comment/PI/DOCTYPE
-    /// (a record that never opened its root) is accepted silently.
-    ///
-    /// # Errors
-    ///
-    /// As [`feed`](Streamer::feed).
-    pub fn finish(&mut self, sink: &mut impl FnMut(Value)) -> Result<(), XmlError> {
-        if let Some(e) = &self.failed {
-            return Err(e.clone());
-        }
-        if !self.scan.in_record() {
-            return Ok(());
-        }
-        let buf = std::mem::take(&mut self.buf);
-        let r = self
-            .parse_tail(&buf)
-            .map(|values| values.into_iter().for_each(&mut *sink));
-        self.buf = buf;
-        self.buf.clear();
-        self.scan.mode = XMode::Between;
-        if let Err(e) = &r {
-            self.failed = Some(e.clone());
-        }
-        r
-    }
-
-    #[allow(clippy::expect_used)] // checked invariant, documented at each site
-    fn feed_inner(&mut self, chunk: &[u8], sink: &mut impl FnMut(Value)) -> Result<(), XmlError> {
-        let n = chunk.len();
-        // The chunk's valid-UTF-8 prefix, validated once: records that
-        // start inside it can be parsed straight off the chunk (a root
-        // element is self-delimiting), with no boundary pre-scan.
-        let text: &str = match std::str::from_utf8(chunk) {
-            Ok(t) => t,
-            Err(e) => std::str::from_utf8(&chunk[..e.valid_up_to()]).expect("validated prefix"),
-        };
-        // Index in `chunk` where the unbuffered part of the current
-        // record starts (0 while a record carried over in `buf` is open).
-        let mut rec_start = 0usize;
-        let mut i = 0usize;
-        while i < n {
-            if self.scan.in_record() {
-                // Inside a record: the shared scanner hops to its end
-                // (or the chunk's) — positions are settled in bulk at
-                // completion.
-                match self.scan.run(chunk, i) {
-                    Some(end) => {
-                        self.complete(chunk, rec_start, end, sink)?;
-                        i = end;
-                    }
-                    None => i = n,
-                }
-            } else {
-                let b = chunk[i];
-                match b {
-                    b' ' | b'\t' | b'\r' | b'\n' => {
-                        self.advance_ws(b);
-                        i += 1;
-                    }
-                    _ => {
-                        // Any other byte opens a record (misbytes too:
-                        // their parse reproduces the one-shot error).
-                        self.start = (self.line, self.col);
-                        rec_start = i;
-                        debug_assert!(self.buf.is_empty());
-                        // Fast path: parse the document straight off the
-                        // chunk. Failures (straddling the chunk end, or
-                        // truly malformed) are discarded; the resumable
-                        // scanner re-derives them from the exact record
-                        // slice.
-                        if b == b'<' && i < text.len() {
-                            if let Ok((v, consumed)) = parse_one_document(
-                                &text[i..],
-                                &self.options,
-                                &mut self.vsink,
-                                &self.interner,
-                            ) {
-                                if consumed > self.max_record_bytes {
-                                    return Err(self.too_large());
-                                }
-                                sink(v);
-                                self.advance_over(&chunk[i..i + consumed]);
-                                i += consumed;
-                                continue;
-                            }
-                        }
-                        self.scan.open();
-                    }
-                }
-            }
-        }
-        if self.scan.in_record() {
-            self.buf.extend_from_slice(&chunk[rec_start..]);
-            if self.buf.len() > self.max_record_bytes {
-                return Err(self.too_large());
-            }
-        }
-        Ok(())
-    }
-
-    /// The [`XmlErrorKind::RecordTooLarge`] error for the current
-    /// record, positioned at its start (deterministic under any
-    /// chunking).
-    fn too_large(&self) -> XmlError {
-        let (line, column) = self.start;
-        XmlError {
-            kind: XmlErrorKind::RecordTooLarge(self.max_record_bytes),
-            line,
-            column,
-        }
-    }
-
-    /// Completes the current record, whose bytes are `buf` (carry-over)
-    /// followed by `chunk[rec_start..end]`, parses it and emits the
-    /// value.
-    fn complete(
-        &mut self,
-        chunk: &[u8],
-        rec_start: usize,
-        end: usize,
-        sink: &mut impl FnMut(Value),
-    ) -> Result<(), XmlError> {
-        // The size cap applies to every record, even one arriving whole
-        // in a single feed (the buf-growth check only sees carry-over).
-        if self.buf.len() + (end - rec_start) > self.max_record_bytes {
-            return Err(self.too_large());
-        }
-        self.scan.mode = XMode::Between;
-        let r = if self.buf.is_empty() {
-            let v = self.parse_record(chunk, rec_start, end);
-            self.advance_over(&chunk[rec_start..end]);
-            v
-        } else {
-            let mut buf = std::mem::take(&mut self.buf);
-            buf.extend_from_slice(&chunk[rec_start..end]);
-            let v = self.parse_record(&buf, 0, buf.len());
-            self.advance_over(&buf);
-            buf.clear();
-            self.buf = buf; // keep the allocation for the next carry-over
-            v
-        };
-        r.map(sink)
-    }
-
-    /// Parses the complete record `bytes[from..to]`; error positions are
-    /// translated from record-local to stream-global coordinates.
-    fn parse_record(&mut self, bytes: &[u8], from: usize, to: usize) -> Result<Value, XmlError> {
-        let bytes = &bytes[from..to];
-        let text = match std::str::from_utf8(bytes) {
-            Ok(t) => t,
-            Err(e) => return Err(self.utf8_error(bytes, e.valid_up_to())),
-        };
-        parse_value_record(text, &self.options, &mut self.vsink, &self.interner)
-            .map_err(|e| self.compose(e))
-    }
-
-    /// Parses a pending tail at end of input with the one-shot
-    /// multi-document parser (it may be a misc-only record, which is
-    /// fine, or an unterminated document, which errors exactly as the
-    /// one-shot path does at EOF).
-    fn parse_tail(&self, bytes: &[u8]) -> Result<Vec<Value>, XmlError> {
-        let text = match std::str::from_utf8(bytes) {
-            Ok(t) => t,
-            Err(e) => return Err(self.utf8_error(bytes, e.valid_up_to())),
-        };
-        parse_many_values_with(text, &self.options, &self.vsink.options)
-            .map_err(|e| self.compose(e))
-    }
-
-    fn utf8_error(&self, bytes: &[u8], valid_up_to: usize) -> XmlError {
-        let (line, column) = local_pos(&bytes[..valid_up_to]);
-        self.compose(XmlError {
-            kind: XmlErrorKind::InvalidUtf8,
-            line,
-            column,
-        })
-    }
-
-    /// Lifts a record-local error into the stream-global frame.
-    fn compose(&self, e: XmlError) -> XmlError {
-        let (line, col) = self.start;
-        XmlError {
-            kind: e.kind,
-            line: line + e.line - 1,
-            column: if e.line == 1 {
-                col + e.column - 1
-            } else {
-                e.column
-            },
-        }
-    }
-
-    /// Advances the global position over one whitespace byte between
-    /// records. LF, CRLF and bare CR each end a line once (matching
-    /// `bump_byte`).
-    fn advance_ws(&mut self, b: u8) {
-        if b == b'\n' {
-            if !self.prev_cr {
-                self.line += 1;
-            }
-            self.col = 1;
-        } else if b == b'\r' {
-            self.line += 1;
-            self.col = 1;
-        } else {
-            self.col += 1;
-        }
-        self.prev_cr = b == b'\r';
-    }
-
-    #[allow(clippy::expect_used)] // checked invariant, documented at each site
-    /// Settles the global position over a completed record's bytes in
-    /// one bulk pass (the hot scanner loops never track positions).
-    /// Columns count characters; LF, CRLF and bare CR each end a line
-    /// once.
-    fn advance_over(&mut self, bytes: &[u8]) {
-        // Fast path (no CR anywhere — the overwhelming case): LF counts
-        // and the char count of the final line are branchless,
-        // vectorizable passes.
-        if bytes.iter().all(|&b| b != b'\r') {
-            let newlines = bytes.iter().filter(|&&b| b == b'\n').count();
-            let tail = if newlines == 0 {
-                bytes
-            } else {
-                self.line += newlines;
-                self.col = 1;
-                let last = bytes
-                    .iter()
-                    .rposition(|&b| b == b'\n')
-                    .expect("newlines > 0");
-                &bytes[last + 1..]
-            };
-            self.col += if tail.is_ascii() {
-                tail.len()
-            } else {
-                tail.iter().filter(|&&b| b & 0xC0 != 0x80).count()
-            };
-            if !bytes.is_empty() {
-                self.prev_cr = false;
-            }
-            return;
-        }
-        // CR present: the careful byte-at-a-time walk (LF, CRLF and bare
-        // CR each end a line once).
-        let mut line = self.line;
-        let mut col = self.col;
-        let mut prev_cr = self.prev_cr;
-        for &b in bytes {
-            if b == b'\n' {
-                if !prev_cr {
-                    line += 1;
-                }
-                col = 1;
-            } else if b == b'\r' {
-                line += 1;
-                col = 1;
-            } else {
-                col += usize::from(b & 0xC0 != 0x80);
-            }
-            prev_cr = b == b'\r';
-        }
-        self.line = line;
-        self.col = col;
-        self.prev_cr = prev_cr;
-    }
-}
-
 /// Byte length of the UTF-8 character introduced by lead byte `b`.
 fn utf8_len(b: u8) -> u8 {
     match b {
         0xC2..=0xDF => 2,
         0xE0..=0xEF => 3,
         _ => 4,
-    }
-}
-
-/// The record-local (line, column) just past a valid UTF-8 `prefix` of a
-/// record (used to place `InvalidUtf8` errors).
-fn local_pos(prefix: &[u8]) -> (usize, usize) {
-    let mut line = 1usize;
-    let mut col = 1usize;
-    let mut prev_cr = false;
-    for &b in prefix {
-        if b == b'\n' {
-            if !prev_cr {
-                line += 1;
-            }
-            col = 1;
-        } else if b == b'\r' {
-            line += 1;
-            col = 1;
-        } else if b & 0xC0 != 0x80 {
-            col += 1;
-        }
-        prev_cr = b == b'\r';
-    }
-    (line, col)
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-    use crate::parse_many_values;
-
-    /// Streams `text` in chunks of `size` bytes; returns the values.
-    fn stream_chunked(text: &str, size: usize) -> Result<Vec<Value>, XmlError> {
-        let mut s = Streamer::new();
-        let mut out = Vec::new();
-        for chunk in text.as_bytes().chunks(size.max(1)) {
-            s.feed(chunk, &mut |v| out.push(v))?;
-        }
-        s.finish(&mut |v| out.push(v))?;
-        Ok(out)
-    }
-
-    /// Asserts streaming at several chunk sizes agrees with the one-shot
-    /// multi-document parse, values and errors alike.
-    fn assert_agrees(text: &str) {
-        let oneshot = parse_many_values(text);
-        for size in [1, 2, 3, 5, 7, 64, 4096] {
-            let streamed = stream_chunked(text, size);
-            assert_eq!(streamed, oneshot, "chunk size {size} on {text:?}");
-        }
-    }
-
-    #[test]
-    fn documents_stream_with_any_split() {
-        assert_agrees(r#"<root id="1"><item>Hello!</item></root>"#);
-        assert_agrees("<a/><b/><c x=\"1\"/>");
-        assert_agrees("<a>1</a>\n<a>2</a>\n");
-        assert_agrees("");
-        assert_agrees("   \n ");
-        assert_agrees("<p>text <b>bold</b> more</p>");
-        assert_agrees("<čaj típ=\"zelený\">42</čaj>");
-    }
-
-    #[test]
-    fn prolog_and_misc_stream_with_any_split() {
-        assert_agrees("<?xml version=\"1.0\"?>\n<!DOCTYPE d [<!ELEMENT d ANY>]>\n<d/>");
-        assert_agrees("<!-- lead --><a/><!-- mid --><b/><!-- trail -->");
-        assert_agrees("<a><?php echo ?><b/></a>");
-        assert_agrees("<a><!-- c --- --></a>");
-        assert_agrees("<!-- only a comment -->");
-    }
-
-    #[test]
-    fn cdata_and_entities_stream_with_any_split() {
-        assert_agrees("<a><![CDATA[<not-a-tag> & raw]]></a>");
-        assert_agrees("<a><![CDATA[x]y]]z]]></a>");
-        assert_agrees("<a x=\"&lt;&amp;&quot;\">&gt;&apos;</a>");
-        assert_agrees("<a>&#65;&#x42;&#x1F600;</a>");
-    }
-
-    #[test]
-    fn attribute_edge_cases_stream_with_any_split() {
-        assert_agrees("<a x=\"1\" y='two' z=\"a > b\"/>");
-        assert_agrees("<a x=\"multi\nline\"/>");
-        assert_agrees("<a x = \"1\"  y=\"2\" />");
-    }
-
-    #[test]
-    fn errors_agree_with_oneshot() {
-        for bad in [
-            "<a><b></a></b>",
-            "<a><b>",
-            "<a>&nope;</a>",
-            "<a>&#xD800;</a>",
-            "<a>\n  <b x=>\n</a>",
-            "<a>\n<žluť x=@>\n</a>",
-            "<a x=1/>",
-            "< a>",
-            "junk <a/>",
-            "<a/>junk",
-            "<a/><b x=\"&broken\"/>",
-            "<a>&ééééééé;</a>",
-            "<a>&aaaaaaaaaaaaaaaa;</a>",
-            "<a x=\"&ééééééé;\"/>",
-            "<!-- unterminated",
-            "<!DOCTYPE oops",
-            "<?pi never ends",
-            "<a>\r\n<b>\r\n<bad @></a>",
-            "<a>\r<b>\r<bad @></a>",
-            "<a\u{00A0}x=\"1\"/>",
-        ] {
-            assert_agrees(bad);
-        }
-    }
-
-    #[test]
-    fn deep_nesting_error_agrees() {
-        let deep = "<a>".repeat(300) + &"</a>".repeat(300);
-        assert_agrees(&deep);
-    }
-
-    #[test]
-    fn error_positions_translate_across_records() {
-        let text = "<ok/>\n<ok/>\n<bad @>";
-        let oneshot = parse_many_values(text).unwrap_err();
-        let streamed = stream_chunked(text, 1).unwrap_err();
-        assert_eq!(streamed, oneshot);
-        assert_eq!(streamed.line, 3);
-    }
-
-    #[test]
-    fn stream_is_poisoned_after_error() {
-        let mut s = Streamer::new();
-        let mut out = Vec::new();
-        let err = s.feed(b"<a></b> <c/>", &mut |v| out.push(v)).unwrap_err();
-        assert!(matches!(err.kind, XmlErrorKind::MismatchedTag { .. }));
-        assert_eq!(s.feed(b"<d/>", &mut |v| out.push(v)), Err(err.clone()));
-        assert_eq!(s.finish(&mut |v| out.push(v)), Err(err));
-        assert!(out.is_empty());
-    }
-
-    #[test]
-    fn unclosed_document_trips_the_record_cap_at_one_byte_chunks() {
-        let mut s = Streamer::new();
-        s.set_max_record_bytes(64);
-        let mut n = 0usize;
-        s.feed(b"<ok/>\n<open><v>", &mut |_| n += 1).unwrap();
-        assert_eq!(n, 1);
-        let mut err = None;
-        for _ in 0..1000 {
-            if let Err(e) = s.feed(b"x", &mut |_| n += 1) {
-                err = Some(e);
-                break;
-            }
-        }
-        let err = err.expect("the cap must trip long before 1000 bytes");
-        assert_eq!(err.kind, XmlErrorKind::RecordTooLarge(64));
-        // The error sits at the document's start.
-        assert_eq!((err.line, err.column), (2, 1));
-        assert!(s.buf.len() <= 64 + 1, "buf grew to {}", s.buf.len());
-        assert_eq!(s.finish(&mut |_| n += 1), Err(err));
-    }
-
-    #[test]
-    fn invalid_utf8_is_reported_with_position() {
-        let mut s = Streamer::new();
-        s.feed(b"<a>", &mut |_| ()).unwrap();
-        s.feed(&[0xFF], &mut |_| ()).unwrap();
-        let err = s.feed(b"</a>", &mut |_| ()).unwrap_err();
-        assert_eq!(err.kind, XmlErrorKind::InvalidUtf8);
-        assert_eq!((err.line, err.column), (1, 4));
     }
 }

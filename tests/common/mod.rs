@@ -5,17 +5,24 @@
 //! * [`conforming`] — given a shape σ, deterministically generates a
 //!   value `d′` with `S(d′) ⊑ σ` (used to instantiate Theorem 3);
 //! * [`random_program`] — generates a random access program (client
-//!   code) navigating a shape (used to instantiate Remark 1).
+//!   code) navigating a shape (used to instantiate Remark 1);
+//! * [`Pieces`] / [`ingest`] — a `Read` source handing out a corpus in
+//!   pieces of cycling sizes, and the one-call [`tfd_core::run`]
+//!   shorthand the driver suites use.
 //!
 //! Each integration-test binary links this module separately, so some
 //! helpers are unused in some binaries.
 #![allow(dead_code)]
 
 use proptest::prelude::*;
-use tfd_core::{Multiplicity, Shape};
+use std::io::Read;
+use tfd_core::engine::{IngestConfig, Source};
+use tfd_core::recover::Recovered;
+use tfd_core::stream::StreamError;
+use tfd_core::{Multiplicity, RecoveryPolicy, Shape, StreamFormat};
 use tfd_provider::{naming::tag_member_name, AccessProgram, AccessStep};
 use tfd_value::corpus::Rng;
-use tfd_value::{Field, Value, BODY_NAME};
+use tfd_value::{Field, Interner, Value, BODY_NAME};
 
 const FIELD_NAMES: &[&str] = &["a", "b", "name", "value", "x"];
 const RECORD_NAMES: &[&str] = &[BODY_NAME, "item", "point"];
@@ -256,4 +263,113 @@ pub fn random_program(shape: &Shape, rng: &mut Rng, max_steps: usize) -> (Access
         }
     }
     (AccessProgram::new(steps), cur)
+}
+
+/// A `Read` source that hands out `bytes` in pieces whose sizes cycle
+/// through `sizes` (each read returns at most one piece), so a size
+/// vector exercises many split positions: mid-escape, mid-UTF-8,
+/// mid-CRLF, inside `""` and between adjacent tokens.
+pub struct Pieces {
+    bytes: Vec<u8>,
+    pos: usize,
+    sizes: Vec<usize>,
+    k: usize,
+}
+
+impl Pieces {
+    pub fn new(bytes: &[u8], sizes: &[usize]) -> Pieces {
+        Pieces {
+            bytes: bytes.to_vec(),
+            pos: 0,
+            sizes: if sizes.is_empty() {
+                vec![1]
+            } else {
+                sizes.to_vec()
+            },
+            k: 0,
+        }
+    }
+}
+
+impl Read for Pieces {
+    fn read(&mut self, buf: &mut [u8]) -> std::io::Result<usize> {
+        let step = self.sizes[self.k % self.sizes.len()].max(1).min(buf.len());
+        self.k += 1;
+        let end = (self.pos + step).min(self.bytes.len());
+        let n = end - self.pos;
+        buf[..n].copy_from_slice(&self.bytes[self.pos..end]);
+        self.pos = end;
+        Ok(n)
+    }
+}
+
+/// The piece sizes every driver-level sweep cycles through.
+pub const PIECE_SIZES: &[usize] = &[1, 2, 3, 7, 64, 4096];
+
+/// One [`tfd_core::run`] over `source` with the format's defaults plus
+/// `jobs`, `chunk_size` and `policy`.
+pub fn ingest(
+    format: StreamFormat,
+    source: Source<'_>,
+    jobs: usize,
+    chunk_size: usize,
+    policy: RecoveryPolicy,
+    interner: &Interner,
+) -> Result<Recovered, StreamError> {
+    let config = IngestConfig {
+        jobs,
+        chunk_size,
+        policy,
+        ..IngestConfig::new(format)
+    };
+    tfd_core::run(source, &config, interner)
+}
+
+/// [`ingest`] over in-memory bytes, fail-fast.
+pub fn ingest_bytes(
+    format: StreamFormat,
+    bytes: &[u8],
+    jobs: usize,
+    chunk_size: usize,
+    interner: &Interner,
+) -> Result<Recovered, StreamError> {
+    ingest(
+        format,
+        Source::Bytes(bytes),
+        jobs,
+        chunk_size,
+        RecoveryPolicy::default(),
+        interner,
+    )
+}
+
+/// [`ingest`] over a [`Pieces`] reader cycling through `sizes`.
+pub fn ingest_pieces(
+    format: StreamFormat,
+    bytes: &[u8],
+    sizes: &[usize],
+    jobs: usize,
+    policy: RecoveryPolicy,
+    interner: &Interner,
+) -> Result<Recovered, StreamError> {
+    ingest(
+        format,
+        Source::Reader(Box::new(Pieces::new(bytes, sizes))),
+        jobs,
+        4096,
+        policy,
+        interner,
+    )
+}
+
+/// Every rotation of [`PIECE_SIZES`], so each piece size also starts
+/// the cycle once.
+pub fn piece_rotations() -> Vec<Vec<usize>> {
+    (0..PIECE_SIZES.len())
+        .map(|r| {
+            let mut v = PIECE_SIZES.to_vec();
+            v.rotate_left(r);
+            v
+        })
+        .collect()
 }

@@ -1,106 +1,129 @@
 //! Parallel-vs-sequential differential suite.
 //!
-//! The sharded parallel driver (`tfd_core::engine`) promises to be
-//! *observationally identical* to the sequential pipeline for every
-//! format and every shard count: the same record `Value` sequence, the
-//! same folded `Shape` (the Fig. 3 fold is a semilattice, so any
-//! re-association of `csh` joins yields the same least upper bound), the
-//! same record counts — and, for malformed input, the same error kind at
-//! the same stream-global position (the first error in document order).
+//! The ingest pipeline (`tfd_core::run`) promises to be *observationally
+//! identical* at every job count and bundle size: the same folded
+//! `Shape` (the Fig. 3 fold is a semilattice, so any re-association of
+//! `csh` joins yields the same least upper bound, and the
+//! document-order join keeps even the field order), the same record
+//! counts — and, for malformed input, the same error kind at the same
+//! stream-global position (the first error in document order).
 //!
 //! This suite drives that promise with generated corpora under
-//! adversarial shard counts — 1, 2, 7, 64, and more shards than records
-//! — plus mutation/truncation error agreement, for JSON, XML and CSV,
-//! through both the in-memory driver (`infer_slice`/`parse_slice`) and
-//! the bounded-memory reader driver (`infer_reader_parallel`) at small
-//! chunk sizes.
+//! adversarial job counts — 1, 2, 7, 64, more workers than records —
+//! and bundle sizes down to one byte (every record its own bundle),
+//! plus mutation/truncation error agreement, for JSON, XML and CSV,
+//! through both in-memory bytes and a `Read` source at small chunk
+//! sizes. A value-level check proves the bundles themselves: cut at the
+//! scanner's boundaries and parsed one by one with
+//! `DataFormat::parse_bundle`, they concatenate to `parse_many_values`.
 
 mod common;
 
-use common::value_strategy;
+use common::{ingest, ingest_bytes, value_strategy};
 use proptest::prelude::*;
-use tfd_core::engine::{
-    infer_reader_parallel, infer_slice, parse_slice, CsvFormat, DataFormat, JsonFormat, XmlFormat,
-};
-use tfd_core::{InferOptions, StreamFormat};
-use tfd_value::Value;
+use tfd_core::engine::{CsvFormat, DataFormat, JsonFormat, Source, XmlFormat};
+use tfd_core::stream::StreamError;
+use tfd_core::{InferOptions, RecoveryPolicy, StreamFormat};
+use tfd_value::{Interner, Value};
 
-/// The shard counts every corpus is driven through: sequential, small,
-/// odd, large, and (for the generated corpora, which stay under ~60
-/// records) deliberately larger than the record count.
-const JOBS: &[usize] = &[1, 2, 7, 64];
+/// The (jobs, bundle size) pairs every in-memory corpus is driven
+/// through: sequential, small, odd, large, and — for the generated
+/// corpora, which stay under ~60 records — more workers than records,
+/// with bundles from one record each to the whole corpus.
+const SLICE_RUNS: &[(usize, usize)] = &[(1, 1), (2, 7), (7, 3), (64, 1), (2, 1 << 16)];
 
-/// Asserts the in-memory sharded driver agrees with the sequential
-/// pipeline at every shard count: shapes, record counts, values and
-/// errors.
-fn assert_slice_agrees<F: DataFormat>(corpus: &[u8])
-where
-    F::Error: PartialEq + std::fmt::Debug,
-{
-    let options = F::infer_options();
-    let seq = infer_slice::<F>(corpus, &options, 1);
-    let seq_values = parse_slice::<F>(corpus, 1);
-    for &jobs in JOBS {
-        let par = infer_slice::<F>(corpus, &options, jobs);
-        match (&seq, &par) {
-            // Mutated corpora can carry duplicate record fields, whose
-            // shapes/values compare unequal even to themselves; compare
-            // the rendering, which is what the CLI prints.
-            (Ok(a), Ok(b)) => assert_eq!(
-                (format!("{:?}", a.shape), a.records, a.bytes),
-                (format!("{:?}", b.shape), b.records, b.bytes),
-                "{} shape at jobs {jobs}",
-                F::NAME
-            ),
-            _ => assert_eq!(&par, &seq, "{} outcome at jobs {jobs}", F::NAME),
-        }
-        let par_values = parse_slice::<F>(corpus, jobs);
-        match (&seq_values, &par_values) {
-            (Ok(a), Ok(b)) => assert_eq!(
-                format!("{a:?}"),
-                format!("{b:?}"),
-                "{} values at jobs {jobs}",
-                F::NAME
-            ),
-            _ => assert_eq!(
-                &par_values,
-                &seq_values,
-                "{} values at jobs {jobs}",
-                F::NAME
-            ),
-        }
+/// A run's observable outcome: the rendered fold, records and bytes, or
+/// the error. Mutated corpora can carry duplicate record fields, whose
+/// shapes compare unequal even to themselves; the rendering is what the
+/// CLI prints.
+type Outcome = Result<(String, usize, u64), StreamError>;
+
+fn outcome(format: StreamFormat, source: Source<'_>, jobs: usize, chunk: usize) -> Outcome {
+    let interner = Interner::new();
+    ingest(
+        format,
+        source,
+        jobs,
+        chunk,
+        RecoveryPolicy::default(),
+        &interner,
+    )
+    .map(|r| {
+        let s = r.summary;
+        (format!("{:?}", s.shape), s.records, s.bytes)
+    })
+}
+
+/// The sequential baseline: one job, one bundle per 64 KiB.
+fn sequential(format: StreamFormat, corpus: &[u8]) -> Outcome {
+    outcome(format, Source::Bytes(corpus), 1, 1 << 16)
+}
+
+/// Asserts the in-memory pipeline agrees with the sequential run at
+/// every (jobs, bundle size) pair, and that the scanner's bundles parse
+/// to the one-shot values.
+fn assert_slice_agrees<F: DataFormat>(format: StreamFormat, corpus: &[u8]) {
+    let seq = sequential(format, corpus);
+    for &(jobs, chunk) in SLICE_RUNS {
+        let par = outcome(format, Source::Bytes(corpus), jobs, chunk);
+        assert_eq!(par, seq, "{} at jobs {jobs} chunk {chunk}", F::NAME);
+    }
+    assert_bundles_concatenate::<F>(corpus);
+}
+
+/// Asserts the reader pipeline agrees with the sequential run for
+/// several (chunk size, jobs) pairs.
+fn assert_reader_agrees(format: StreamFormat, corpus: &[u8]) {
+    let seq = sequential(format, corpus);
+    for (chunk, jobs) in [(1usize, 2usize), (7, 4), (64, 7), (4096, 3), (4096, 1)] {
+        let par = outcome(format, Source::Reader(Box::new(corpus)), jobs, chunk);
+        assert_eq!(par, seq, "{format:?} reader at chunk {chunk} jobs {jobs}");
     }
 }
 
-/// Asserts the bounded-memory reader driver agrees with the sequential
-/// reader pipeline for several (chunk size, jobs) pairs.
-fn assert_reader_agrees<F: DataFormat>(corpus: &[u8])
-where
-    F::Error: PartialEq + std::fmt::Debug,
-{
-    let options = F::infer_options();
-    let seq = infer_reader_parallel::<F, _>(corpus, &options, 4096, 1);
-    for (chunk, jobs) in [(1usize, 2usize), (7, 4), (64, 7), (4096, 3)] {
-        let par = infer_reader_parallel::<F, _>(corpus, &options, chunk, jobs);
-        match (&seq, &par) {
-            (Ok(a), Ok(b)) => assert_eq!(
-                (format!("{:?}", a.shape), a.records, a.bytes),
-                (format!("{:?}", b.shape), b.records, b.bytes),
-                "{} reader at chunk {chunk} jobs {jobs}",
-                F::NAME
-            ),
-            (Err(a), Err(b)) => assert_eq!(
-                format!("{a}"),
-                format!("{b}"),
-                "{} reader error at chunk {chunk} jobs {jobs}",
-                F::NAME
-            ),
-            _ => panic!(
-                "{} reader outcome diverged at chunk {chunk} jobs {jobs}: {seq:?} vs {par:?}",
-                F::NAME
-            ),
-        }
+/// The bundle-level contract: after the prologue, every run of whole
+/// records between two scanner boundaries parses with
+/// [`DataFormat::parse_bundle`] to exactly its slice of the one-shot
+/// `parse_many_values` — cut into bundles of every record count from 1
+/// up. (Only well-formed UTF-8 corpora the one-shot parser accepts.)
+fn assert_bundles_concatenate<F: DataFormat>(corpus: &[u8]) {
+    let interner = Interner::new();
+    let Ok(text) = std::str::from_utf8(corpus) else {
+        return;
+    };
+    let Ok(want) = F::parse_many_values(text, &interner) else {
+        return;
+    };
+    let mut cuts = Vec::new();
+    F::scan(&mut F::boundaries(), corpus, &mut |off| cuts.push(off));
+    let first = cuts.first().copied().unwrap_or(corpus.len());
+    let (start, ctx) = F::prologue(&corpus[..first], &interner).expect("accepted corpus");
+    cuts.retain(|&c| c > start);
+    if cuts.last() != Some(&corpus.len()) {
+        cuts.push(corpus.len());
     }
+    for per in 1..=cuts.len().max(1) {
+        let mut got = Vec::new();
+        let mut from = start;
+        for group in cuts.chunks(per) {
+            let to = *group.last().expect("non-empty chunk");
+            let bundle = std::str::from_utf8(&corpus[from..to]).expect("cut at a boundary");
+            F::parse_bundle(bundle, &ctx, None, &interner, &mut |v| got.push(v))
+                .expect("a bundle of accepted records parses");
+            from = to;
+        }
+        assert_eq!(
+            format!("{got:?}"),
+            format!("{want:?}"),
+            "{} bundles of {per} records",
+            F::NAME
+        );
+    }
+}
+
+fn assert_agrees<F: DataFormat>(format: StreamFormat, corpus: &[u8]) {
+    assert_slice_agrees::<F>(format, corpus);
+    assert_reader_agrees(format, corpus);
 }
 
 /// Replaces the char at (position % len) with `c`, staying valid UTF-8.
@@ -148,8 +171,7 @@ proptest! {
         seps in prop::collection::vec(prop::sample::select(JSON_SEPS), 1..4),
     ) {
         let text = json_corpus_text(&docs, &seps);
-        assert_slice_agrees::<JsonFormat>(text.as_bytes());
-        assert_reader_agrees::<JsonFormat>(text.as_bytes());
+        assert_agrees::<JsonFormat>(StreamFormat::Json, text.as_bytes());
     }
 
     /// Mutated/truncated JSON: identical outcomes — error kind, offset,
@@ -164,8 +186,7 @@ proptest! {
     ) {
         let base = json_corpus_text(&docs, &[" ", "\n"]);
         let text = if do_truncate { truncate(&base, cut) } else { mutate(&base, position, c) };
-        assert_slice_agrees::<JsonFormat>(text.as_bytes());
-        assert_reader_agrees::<JsonFormat>(text.as_bytes());
+        assert_agrees::<JsonFormat>(StreamFormat::Json, text.as_bytes());
     }
 }
 
@@ -213,8 +234,7 @@ proptest! {
             text.push_str(d);
             text.push_str(seps.get(i % seps.len().max(1)).copied().unwrap_or(" "));
         }
-        assert_slice_agrees::<XmlFormat>(text.as_bytes());
-        assert_reader_agrees::<XmlFormat>(text.as_bytes());
+        assert_agrees::<XmlFormat>(StreamFormat::Xml, text.as_bytes());
     }
 
     /// Mutated/truncated XML: identical error positions at every shard
@@ -229,8 +249,7 @@ proptest! {
     ) {
         let base: String = docs.join("\n");
         let text = if do_truncate { truncate(&base, cut) } else { mutate(&base, position, c) };
-        assert_slice_agrees::<XmlFormat>(text.as_bytes());
-        assert_reader_agrees::<XmlFormat>(text.as_bytes());
+        assert_agrees::<XmlFormat>(StreamFormat::Xml, text.as_bytes());
     }
 }
 
@@ -273,8 +292,7 @@ proptest! {
                 text.push_str(endings.get(i % endings.len().max(1)).copied().unwrap_or("\n"));
             }
         }
-        assert_slice_agrees::<CsvFormat>(text.as_bytes());
-        assert_reader_agrees::<CsvFormat>(text.as_bytes());
+        assert_agrees::<CsvFormat>(StreamFormat::Csv, text.as_bytes());
     }
 
     /// Raw random CSV-ish text (stray quotes, ragged rows, bare CRs):
@@ -284,15 +302,15 @@ proptest! {
     fn csv_parallel_error_agreement_over_random_text(
         text in "[a-c,\"\n\r ]{0,60}",
     ) {
-        assert_slice_agrees::<CsvFormat>(text.as_bytes());
-        assert_reader_agrees::<CsvFormat>(text.as_bytes());
+        assert_agrees::<CsvFormat>(StreamFormat::Csv, text.as_bytes());
     }
 }
 
 // --- Named edges and regressions ---
 
-/// Shard counts exceeding the record count must degrade gracefully: a
-/// shard never splits a record, so the driver simply uses fewer shards.
+/// Worker counts exceeding the record count must degrade gracefully: a
+/// bundle never splits a record, so the pipeline simply leaves workers
+/// idle.
 #[test]
 fn more_shards_than_records() {
     let cases: [(&str, StreamFormat); 3] = [
@@ -301,52 +319,103 @@ fn more_shards_than_records() {
         ("h\n1\n2\n", StreamFormat::Csv),
     ];
     for (text, format) in cases {
-        let options = tfd_core::engine::infer_options_dyn(format);
-        let seq = tfd_core::engine::infer_slice_dyn(format, text.as_bytes(), &options, 1).unwrap();
+        let seq = sequential(format, text.as_bytes());
         for jobs in [3, 64, 1000] {
-            let par =
-                tfd_core::engine::infer_slice_dyn(format, text.as_bytes(), &options, jobs).unwrap();
+            let par = outcome(format, Source::Bytes(text.as_bytes()), jobs, 1);
             assert_eq!(par, seq, "{format:?} at jobs {jobs}");
         }
     }
 }
 
-/// Single-record and empty corpora at high shard counts.
+/// Single-record and empty corpora at high worker counts.
 #[test]
 fn single_record_and_empty_corpora() {
-    assert_slice_agrees::<JsonFormat>(b"{\"only\": 1}");
-    assert_slice_agrees::<JsonFormat>(b"");
-    assert_slice_agrees::<XmlFormat>(b"<only x=\"1\"/>");
-    assert_slice_agrees::<XmlFormat>(b"");
-    assert_slice_agrees::<XmlFormat>(b"<!-- misc only -->");
-    assert_slice_agrees::<CsvFormat>(b"h1,h2\n1,2\n");
-    assert_slice_agrees::<CsvFormat>(b"h1,h2");
-    assert_slice_agrees::<CsvFormat>(b"");
+    assert_slice_agrees::<JsonFormat>(StreamFormat::Json, b"{\"only\": 1}");
+    assert_slice_agrees::<JsonFormat>(StreamFormat::Json, b"");
+    assert_slice_agrees::<XmlFormat>(StreamFormat::Xml, b"<only x=\"1\"/>");
+    assert_slice_agrees::<XmlFormat>(StreamFormat::Xml, b"");
+    assert_slice_agrees::<XmlFormat>(StreamFormat::Xml, b"<!-- misc only -->");
+    assert_slice_agrees::<CsvFormat>(StreamFormat::Csv, b"h1,h2\n1,2\n");
+    assert_slice_agrees::<CsvFormat>(StreamFormat::Csv, b"h1,h2");
+    assert_slice_agrees::<CsvFormat>(StreamFormat::Csv, b"");
+    // The edges themselves: no records, ⊥, or CSV's missing header.
+    let interner = Interner::new();
+    let empty = ingest_bytes(StreamFormat::Json, b"", 4, 1, &interner).unwrap();
+    assert_eq!(empty.summary.records, 0);
+    assert_eq!(empty.summary.shape, tfd_core::Shape::Bottom);
+    assert_eq!(
+        ingest_bytes(StreamFormat::Csv, b"", 4, 1, &interner).unwrap_err(),
+        StreamError::Csv(tfd_csv::CsvError::Empty)
+    );
+    let header_only = ingest_bytes(StreamFormat::Csv, b"a,b", 4, 1, &interner).unwrap();
+    assert_eq!(header_only.summary.records, 0);
 }
 
-/// The error in a late shard must surface at its sequential stream
-/// position (line numbers continue across shard boundaries).
+/// The error in a late bundle must surface at its sequential stream
+/// position (line numbers continue across bundle boundaries), and the
+/// first of two errors in document order wins.
 #[test]
 fn error_positions_cross_shard_boundaries() {
     let json = "{\"a\":1}\n{\"b\":2}\n{\"c\":3}\n{\"d\": @}\n";
-    let seq = infer_slice::<JsonFormat>(json.as_bytes(), &InferOptions::json(), 1).unwrap_err();
-    for jobs in [2, 3, 4, 64] {
-        let par =
-            infer_slice::<JsonFormat>(json.as_bytes(), &InferOptions::json(), jobs).unwrap_err();
-        assert_eq!(par, seq, "jobs {jobs}");
+    let seq = sequential(StreamFormat::Json, json.as_bytes());
+    for (jobs, chunk) in [(2, 1), (3, 9), (4, 17), (64, 1)] {
+        let par = outcome(
+            StreamFormat::Json,
+            Source::Bytes(json.as_bytes()),
+            jobs,
+            chunk,
+        );
+        assert_eq!(par, seq, "jobs {jobs} chunk {chunk}");
     }
-    assert_eq!(seq.pos.line, 4);
-    assert_eq!(seq.pos.offset, json.find('@').unwrap());
+    match seq {
+        Err(StreamError::Json(e)) => {
+            assert_eq!(e.pos.line, 4);
+            assert_eq!(e.pos.offset, json.find('@').unwrap());
+        }
+        other => panic!("expected a JSON error, got {other:?}"),
+    }
 
     // CSV: an unterminated quote on the last line, with quoted newlines
     // earlier to stress the line accounting.
     let csv = "h\n\"a\nb\"\nok\n\"oops";
-    let seq = infer_slice::<CsvFormat>(csv.as_bytes(), &InferOptions::csv(), 1).unwrap_err();
-    for jobs in [2, 7] {
-        let par = infer_slice::<CsvFormat>(csv.as_bytes(), &InferOptions::csv(), jobs).unwrap_err();
-        assert_eq!(par, seq, "jobs {jobs}");
+    let seq = sequential(StreamFormat::Csv, csv.as_bytes());
+    for (jobs, chunk) in [(2, 1), (7, 3)] {
+        let par = outcome(
+            StreamFormat::Csv,
+            Source::Bytes(csv.as_bytes()),
+            jobs,
+            chunk,
+        );
+        assert_eq!(par, seq, "jobs {jobs} chunk {chunk}");
     }
-    assert_eq!(seq, tfd_csv::CsvError::UnterminatedQuote(5));
+    assert_eq!(
+        seq,
+        Err(StreamError::Csv(tfd_csv::CsvError::UnterminatedQuote(5)))
+    );
+
+    // Two errors in different bundles: the earlier one is reported.
+    let two = "{\"a\": 1} {\"b\": @} {\"c\": 2} {\"d\": %}";
+    let seq = sequential(StreamFormat::Json, two.as_bytes());
+    for (jobs, chunk) in [(2, 1), (4, 5), (16, 1)] {
+        let par = outcome(
+            StreamFormat::Json,
+            Source::Bytes(two.as_bytes()),
+            jobs,
+            chunk,
+        );
+        assert_eq!(par, seq, "jobs {jobs} chunk {chunk}");
+        let rd = outcome(
+            StreamFormat::Json,
+            Source::Reader(Box::new(two.as_bytes())),
+            jobs,
+            chunk,
+        );
+        assert_eq!(rd, seq, "reader jobs {jobs} chunk {chunk}");
+    }
+    match seq {
+        Err(StreamError::Json(e)) => assert_eq!(e.pos.offset, two.find('@').unwrap()),
+        other => panic!("expected a JSON error, got {other:?}"),
+    }
 }
 
 /// CSV quoting torture: quoted CRLFs, `""` escapes and mid-field quotes
@@ -357,8 +426,7 @@ fn csv_quoting_never_splits_at_shard_cuts() {
     for i in 0..60 {
         text.push_str(&format!("r{i},\"line1\r\nline2,with \"\"quotes\"\"\"\r\n"));
     }
-    assert_slice_agrees::<CsvFormat>(text.as_bytes());
-    assert_reader_agrees::<CsvFormat>(text.as_bytes());
+    assert_agrees::<CsvFormat>(StreamFormat::Csv, text.as_bytes());
 }
 
 /// Skewed record sizes — a few huge records among swarms of tiny ones,
@@ -398,8 +466,7 @@ fn skewed_record_sizes_agree_with_sequential() {
         back.push_str(&giant(i));
     }
     for text in [&front, &back, &woven] {
-        assert_slice_agrees::<JsonFormat>(text.as_bytes());
-        assert_reader_agrees::<JsonFormat>(text.as_bytes());
+        assert_agrees::<JsonFormat>(StreamFormat::Json, text.as_bytes());
     }
 }
 
@@ -409,8 +476,8 @@ fn skewed_record_sizes_agree_with_sequential() {
 /// a fixed shape regardless of worker count.
 #[test]
 fn multi_file_corpus_parallelism_agrees_with_sequential_fold() {
-    use tfd_core::engine::{infer_sources_parallel, CorpusSource};
-    use tfd_core::{csh, RecoveryPolicy, Shape};
+    use tfd_core::engine::{infer_sources_parallel, CorpusSource, IngestConfig};
+    use tfd_core::{csh, Shape};
 
     let files: Vec<String> = (0..9)
         .map(|i| {
@@ -429,24 +496,25 @@ fn multi_file_corpus_parallelism_agrees_with_sequential_fold() {
         .iter()
         .map(|f| CorpusSource::Bytes(f.as_bytes()))
         .collect();
-    let options = InferOptions::json();
-    let policy = RecoveryPolicy::default();
 
     let fold = |jobs: usize| -> (Vec<String>, String, Vec<usize>) {
-        let results = infer_sources_parallel(StreamFormat::Json, &sources, &options, &policy, jobs);
+        let config = IngestConfig {
+            jobs,
+            chunk_size: 64,
+            ..IngestConfig::new(StreamFormat::Json)
+        };
+        let results = infer_sources_parallel(&sources, &config);
         assert_eq!(results.len(), sources.len());
+        let survivors = Interner::new();
         let mut shapes = Vec::new();
         let mut records = Vec::new();
         let mut combined = Shape::Bottom;
         for r in results {
             let mut out = r.expect("clean corpora");
-            // Render inside the file's own arena, then fold globally.
+            // Render inside the file's own arena, then fold in one arena.
             shapes.push(out.recovered.summary.shape.to_string());
             records.push(out.recovered.summary.records);
-            out.recovered
-                .summary
-                .shape
-                .reintern(tfd_value::intern::Interner::global());
+            out.recovered.summary.shape.reintern(&survivors);
             combined = csh(combined, out.recovered.summary.shape);
         }
         (shapes, combined.to_string(), records)
@@ -469,12 +537,21 @@ fn globalize_on_parallel_fold_matches_sequential() {
             "<div id=\"{i}\"><div child=\"true\"><div x=\"{i}\"/></div></div>\n"
         ));
     }
-    let options = InferOptions::xml();
-    let seq = infer_slice::<XmlFormat>(text.as_bytes(), &options, 1).unwrap();
-    let par = infer_slice::<XmlFormat>(text.as_bytes(), &options, 8).unwrap();
-    assert_eq!(par.shape, seq.shape);
-    let g_seq = tfd_core::globalize_env(seq.shape);
-    let g_par = tfd_core::globalize_env(par.shape);
+    let interner = Interner::new();
+    let seq = ingest_bytes(StreamFormat::Xml, text.as_bytes(), 1, 1 << 16, &interner).unwrap();
+    let par = ingest_bytes(StreamFormat::Xml, text.as_bytes(), 8, 64, &interner).unwrap();
+    assert_eq!(par.summary.shape, seq.summary.shape);
+    let g_seq = tfd_core::globalize_env(seq.summary.shape);
+    let g_par = tfd_core::globalize_env(par.summary.shape);
     assert_eq!(g_par, g_seq);
     assert!(!g_par.env.is_empty(), "the corpus is genuinely recursive");
+    // And the record fold is the one-shot `infer_many` fold.
+    let values =
+        tfd_xml::parse_many_values_in(&text, &Default::default(), &Default::default(), &interner)
+            .unwrap();
+    assert_eq!(
+        tfd_core::globalize_env(tfd_core::infer_many(&values, &InferOptions::xml())),
+        g_seq
+    );
+    let _: &[Value] = &values;
 }

@@ -7,8 +7,8 @@
 //! what sat between them. This suite generates corpora, corrupts `k`
 //! records with structure-preserving corruptions (the boundary scanner
 //! still delimits them: braces, quotes and tag depth stay balanced),
-//! and asserts for JSON, XML and CSV, across shard counts 1/2/7 and
-//! chunked readers, that
+//! and asserts for JSON, XML and CSV, across job counts 1/2/7, bundle
+//! sizes down to one record, and chunked readers, that
 //!
 //! 1. the Skip-mode shape equals the clean-subset shape byte-for-byte,
 //! 2. the `ErrorReport` names exactly the `k` corrupted records, at
@@ -16,15 +16,28 @@
 
 mod common;
 
-use common::value_strategy;
+use common::{ingest, value_strategy};
 use proptest::prelude::*;
-use tfd_core::engine::{infer_slice, CsvFormat, DataFormat, JsonFormat, XmlFormat};
-use tfd_core::recover::{infer_reader_policy, infer_slice_policy, Recovered};
+use tfd_core::engine::{CsvFormat, DataFormat, JsonFormat, Source, XmlFormat};
+use tfd_core::recover::Recovered;
 use tfd_core::stream::StreamError;
-use tfd_core::RecoveryPolicy;
+use tfd_core::{RecoveryPolicy, StreamFormat};
+use tfd_value::Interner;
 
-const JOBS: &[usize] = &[1, 2, 7];
+/// In-memory (jobs, bundle size) pairs: one bundle per record up to
+/// one bundle for the whole corpus.
+const SLICES: &[(usize, usize)] = &[(1, 1 << 16), (1, 1), (2, 9), (7, 1)];
+/// Reader (chunk size, jobs) pairs.
 const READERS: &[(usize, usize)] = &[(7, 2), (64, 7), (4096, 1)];
+
+/// The witness's runtime format tag.
+fn format_of<F: DataFormat>() -> StreamFormat {
+    match F::NAME {
+        "json" => StreamFormat::Json,
+        "xml" => StreamFormat::Xml,
+        _ => StreamFormat::Csv,
+    }
+}
 
 /// One generated corpus: every record on its own line, `k` of them
 /// corrupted, plus the expected clean subset and corrupted line numbers.
@@ -74,9 +87,17 @@ fn flag() -> SFn<bool> {
 /// clean-subset run, and the report names each corrupted line once, in
 /// document order.
 fn assert_recovered<F: DataFormat>(got: &Recovered, m: &Mutated, label: &str) {
-    let options = F::infer_options();
-    let want = infer_slice::<F>(m.clean.as_bytes(), &options, 1)
-        .unwrap_or_else(|e| panic!("{label}: clean subset must parse: {e:?}"));
+    let interner = Interner::new();
+    let want = ingest(
+        format_of::<F>(),
+        Source::Bytes(m.clean.as_bytes()),
+        1,
+        1 << 16,
+        RecoveryPolicy::default(),
+        &interner,
+    )
+    .unwrap_or_else(|e| panic!("{label}: clean subset must parse: {e:?}"))
+    .summary;
     assert_eq!(
         format!("{:?}", got.summary.shape),
         format!("{:?}", want.shape),
@@ -110,22 +131,29 @@ fn assert_recovered<F: DataFormat>(got: &Recovered, m: &Mutated, label: &str) {
     }
 }
 
-/// Drives one mutated corpus through every Skip-mode driver: the
-/// in-memory sharded driver at shards 1/2/7 and the bounded-memory
-/// reader at several (chunk, jobs) pairs.
-fn assert_skip_equals_clean_subset<F: DataFormat>(m: &Mutated)
-where
-    F::Error: std::fmt::Debug,
-{
-    let options = F::infer_options();
+/// Drives one mutated corpus through the Skip-mode pipeline: in-memory
+/// at every (jobs, bundle size) pair and from a reader at several
+/// (chunk, jobs) pairs.
+fn assert_skip_equals_clean_subset<F: DataFormat>(m: &Mutated) {
     let policy = RecoveryPolicy::skip();
-    for &jobs in JOBS {
-        let got = infer_slice_policy::<F>(m.dirty.as_bytes(), &options, &policy, jobs)
-            .unwrap_or_else(|e| panic!("{} slice jobs {jobs}: {e}", F::NAME));
-        assert_recovered::<F>(&got, m, &format!("slice jobs {jobs}"));
+    let format = format_of::<F>();
+    for &(jobs, chunk) in SLICES {
+        let interner = Interner::new();
+        let got = ingest(
+            format,
+            Source::Bytes(m.dirty.as_bytes()),
+            jobs,
+            chunk,
+            policy,
+            &interner,
+        )
+        .unwrap_or_else(|e| panic!("{} slice jobs {jobs} chunk {chunk}: {e}", F::NAME));
+        assert_recovered::<F>(&got, m, &format!("slice jobs {jobs} chunk {chunk}"));
     }
     for &(chunk, jobs) in READERS {
-        let got = infer_reader_policy::<F, _>(m.dirty.as_bytes(), &options, &policy, chunk, jobs)
+        let interner = Interner::new();
+        let reader = Source::Reader(Box::new(m.dirty.as_bytes()));
+        let got = ingest(format, reader, jobs, chunk, policy, &interner)
             .unwrap_or_else(|e| panic!("{} reader chunk {chunk} jobs {jobs}: {e}", F::NAME));
         assert_recovered::<F>(&got, m, &format!("reader chunk {chunk} jobs {jobs}"));
     }
@@ -206,19 +234,18 @@ proptest! {
         let m = mutate("", &records, JSON_BAD);
         let k = m.bad_lines.len();
         prop_assume!(k > 0);
-        let options = JsonFormat::infer_options();
         let mut policy = RecoveryPolicy::skip();
-        for &jobs in JOBS {
-            policy.max_errors = k;
-            let ok = infer_slice_policy::<JsonFormat>(
-                m.dirty.as_bytes(), &options, &policy, jobs,
+        for &(jobs, chunk) in SLICES {
+            let interner = Interner::new();
+            let run = |policy| ingest(
+                StreamFormat::Json, Source::Bytes(m.dirty.as_bytes()), jobs, chunk, policy, &interner,
             );
-            prop_assert!(ok.is_ok(), "budget k at jobs {jobs}: {ok:?}");
+            policy.max_errors = k;
+            let ok = run(policy);
+            prop_assert!(ok.is_ok(), "budget k at jobs {jobs} chunk {chunk}: {ok:?}");
 
             policy.max_errors = k - 1;
-            let err = infer_slice_policy::<JsonFormat>(
-                m.dirty.as_bytes(), &options, &policy, jobs,
-            );
+            let err = run(policy);
             match err {
                 Err(StreamError::TooManyErrors { limit, first }) => {
                     prop_assert_eq!(limit, k - 1);
@@ -229,10 +256,63 @@ proptest! {
                 }
                 other => {
                     return Err(TestCaseError::Fail(format!(
-                        "expected TooManyErrors at jobs {jobs}, got {other:?}"
+                        "expected TooManyErrors at jobs {jobs} chunk {chunk}, got {other:?}"
                     )));
                 }
             }
         }
+    }
+}
+
+/// A corrupt CSV header row (the quote closes, so the row still ends at
+/// its newline) is dropped and the next record becomes the header —
+/// exactly what deleting the bad row means — from bytes and readers
+/// alike; an empty CSV corpus stays a hard error even in Skip mode.
+#[test]
+fn skip_mode_csv_recovers_a_corrupt_header_and_rejects_empty_input() {
+    let dirty = "\"a\"!,b\nx,y\n1,2\n";
+    let clean = "x,y\n1,2\n";
+    let interner = Interner::new();
+    let want = ingest(
+        StreamFormat::Csv,
+        Source::Bytes(clean.as_bytes()),
+        1,
+        64,
+        RecoveryPolicy::default(),
+        &interner,
+    )
+    .unwrap();
+    for (source, label) in [
+        (Source::Bytes(dirty.as_bytes()), "bytes"),
+        (Source::Reader(Box::new(dirty.as_bytes())), "reader"),
+    ] {
+        let got = ingest(
+            StreamFormat::Csv,
+            source,
+            2,
+            3,
+            RecoveryPolicy::skip(),
+            &interner,
+        )
+        .unwrap();
+        assert_eq!(got.summary.shape, want.summary.shape, "{label}");
+        assert_eq!(got.summary.records, 1, "{label}");
+        assert_eq!(got.report.total(), 1, "{label}");
+        assert!(
+            got.report.first().unwrap().to_string().contains("line 1"),
+            "{label}"
+        );
+    }
+    for source in [Source::Bytes(b""), Source::Reader(Box::new(&b""[..]))] {
+        let e = ingest(
+            StreamFormat::Csv,
+            source,
+            2,
+            8,
+            RecoveryPolicy::skip(),
+            &interner,
+        )
+        .unwrap_err();
+        assert_eq!(e, StreamError::Csv(tfd_csv::CsvError::Empty));
     }
 }

@@ -1,17 +1,19 @@
 //! Resource-cap regression suite (resilient ingest).
 //!
 //! Hostile inputs must surface bounded, deterministic errors — never
-//! stack overflows or unbounded buffering — through *every* driver:
-//! one-shot parse, streaming, in-memory sharded, and the bounded-memory
-//! parallel reader (including each format's speculative
-//! parse-off-the-chunk fast path, which a whole record arriving in one
-//! feed exercises).
+//! stack overflows or unbounded buffering — through the one-shot parse
+//! and through the ingest pipeline from in-memory bytes and from a
+//! reader, inline and on workers, with the whole record in one bundle or
+//! straddling many reads.
 
-use tfd_core::engine::{
-    self, infer_reader_parallel, infer_slice, DataFormat, JsonFormat, XmlFormat,
-};
-use tfd_core::recover::{infer_reader_policy, infer_slice_policy};
+mod common;
+
+use common::ingest;
+use tfd_core::engine::{self, Source};
+use tfd_core::recover::{RecoveryMode, MAX_DEPTH_CEILING};
+use tfd_core::stream::StreamError;
 use tfd_core::{RecoveryPolicy, StreamFormat};
+use tfd_value::Interner;
 
 /// A JSON record nested `depth` arrays deep.
 fn deep_json(depth: usize) -> String {
@@ -23,36 +25,37 @@ fn deep_xml(depth: usize) -> String {
     format!("{}x{}", "<a>".repeat(depth), "</a>".repeat(depth))
 }
 
-/// Asserts every driver rejects the single-record corpus with an error
-/// whose message contains `needle` — same kind everywhere.
-fn assert_all_drivers_reject<F: DataFormat>(corpus: &str, needle: &str)
-where
-    F::Error: std::fmt::Debug + std::fmt::Display,
-{
-    let options = F::infer_options();
-    let bytes = corpus.as_bytes();
-    // In-memory sharded driver (jobs 1 = the sequential fold; the whole
-    // corpus arrives in one feed, so the speculative fast path runs).
-    for jobs in [1usize, 4] {
-        let err = infer_slice::<F>(bytes, &options, jobs)
-            .expect_err(&format!("{} slice jobs {jobs} must reject", F::NAME));
-        let msg = format!("{err}");
-        assert!(msg.contains(needle), "{} slice jobs {jobs}: {msg}", F::NAME);
+/// Every (source, jobs, chunk) a single-record corpus is driven
+/// through: in memory (the record in one bundle, inline and on workers)
+/// and from a reader (small reads straddle the record; a huge read hands
+/// it over whole).
+fn runs(
+    format: StreamFormat,
+    corpus: &str,
+    policy: RecoveryPolicy,
+) -> Vec<(String, Result<tfd_core::recover::Recovered, StreamError>)> {
+    let interner = Interner::new();
+    let mut out = Vec::new();
+    for (jobs, chunk) in [(1usize, 1usize << 16), (4, 1 << 16)] {
+        let source = Source::Bytes(corpus.as_bytes());
+        let got = ingest(format, source, jobs, chunk, policy, &interner);
+        out.push((format!("bytes jobs {jobs}"), got));
     }
-    // Bounded-memory reader: small chunks straddle the record (the
-    // resumable scanner path); a huge chunk hands it over whole (the
-    // speculative path again).
     for (chunk, jobs) in [(64usize, 1usize), (64, 4), (1 << 20, 2)] {
-        let err = infer_reader_parallel::<F, _>(bytes, &options, chunk, jobs).expect_err(&format!(
-            "{} reader chunk {chunk} jobs {jobs} must reject",
-            F::NAME
-        ));
+        let source = Source::Reader(Box::new(corpus.as_bytes()));
+        let got = ingest(format, source, jobs, chunk, policy, &interner);
+        out.push((format!("reader chunk {chunk} jobs {jobs}"), got));
+    }
+    out
+}
+
+/// Asserts every run rejects the corpus with an error whose message
+/// contains `needle` — same kind everywhere.
+fn assert_all_runs_reject(format: StreamFormat, corpus: &str, needle: &str) {
+    for (label, got) in runs(format, corpus, RecoveryPolicy::default()) {
+        let err = got.expect_err(&format!("{format:?} {label} must reject"));
         let msg = format!("{err}");
-        assert!(
-            msg.contains(needle),
-            "{} reader chunk {chunk} jobs {jobs}: {msg}",
-            F::NAME
-        );
+        assert!(msg.contains(needle), "{format:?} {label}: {msg}");
     }
 }
 
@@ -61,49 +64,109 @@ fn ten_thousand_deep_json_is_too_deep_everywhere() {
     let corpus = deep_json(10_000);
     // One-shot front-end first: the recursion guard, not the stack,
     // must stop it.
-    let err =
-        engine::parse_value_dyn(StreamFormat::Json, &corpus).expect_err("one-shot must reject");
+    let err = engine::parse_value_dyn_in(StreamFormat::Json, &corpus, &Interner::new())
+        .expect_err("one-shot must reject");
     assert!(
         format!("{err}").contains("nesting exceeds limit of 128"),
         "{err}"
     );
-    assert_all_drivers_reject::<JsonFormat>(&corpus, "nesting exceeds limit of 128");
+    assert_all_runs_reject(StreamFormat::Json, &corpus, "nesting exceeds limit of 128");
 }
 
 #[test]
 fn ten_thousand_deep_xml_is_too_deep_everywhere() {
     let corpus = deep_xml(10_000);
-    let err =
-        engine::parse_value_dyn(StreamFormat::Xml, &corpus).expect_err("one-shot must reject");
+    let err = engine::parse_value_dyn_in(StreamFormat::Xml, &corpus, &Interner::new())
+        .expect_err("one-shot must reject");
     assert!(
         format!("{err}").contains("nesting exceeds limit of 256"),
         "{err}"
     );
-    assert_all_drivers_reject::<XmlFormat>(&corpus, "nesting exceeds limit of 256");
+    assert_all_runs_reject(StreamFormat::Xml, &corpus, "nesting exceeds limit of 256");
+}
+
+/// A document exactly at the depth ceiling parses on a pipeline worker
+/// (jobs 2) without overflowing its stack, for both nesting formats;
+/// one level deeper is a clean `TooDeep`.
+#[test]
+fn documents_at_the_depth_ceiling_parse_on_workers() {
+    let policy = RecoveryPolicy {
+        max_depth: Some(MAX_DEPTH_CEILING),
+        ..RecoveryPolicy::default()
+    };
+    let interner = Interner::new();
+    for (format, at, over) in [
+        (
+            StreamFormat::Json,
+            deep_json(MAX_DEPTH_CEILING),
+            deep_json(MAX_DEPTH_CEILING + 1),
+        ),
+        (
+            StreamFormat::Xml,
+            deep_xml(MAX_DEPTH_CEILING),
+            deep_xml(MAX_DEPTH_CEILING + 1),
+        ),
+    ] {
+        // Two copies, so the second sits in a bundle of its own on the
+        // other worker.
+        let corpus = format!("{at}\n{at}\n");
+        for source in [
+            Source::Bytes(corpus.as_bytes()),
+            Source::Reader(Box::new(corpus.as_bytes())),
+        ] {
+            let got = ingest(format, source, 2, at.len() + 1, policy, &interner)
+                .unwrap_or_else(|e| panic!("{format:?} at the ceiling must parse: {e}"));
+            assert_eq!(got.summary.records, 2, "{format:?}");
+        }
+        // Small windows, so the corpus spans several bundles and runs on
+        // workers rather than inline.
+        let source = Source::Bytes(over.as_bytes());
+        let err = ingest(format, source, 2, over.len() / 4, policy, &interner)
+            .expect_err("one level past the ceiling is too deep");
+        assert!(
+            err.to_string()
+                .contains(&format!("nesting exceeds limit of {MAX_DEPTH_CEILING}")),
+            "{format:?}: {err}"
+        );
+    }
 }
 
 #[test]
 fn policy_max_depth_tightens_the_default() {
     let corpus = "{\"a\": 1}\n[[[[1]]]]\n{\"a\": 2}\n";
-    let options = JsonFormat::infer_options();
     let mut policy = RecoveryPolicy {
         max_depth: Some(3),
         ..RecoveryPolicy::default()
     };
+    let interner = Interner::new();
     // Fail-fast: the deep record aborts the run.
-    for jobs in [1usize, 4] {
-        let err = infer_slice_policy::<JsonFormat>(corpus.as_bytes(), &options, &policy, jobs)
-            .expect_err("fail-fast must reject");
+    for (jobs, chunk) in [(1usize, 1usize << 16), (4, 1)] {
+        let err = ingest(
+            StreamFormat::Json,
+            Source::Bytes(corpus.as_bytes()),
+            jobs,
+            chunk,
+            policy,
+            &interner,
+        )
+        .expect_err("fail-fast must reject");
         assert!(
             format!("{err}").contains("nesting exceeds limit of 3"),
             "{err}"
         );
     }
     // Skip: the deep record is dropped, the rest folds.
-    policy.mode = tfd_core::RecoveryMode::Skip;
-    for jobs in [1usize, 4] {
-        let got = infer_slice_policy::<JsonFormat>(corpus.as_bytes(), &options, &policy, jobs)
-            .expect("skip mode folds the shallow records");
+    policy.mode = RecoveryMode::Skip;
+    for (jobs, chunk) in [(1usize, 1usize << 16), (4, 1)] {
+        let got = ingest(
+            StreamFormat::Json,
+            Source::Bytes(corpus.as_bytes()),
+            jobs,
+            chunk,
+            policy,
+            &interner,
+        )
+        .expect("skip mode folds the shallow records");
         assert_eq!(got.summary.records, 2, "jobs {jobs}");
         assert_eq!(got.report.total(), 1, "jobs {jobs}");
         assert!(
@@ -118,52 +181,30 @@ fn policy_max_depth_tightens_the_default() {
 fn oversized_records_are_rejected_by_every_driver() {
     let big = format!("{{\"a\": \"{}\"}}\n", "x".repeat(1000));
     let corpus = format!("{{\"a\": \"s\"}}\n{big}{{\"a\": \"t\"}}\n");
-    let options = JsonFormat::infer_options();
     let mut policy = RecoveryPolicy {
         max_record_bytes: 64,
         ..RecoveryPolicy::default()
     };
-    // Fail-fast: slice and reader drivers abort with RecordTooLarge.
-    for jobs in [1usize, 4] {
-        let err = infer_slice_policy::<JsonFormat>(corpus.as_bytes(), &options, &policy, jobs)
-            .expect_err("fail-fast slice must reject");
+    // Fail-fast: every run aborts with RecordTooLarge.
+    for (label, got) in runs(StreamFormat::Json, &corpus, policy) {
+        let err = got.expect_err("fail-fast must reject");
         assert!(
             format!("{err}").contains("exceeds size limit of 64"),
-            "jobs {jobs}: {err}"
+            "{label}: {err}"
         );
     }
-    for (chunk, jobs) in [(8usize, 1usize), (8, 4), (1 << 20, 2)] {
-        let err =
-            infer_reader_policy::<JsonFormat, _>(corpus.as_bytes(), &options, &policy, chunk, jobs)
-                .expect_err("fail-fast reader must reject");
+    // Skip: the oversized record is dropped — from a reader in bounded
+    // memory — and the rest folds, with the error at the record's line.
+    policy.mode = RecoveryMode::Skip;
+    for (label, got) in runs(StreamFormat::Json, &corpus, policy) {
+        let got = got.expect("skip mode folds the small records");
+        assert_eq!(got.summary.records, 2, "{label}");
+        assert_eq!(got.report.total(), 1, "{label}");
+        let first = got.report.first().unwrap().to_string();
         assert!(
-            format!("{err}").contains("exceeds size limit of 64"),
-            "chunk {chunk} jobs {jobs}: {err}"
+            first.contains("exceeds size limit of 64"),
+            "{label}: {first}"
         );
-    }
-    // Skip: the oversized record is dropped in bounded memory, the rest
-    // folds — through both drivers.
-    policy.mode = tfd_core::RecoveryMode::Skip;
-    for jobs in [1usize, 4] {
-        let got = infer_slice_policy::<JsonFormat>(corpus.as_bytes(), &options, &policy, jobs)
-            .expect("skip slice folds the small records");
-        assert_eq!(got.summary.records, 2, "jobs {jobs}");
-        assert_eq!(got.report.total(), 1, "jobs {jobs}");
-    }
-    for (chunk, jobs) in [(8usize, 1usize), (8, 4), (1 << 20, 2)] {
-        let got =
-            infer_reader_policy::<JsonFormat, _>(corpus.as_bytes(), &options, &policy, chunk, jobs)
-                .expect("skip reader folds the small records");
-        assert_eq!(got.summary.records, 2, "chunk {chunk} jobs {jobs}");
-        assert_eq!(got.report.total(), 1, "chunk {chunk} jobs {jobs}");
-        assert!(
-            got.report
-                .first()
-                .unwrap()
-                .to_string()
-                .contains("exceeds size limit of 64"),
-            "chunk {chunk} jobs {jobs}: {:?}",
-            got.report.first()
-        );
+        assert!(first.contains("line 2"), "{label}: {first}");
     }
 }

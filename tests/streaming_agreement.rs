@@ -1,76 +1,32 @@
 //! Streaming-vs-batch differential suite.
 //!
-//! The chunk-fed front-ends (`tfd_json::stream`, `tfd_xml::stream`,
-//! `tfd_csv::stream`) promise to be *observationally identical* to the
-//! one-shot byte parsers, no matter where chunk boundaries fall: the
-//! same `Value` sequence, the same final `Shape` through the
-//! `InferAccumulator` fold, and — for malformed input — the same error
-//! kind at the same line/char-correct column. This suite drives that
-//! promise with generated corpora under adversarial chunkings (1-byte
-//! feeds, splits inside multi-byte UTF-8 sequences, escapes, CRLF pairs
-//! and quoted CSV fields), plus mutation-based error agreement and the
-//! named regressions the differential work shook out.
+//! The ingest pipeline (`tfd_core::run`) over a `Read` source promises
+//! to be *observationally identical* to the one-shot byte parsers, no
+//! matter where reads split the bytes or how many workers parse them:
+//! the same record count, the same final `Shape` as the `InferAccumulator`
+//! fold of the one-shot values, and — for malformed input — the same
+//! error kind at the same line/char-correct column. This suite drives
+//! that promise with generated corpora under adversarial read splits
+//! (pieces of cycling sizes, 1-byte pieces, splits inside multi-byte
+//! UTF-8 sequences, escapes, CRLF pairs and quoted CSV fields) at
+//! jobs 1, 2 and 7, plus mutation-based error agreement and the named
+//! regressions the differential work shook out.
 
 mod common;
 
-use common::value_strategy;
+use common::{ingest_pieces, piece_rotations, value_strategy};
 use proptest::prelude::*;
 use std::fmt::Write as _;
-use tfd_core::stream::{infer_reader, InferAccumulator, StreamFormat};
-use tfd_core::{globalize, infer_many, infer_with, InferOptions, Shape};
-use tfd_value::Value;
+use tfd_core::stream::{InferAccumulator, StreamError, StreamFormat};
+use tfd_core::{globalize, infer_many, infer_with, InferOptions, RecoveryPolicy, Shape};
+use tfd_value::{Interner, Value};
 
-// --- Chunked drivers: feed `text` split into pieces whose sizes cycle
-// --- through `sizes` (so a generated size vector exercises many split
-// --- positions), then finish.
+/// Job counts every streamed corpus runs at.
+const JOBS: &[usize] = &[1, 2, 7];
 
-fn stream_json(text: &str, sizes: &[usize]) -> Result<Vec<Value>, tfd_json::ParseError> {
-    let bytes = text.as_bytes();
-    let mut s = tfd_json::stream::Streamer::new();
-    let mut out = Vec::new();
-    let (mut pos, mut k) = (0usize, 0usize);
-    while pos < bytes.len() {
-        let step = sizes.get(k % sizes.len()).copied().unwrap_or(1).max(1);
-        k += 1;
-        let end = (pos + step).min(bytes.len());
-        s.feed(&bytes[pos..end], &mut |v| out.push(v))?;
-        pos = end;
-    }
-    s.finish(&mut |v| out.push(v))?;
-    Ok(out)
-}
-
-fn stream_xml(text: &str, sizes: &[usize]) -> Result<Vec<Value>, tfd_xml::XmlError> {
-    let bytes = text.as_bytes();
-    let mut s = tfd_xml::stream::Streamer::new();
-    let mut out = Vec::new();
-    let (mut pos, mut k) = (0usize, 0usize);
-    while pos < bytes.len() {
-        let step = sizes.get(k % sizes.len()).copied().unwrap_or(1).max(1);
-        k += 1;
-        let end = (pos + step).min(bytes.len());
-        s.feed(&bytes[pos..end], &mut |v| out.push(v))?;
-        pos = end;
-    }
-    s.finish(&mut |v| out.push(v))?;
-    Ok(out)
-}
-
-fn stream_csv(text: &str, sizes: &[usize]) -> Result<Vec<Value>, tfd_csv::CsvError> {
-    let bytes = text.as_bytes();
-    let mut s = tfd_csv::stream::Streamer::new();
-    let mut out = Vec::new();
-    let (mut pos, mut k) = (0usize, 0usize);
-    while pos < bytes.len() {
-        let step = sizes.get(k % sizes.len()).copied().unwrap_or(1).max(1);
-        k += 1;
-        let end = (pos + step).min(bytes.len());
-        s.feed(&bytes[pos..end], &mut |v| out.push(v))?;
-        pos = end;
-    }
-    s.finish(&mut |v| out.push(v))?;
-    Ok(out)
-}
+/// A run's observable outcome: the rendered record fold and the record
+/// count, or the error.
+type Outcome = Result<(String, usize), StreamError>;
 
 /// Folds records through the incremental `σi = csh(σi−1, S(di))`.
 fn fold_shape(records: &[Value], options: &InferOptions) -> Shape {
@@ -79,6 +35,76 @@ fn fold_shape(records: &[Value], options: &InferOptions) -> Shape {
         acc.push(r);
     }
     acc.finish()
+}
+
+/// The one-shot front-end's records for `text` (CSV: the data rows).
+fn oneshot_values(
+    format: StreamFormat,
+    text: &str,
+    interner: &Interner,
+) -> Result<Vec<Value>, StreamError> {
+    match format {
+        StreamFormat::Json => tfd_json::parse_many_values_in(text, &Default::default(), interner)
+            .map_err(StreamError::Json),
+        StreamFormat::Xml => {
+            tfd_xml::parse_many_values_in(text, &Default::default(), &Default::default(), interner)
+                .map_err(StreamError::Xml)
+        }
+        StreamFormat::Csv => {
+            tfd_csv::parse_value_in(text, &Default::default(), &Default::default(), interner)
+                .map(|v| match v {
+                    Value::List(rows) => rows,
+                    other => panic!("expected a row list, got {other}"),
+                })
+                .map_err(StreamError::Csv)
+        }
+    }
+}
+
+/// What every run must produce: the one-shot values' fold, or the
+/// one-shot error.
+fn oneshot(format: StreamFormat, text: &str) -> Outcome {
+    let interner = Interner::new();
+    let values = oneshot_values(format, text, &interner)?;
+    let options = tfd_core::engine::infer_options_dyn(format);
+    Ok((format!("{:?}", fold_shape(&values, &options)), values.len()))
+}
+
+/// One run over `bytes` read in pieces cycling through `sizes`.
+fn streamed(
+    format: StreamFormat,
+    bytes: &[u8],
+    sizes: &[usize],
+    jobs: usize,
+    policy: RecoveryPolicy,
+) -> Outcome {
+    let interner = Interner::new();
+    ingest_pieces(format, bytes, sizes, jobs, policy, &interner)
+        .map(|r| (format!("{:?}", r.summary.shape), r.summary.records))
+}
+
+/// Asserts the pipeline over `sizes`-pieces agrees with `want` at every
+/// job count.
+fn assert_streams_to(format: StreamFormat, bytes: &[u8], sizes: &[usize], want: &Outcome) {
+    for &jobs in JOBS {
+        let got = streamed(format, bytes, sizes, jobs, RecoveryPolicy::default());
+        assert_eq!(
+            &got,
+            want,
+            "{format:?} pieces {sizes:?} jobs {jobs} on {:?}",
+            String::from_utf8_lossy(bytes)
+        );
+    }
+}
+
+/// The named-case sweep: every rotation of the cycling piece sizes
+/// {1, 2, 3, 7, 64, 4096}, plus straight 1-byte pieces, at jobs 1/2/7,
+/// against the one-shot outcome.
+fn assert_sweep_agrees(format: StreamFormat, text: &str) {
+    let want = oneshot(format, text);
+    for sizes in piece_rotations().iter().chain([&vec![1]]) {
+        assert_streams_to(format, text.as_bytes(), sizes, &want);
+    }
 }
 
 /// Replaces the char at (position % len) with `c`, staying valid UTF-8.
@@ -105,7 +131,7 @@ fn truncate(text: &str, length: usize) -> String {
 
 /// A document whose serialization exercises escapes, raw multi-byte
 /// UTF-8 and control-character escapes — appended to every generated
-/// JSON corpus so chunk splits land inside `\"`-escapes and mid-char.
+/// JSON corpus so read splits land inside `\"`-escapes and mid-char.
 fn nasty_json_doc() -> Value {
     Value::record(
         tfd_value::BODY_NAME,
@@ -136,8 +162,8 @@ const JSON_SEPS_ALL: &[&str] = &[" ", "\n", "\t\r\n ", ""];
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(96))]
 
-    /// Values and shapes agree with `parse_many_values` under arbitrary
-    /// chunk splits, 1-byte feeds included.
+    /// Shapes and record counts agree with the `parse_many_values` fold
+    /// under arbitrary read splits, 1-byte pieces included.
     #[test]
     fn json_streaming_agrees_on_valid_corpora(
         docs in prop::collection::vec(value_strategy(), 0..5),
@@ -147,19 +173,15 @@ proptest! {
         let mut docs = docs;
         docs.push(nasty_json_doc());
         let text = json_corpus_text(&docs, &seps);
-        let oneshot = tfd_json::parse_many_values(&text).expect("generated corpus is valid");
-        let streamed = stream_json(&text, &sizes).expect("streaming must accept valid corpora");
-        prop_assert_eq!(&streamed, &oneshot);
-        // And with straight 1-byte feeds:
-        prop_assert_eq!(&stream_json(&text, &[1]).unwrap(), &oneshot);
-        // The incremental fold equals the batch fold.
-        let opts = InferOptions::json();
-        prop_assert_eq!(fold_shape(&streamed, &opts), infer_many(&oneshot, &opts));
+        let want = oneshot(StreamFormat::Json, &text);
+        prop_assert!(want.is_ok(), "generated corpus is valid");
+        assert_streams_to(StreamFormat::Json, text.as_bytes(), &sizes, &want);
+        assert_streams_to(StreamFormat::Json, text.as_bytes(), &[1], &want);
     }
 
-    /// Mutated (usually invalid) corpora: the streaming outcome —
-    /// values, or error kind *and* position — is identical to the
-    /// one-shot outcome wherever the chunks fall.
+    /// Mutated (usually invalid) corpora: the streaming outcome — fold,
+    /// or error kind *and* position — is identical to the one-shot
+    /// outcome wherever the reads split.
     #[test]
     fn json_error_agreement_under_mutation(
         docs in prop::collection::vec(value_strategy(), 1..4),
@@ -174,14 +196,7 @@ proptest! {
         docs.push(nasty_json_doc());
         let base = json_corpus_text(&docs, &seps);
         let text = if do_truncate { truncate(&base, cut) } else { mutate(&base, position, c) };
-        let oneshot = tfd_json::parse_many_values(&text);
-        let streamed = stream_json(&text, &sizes);
-        match (&oneshot, &streamed) {
-            // Mutation may create duplicate object keys, whose records
-            // compare unequal even to themselves; compare the rendering.
-            (Ok(a), Ok(b)) => prop_assert_eq!(format!("{a:?}"), format!("{b:?}")),
-            _ => prop_assert_eq!(&streamed, &oneshot),
-        }
+        assert_streams_to(StreamFormat::Json, text.as_bytes(), &sizes, &oneshot(StreamFormat::Json, &text));
     }
 }
 
@@ -251,9 +266,9 @@ fn xml_corpus_text(prolog: bool, docs: &[String], seps: &[&str]) -> String {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(96))]
 
-    /// Values and shapes agree with `parse_many_values` under arbitrary
-    /// chunk splits — including splits inside entities, CDATA/comment
-    /// terminators and multi-byte tag names.
+    /// Shapes and record counts agree with the `parse_many_values` fold
+    /// under arbitrary read splits — including splits inside entities,
+    /// CDATA/comment terminators and multi-byte tag names.
     #[test]
     fn xml_streaming_agrees_on_valid_corpora(
         prolog in proptest::strategy::any::<bool>(),
@@ -262,16 +277,14 @@ proptest! {
         sizes in prop::collection::vec(1usize..9, 1..5),
     ) {
         let text = xml_corpus_text(prolog, &docs, &seps);
-        let oneshot = tfd_xml::parse_many_values(&text).expect("generated corpus is valid");
-        let streamed = stream_xml(&text, &sizes).expect("streaming must accept valid corpora");
-        prop_assert_eq!(&streamed, &oneshot);
-        prop_assert_eq!(&stream_xml(&text, &[1]).unwrap(), &oneshot);
-        let opts = InferOptions::xml();
-        prop_assert_eq!(fold_shape(&streamed, &opts), infer_many(&oneshot, &opts));
+        let want = oneshot(StreamFormat::Xml, &text);
+        prop_assert!(want.is_ok(), "generated corpus is valid");
+        assert_streams_to(StreamFormat::Xml, text.as_bytes(), &sizes, &want);
+        assert_streams_to(StreamFormat::Xml, text.as_bytes(), &[1], &want);
     }
 
     /// Mutated/truncated XML: identical outcomes — error kind, line and
-    /// char-correct column — under arbitrary chunking.
+    /// char-correct column — under arbitrary read splits.
     #[test]
     fn xml_error_agreement_under_mutation(
         docs in prop::collection::vec(xml_doc_strategy(), 1..3),
@@ -284,12 +297,7 @@ proptest! {
     ) {
         let base = xml_corpus_text(false, &docs, &seps);
         let text = if do_truncate { truncate(&base, cut) } else { mutate(&base, position, c) };
-        let oneshot = tfd_xml::parse_many_values(&text);
-        let streamed = stream_xml(&text, &sizes);
-        match (&oneshot, &streamed) {
-            (Ok(a), Ok(b)) => prop_assert_eq!(format!("{a:?}"), format!("{b:?}")),
-            _ => prop_assert_eq!(&streamed, &oneshot),
-        }
+        assert_streams_to(StreamFormat::Xml, text.as_bytes(), &sizes, &oneshot(StreamFormat::Xml, &text));
     }
 }
 
@@ -331,9 +339,10 @@ const CSV_ENDINGS: &[&str] = &["\n", "\r\n", "\r"];
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(96))]
 
-    /// Rows and shapes agree with the one-shot `parse_value` under
-    /// arbitrary chunk splits — including splits inside `""` escapes,
-    /// CRLF pairs, quoted fields and multi-byte cell characters.
+    /// Row folds agree with the one-shot `parse_value` under arbitrary
+    /// read splits — including splits inside `""` escapes, CRLF pairs,
+    /// quoted fields and multi-byte cell characters — and the corpus
+    /// wrap is the one-shot collection shape.
     #[test]
     fn csv_streaming_agrees_on_valid_corpora(
         rows in prop::collection::vec(prop::collection::vec(csv_cell(), 0..5), 0..5),
@@ -342,84 +351,35 @@ proptest! {
         sizes in prop::collection::vec(1usize..9, 1..5),
     ) {
         let text = csv_corpus_text(&rows, &endings, final_ending);
-        let oneshot = match tfd_csv::parse_value(&text).expect("generated corpus is valid") {
-            Value::List(rows) => rows,
-            other => panic!("expected row list, got {other}"),
-        };
-        let streamed = stream_csv(&text, &sizes).expect("streaming must accept valid corpora");
-        prop_assert_eq!(&streamed, &oneshot);
-        prop_assert_eq!(&stream_csv(&text, &[1]).unwrap(), &oneshot);
-        // list(incremental fold) == one-shot collection inference.
+        let want = oneshot(StreamFormat::Csv, &text);
+        prop_assert!(want.is_ok(), "generated corpus is valid");
+        assert_streams_to(StreamFormat::Csv, text.as_bytes(), &sizes, &want);
+        assert_streams_to(StreamFormat::Csv, text.as_bytes(), &[1], &want);
+        // list(record fold) == one-shot collection inference.
+        let interner = Interner::new();
         let opts = InferOptions::csv();
+        let got = ingest_pieces(
+            StreamFormat::Csv, text.as_bytes(), &sizes, 2, RecoveryPolicy::default(), &interner,
+        ).expect("valid corpus");
         prop_assert_eq!(
-            Shape::list(fold_shape(&streamed, &opts)),
-            infer_with(&Value::List(oneshot), &opts)
-        );
-    }
-
-    /// Headerless ragged corpora: the streamer names columns from one
-    /// per-corpus interned table (not per row), so the incremental fold
-    /// reaches exactly the one-shot shape even though the one-shot path
-    /// pads short rows to the corpus-global width and the streamer does
-    /// not — a missing field and an explicit null both make the field
-    /// nullable. (Satellite regression for the divergence PR 3
-    /// documented.)
-    #[test]
-    fn csv_headerless_streaming_shape_agrees(
-        rows in prop::collection::vec(prop::collection::vec(csv_cell(), 1..5), 1..6),
-        sizes in prop::collection::vec(1usize..9, 1..5),
-    ) {
-        let opts = tfd_csv::CsvOptions { has_header: false, ..Default::default() };
-        let lits = tfd_csv::literal::LiteralOptions::default();
-        let text: String = rows.iter().map(|r| format!("{}\n", r.join(","))).collect();
-        let oneshot = tfd_csv::parse_value_with(&text, &opts, &lits).expect("valid corpus");
-
-        let bytes = text.as_bytes();
-        let mut s = tfd_csv::stream::Streamer::with_options(&opts, &lits);
-        let mut streamed = Vec::new();
-        let (mut pos, mut k) = (0usize, 0usize);
-        while pos < bytes.len() {
-            let step = sizes.get(k % sizes.len()).copied().unwrap_or(1).max(1);
-            k += 1;
-            let end = (pos + step).min(bytes.len());
-            s.feed(&bytes[pos..end], &mut |v| streamed.push(v)).expect("valid corpus");
-            pos = end;
-        }
-        s.finish(&mut |v| streamed.push(v)).expect("valid corpus");
-
-        let inferred = InferOptions::csv();
-        prop_assert_eq!(
-            Shape::list(fold_shape(&streamed, &inferred)),
-            infer_with(&oneshot, &inferred),
-            "headerless streamed fold must match the one-shot shape for {:?}", text
+            Shape::list(got.summary.shape),
+            infer_with(&tfd_csv::parse_value_in(&text, &Default::default(), &Default::default(), &interner).expect("valid"), &opts)
         );
     }
 
     /// Raw random CSV-ish text (stray quotes, ragged rows, bare CRs):
-    /// identical outcomes — rows, or error kind and line — under
-    /// arbitrary chunking.
+    /// identical outcomes — fold, or error kind and line — under
+    /// arbitrary read splits.
     #[test]
     fn csv_error_agreement_over_random_text(
         text in "[a-c,\"\n\r ]{0,60}",
         sizes in prop::collection::vec(1usize..7, 1..5),
     ) {
-        let oneshot = tfd_csv::parse_value(&text).map(|v| match v {
-            Value::List(rows) => rows,
-            other => panic!("expected row list, got {other}"),
-        });
-        let streamed = stream_csv(&text, &sizes);
-        match (&oneshot, &streamed) {
-            // Random headers may repeat ("a,a"), and records with
-            // duplicate field names compare unequal even to themselves;
-            // compare the rendering.
-            (Ok(a), Ok(b)) => prop_assert_eq!(format!("{a:?}"), format!("{b:?}")),
-            _ => prop_assert_eq!(&streamed, &oneshot),
-        }
+        assert_streams_to(StreamFormat::Csv, text.as_bytes(), &sizes, &oneshot(StreamFormat::Csv, &text));
     }
 }
 
-// --- InferAccumulator: the incremental fold vs `infer_many` (satellite
-// --- suite; the core crate's unit tests cover the reader driver).
+// --- InferAccumulator: the incremental fold vs `infer_many`.
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(128))]
@@ -477,22 +437,291 @@ proptest! {
             restreamed.absorb(infer_with(d, &opts));
         }
         prop_assert_eq!(&restreamed, &g, "re-streaming the corpus must be a no-op");
-        // And the finite-tree rendering is idempotent too — the PR 3
-        // saturation hole is closed:
+        // And the finite-tree rendering is idempotent too:
         let once = globalize(folded);
         let twice = globalize(once.clone());
         prop_assert_eq!(&twice, &once, "globalize must be idempotent");
     }
 }
 
-// --- Named regressions from driving the differential suite at 1-byte
-// --- feeds (satellite: entity-length limit and CSV quote handling).
+// --- Named cases: each runs over every rotation of the cycling piece
+// --- sizes {1, 2, 3, 7, 64, 4096} at jobs 1/2/7.
+
+/// Any split of a record stream — documents, adjacent self-delimiting
+/// values, whitespace-only and empty input — folds like the one-shot
+/// parse.
+#[test]
+fn documents_stream_with_any_split() {
+    for text in [
+        r#"{"a": 1} {"a": 2, "b": [1, 2.5, null]}"#,
+        "1 2 3",
+        "[1][2][3]",
+        "\"x\"\"y\"",
+        "true false null",
+        "  \n\t ",
+        "",
+        "{\"nested\": {\"deep\": [[[1]]]}}\n-2.5e-1",
+    ] {
+        assert_sweep_agrees(StreamFormat::Json, text);
+    }
+    for text in [
+        r#"<root id="1"><item>Hello!</item></root>"#,
+        "<a/><b/><c x=\"1\"/>",
+        "<?xml version=\"1.0\"?>\n<!DOCTYPE d [<!ELEMENT d ANY>]>\n<d/>",
+        "<!-- lead --><a/><!-- mid --><b/><!-- trail -->",
+        "<a><![CDATA[x]y]]z]]></a>",
+        "<a x=\"&lt;&amp;&quot;\">&gt;&apos;</a>",
+        "<!-- only a comment -->",
+        "   \n ",
+    ] {
+        assert_sweep_agrees(StreamFormat::Xml, text);
+    }
+    for text in [
+        "a,b\n1,2\n3,4\n",
+        "a\r1\r2",
+        "a,b\n1\n2,y,z\n",
+        "a\n\n1",
+        "a,b\n1,",
+        "Ozone, Temp\n41, 67\n17.5, #N/A\n",
+        "a\n",
+        "a",
+    ] {
+        assert_sweep_agrees(StreamFormat::Csv, text);
+    }
+}
+
+/// Splits mid-escape, mid-UTF-8 sequence, mid-CRLF and inside CSV `""`
+/// escapes never change a record.
+#[test]
+fn splits_mid_escape_mid_utf8_mid_crlf_and_inside_quotes() {
+    assert_sweep_agrees(StreamFormat::Json, r#""a\nbA\\" "čaj 😀""#);
+    assert_sweep_agrees(
+        StreamFormat::Json,
+        r#"{"kĺíč": "hodnota", "日本": "語", "u": "é"}"#,
+    );
+    assert_sweep_agrees(StreamFormat::Xml, "<čaj típ=\"zelený\">42</čaj>\r\n<čaj/>");
+    for text in [
+        "a\n\"he said \"\"hi\"\"\"\n",
+        "a\n\"x\"\r\n2\n",
+        "a\n\"x\r\ny\"\r\n",
+        "h1,h2\nab\"c,d\"e\n",
+        "a\n\"x\ry\"\n",
+        "a\n\"\"\n",
+        "sloupec,météo\r\nžluťoučký,🌧\r\n",
+    ] {
+        assert_sweep_agrees(StreamFormat::Csv, text);
+    }
+}
+
+/// Numbers and keywords end exactly where the one-shot grammar ends
+/// them, even without separating whitespace.
+#[test]
+fn adjacent_tokens_split_like_oneshot() {
+    for text in ["12-3", "1e3[2]", "0 1", "true\"s\"", "null{}"] {
+        assert_sweep_agrees(StreamFormat::Json, text);
+    }
+}
+
+/// Malformed records report the one-shot error kind and position.
+#[test]
+fn errors_agree_with_oneshot() {
+    for bad in [
+        "[1, 2",
+        "{\"a\": 1",
+        "\"unterminated",
+        "[1,]",
+        "{,}",
+        "01",
+        "012",
+        "1.",
+        "1.x",
+        "1e+",
+        "-",
+        "tru",
+        "truex",
+        "@",
+        "]",
+        "{\n  \"a\": @\n}",
+        "{ \"čaj\": @ }",
+        "\"a\nb\"",
+        "[1, \"x\\q\"]",
+        "1 2 x",
+        "{\"ok\":1} [2,]",
+        "1.5.2",
+    ] {
+        assert_sweep_agrees(StreamFormat::Json, bad);
+    }
+    for bad in [
+        "<a><b></a></b>",
+        "<a><b>",
+        "<a>&nope;</a>",
+        "<a>\n<žluť x=@>\n</a>",
+        "junk <a/>",
+        "<a/>junk",
+        "<a>&ééééééé;</a>",
+        "<a>&aaaaaaaaaaaaaaaa;</a>",
+        "<!-- unterminated",
+        "<a>\r\n<b>\r\n<bad @></a>",
+        "<a>\r<b>\r<bad @></a>",
+    ] {
+        assert_sweep_agrees(StreamFormat::Xml, bad);
+    }
+    for bad in [
+        "",
+        "a\n\"oops",
+        "a\n\"x\"y",
+        "h\n\"a\rb\"x",
+        "h\n\"a\r\nb\"x",
+        "h\n\"a\rb\",ok\n\"oops",
+    ] {
+        assert_sweep_agrees(StreamFormat::Csv, bad);
+    }
+}
+
+/// Error positions in the Nth record translate exactly: line numbers
+/// continue across records, columns restart per line.
+#[test]
+fn error_positions_translate_across_records_all_formats() {
+    let json = "{\"a\":1}\n{\"b\":2} {\"c\": @}";
+    assert_sweep_agrees(StreamFormat::Json, json);
+    match oneshot(StreamFormat::Json, json) {
+        Err(StreamError::Json(e)) => assert_eq!((e.pos.line, e.pos.column), (2, 15)),
+        other => panic!("expected a JSON error, got {other:?}"),
+    }
+    let xml = "<ok/>\n<ok/>\n<bad @></bad>";
+    assert_sweep_agrees(StreamFormat::Xml, xml);
+    match oneshot(StreamFormat::Xml, xml) {
+        Err(StreamError::Xml(e)) => assert_eq!((e.line, e.column), (3, 6)),
+        other => panic!("expected an XML error, got {other:?}"),
+    }
+    let csv = "h\nok\n\"a\rb\"x";
+    assert_sweep_agrees(StreamFormat::Csv, csv);
+    assert_eq!(
+        oneshot(StreamFormat::Csv, csv),
+        Err(StreamError::Csv(tfd_csv::CsvError::CharAfterQuote(4, 'x')))
+    );
+    // Column counts characters, not bytes.
+    match oneshot(StreamFormat::Json, "{ \"čaj\": @ }") {
+        Err(StreamError::Json(e)) => assert_eq!(e.pos.column, 10),
+        other => panic!("expected a JSON error, got {other:?}"),
+    }
+}
+
+/// Runs `text` over every rotation at jobs 1/2/7 under `policy` and
+/// returns the one outcome they all agree on.
+fn swept(format: StreamFormat, text: &[u8], policy: RecoveryPolicy) -> Outcome {
+    let first = streamed(format, text, &[1], 1, policy);
+    for sizes in piece_rotations() {
+        for &jobs in JOBS {
+            let got = streamed(format, text, &sizes, jobs, policy);
+            assert_eq!(got, first, "{format:?} pieces {sizes:?} jobs {jobs}");
+        }
+    }
+    first
+}
+
+/// The depth limit applies per record: a shallow record passes, a deep
+/// one fails with `TooDeep` at any split.
+#[test]
+fn depth_limit_applies_per_record() {
+    let policy = RecoveryPolicy {
+        max_depth: Some(4),
+        ..RecoveryPolicy::default()
+    };
+    assert!(swept(StreamFormat::Json, b"[[[1]]] [[[1]]]", policy).is_ok());
+    match swept(StreamFormat::Json, b"[[[1]]] [[[[[1]]]]]", policy) {
+        Err(StreamError::Json(e)) => {
+            assert_eq!(e.kind, tfd_json::ParseErrorKind::TooDeep(4));
+            assert!(e.pos.offset >= 8, "the error sits in the second record");
+        }
+        other => panic!("expected TooDeep, got {other:?}"),
+    }
+    match swept(
+        StreamFormat::Xml,
+        b"<a><a/></a>\n<a><a><a><a><a/></a></a></a></a>",
+        policy,
+    ) {
+        Err(StreamError::Xml(e)) => {
+            assert_eq!(e.kind, tfd_xml::XmlErrorKind::TooDeep(4));
+            assert_eq!(e.line, 2);
+        }
+        other => panic!("expected TooDeep, got {other:?}"),
+    }
+}
+
+/// A record holding an invalid UTF-8 byte reports it at that byte's
+/// stream-global position, whatever record it sits in.
+#[test]
+fn invalid_utf8_is_reported_at_the_byte() {
+    let policy = RecoveryPolicy::default();
+    match swept(
+        StreamFormat::Json,
+        b"{\"a\": 1}\n{\"a\": \"\xFF\xFE\"}",
+        policy,
+    ) {
+        Err(StreamError::Json(e)) => {
+            assert_eq!(e.kind, tfd_json::ParseErrorKind::InvalidUtf8);
+            assert_eq!((e.pos.offset, e.pos.line, e.pos.column), (16, 2, 8));
+        }
+        other => panic!("expected InvalidUtf8, got {other:?}"),
+    }
+    match swept(StreamFormat::Xml, b"<a>\xFF</a>", policy) {
+        Err(StreamError::Xml(e)) => {
+            assert_eq!(e.kind, tfd_xml::XmlErrorKind::InvalidUtf8);
+            assert_eq!((e.line, e.column), (1, 4));
+        }
+        other => panic!("expected InvalidUtf8, got {other:?}"),
+    }
+    assert_eq!(
+        swept(StreamFormat::Csv, b"a\nok\n\xFF\n", policy),
+        Err(StreamError::Csv(tfd_csv::CsvError::InvalidUtf8(3)))
+    );
+    // An earlier record's parse error still wins.
+    match swept(StreamFormat::Json, b"[1,]\n\"\xFF\"", policy) {
+        Err(StreamError::Json(e)) => assert_ne!(e.kind, tfd_json::ParseErrorKind::InvalidUtf8),
+        other => panic!("expected the earlier parse error, got {other:?}"),
+    }
+}
+
+/// An unclosed record fed one byte at a time trips the record cap at
+/// the record's start instead of buffering the stream.
+#[test]
+fn unclosed_record_trips_the_size_cap_at_one_byte_pieces() {
+    let policy = RecoveryPolicy {
+        max_record_bytes: 64,
+        ..RecoveryPolicy::default()
+    };
+    let open = |head: &str| {
+        let mut text = head.to_owned();
+        text.push_str(&"x".repeat(1000));
+        text
+    };
+    let json = open("{\"ok\": 1} \"never closes ");
+    match swept(StreamFormat::Json, json.as_bytes(), policy) {
+        Err(StreamError::Json(e)) => {
+            assert_eq!(e.kind, tfd_json::ParseErrorKind::RecordTooLarge(64));
+            assert_eq!(e.pos.offset, 10, "the error sits at the record's start");
+        }
+        other => panic!("expected RecordTooLarge, got {other:?}"),
+    }
+    let xml = open("<ok/>\n<open><v>");
+    match swept(StreamFormat::Xml, xml.as_bytes(), policy) {
+        Err(StreamError::Xml(e)) => {
+            assert_eq!(e.kind, tfd_xml::XmlErrorKind::RecordTooLarge(64));
+            assert_eq!((e.line, e.column), (2, 1));
+        }
+        other => panic!("expected RecordTooLarge, got {other:?}"),
+    }
+    let csv = open("a,b\n1,\"never closes ");
+    assert_eq!(
+        swept(StreamFormat::Csv, csv.as_bytes(), policy),
+        Err(StreamError::Csv(tfd_csv::CsvError::RecordTooLarge(64, 2)))
+    );
+}
 
 /// The XML entity-length limit counts *bytes* but must only fire at
-/// character boundaries; under 1-byte feeds the scanner replicates that
-/// exactly (the record is cut at the overflow point so the parse
-/// reproduces the one-shot `UnknownEntity` — never a slice panic, never
-/// a different error).
+/// character boundaries; under 1-byte pieces the scanner replicates that
+/// exactly (never a slice panic, never a different error).
 #[test]
 fn regression_xml_entity_limit_under_single_byte_feeds() {
     for doc in [
@@ -502,68 +731,12 @@ fn regression_xml_entity_limit_under_single_byte_feeds() {
         "<a>&日本語キーです;</a>",
         "<a>&#x1F600;&#x1F600;</a>", // long but legal char refs
     ] {
-        let oneshot = tfd_xml::parse_many_values(doc);
-        assert_eq!(stream_xml(doc, &[1]), oneshot, "{doc}");
-        assert_eq!(stream_xml(doc, &[2]), oneshot, "{doc}");
+        assert_sweep_agrees(StreamFormat::Xml, doc);
     }
-}
-
-/// CSV `""` escapes, closing quotes and CRLF pairs split across 1-byte
-/// feeds must not change field contents, row boundaries or error lines.
-#[test]
-fn regression_csv_quote_handling_under_single_byte_feeds() {
-    for doc in [
-        "a\n\"he said \"\"hi\"\"\"\n", // escape split between the two quotes
-        "a\n\"x\"\r\n2\n",             // closing quote then split CRLF
-        "h1,h2\nab\"c,d\"e\n",         // mid-field quotes stay literal
-        "a\n\"x\ry\"\n",               // bare CR inside quotes
-        "a\n\"x\"y\n",                 // stray char after closing quote
-        "a\n\"oops",                   // unterminated at EOF
-    ] {
-        let oneshot = tfd_csv::parse_value(doc).map(|v| match v {
-            Value::List(rows) => rows,
-            other => panic!("expected row list, got {other}"),
-        });
-        assert_eq!(stream_csv(doc, &[1]), oneshot, "{doc:?}");
-    }
-}
-
-/// A JSON `\u` escape and a multi-byte character split across 1-byte
-/// feeds; error columns stay char-correct when multi-byte characters
-/// precede the error on the same line.
-#[test]
-fn regression_json_escape_and_utf8_splits() {
-    let ok = r#"{"k": "😀 čaj"}"#;
-    assert_eq!(stream_json(ok, &[1]), tfd_json::parse_many_values(ok));
-    let bad = "{ \"čaj\": @ }";
-    let err = stream_json(bad, &[1]).unwrap_err();
-    let oneshot = tfd_json::parse_many_values(bad).unwrap_err();
-    assert_eq!(err, oneshot);
-    assert_eq!(err.pos.column, 10, "column counts characters, not bytes");
-}
-
-/// Error positions in the Nth record of a stream translate exactly:
-/// line numbers continue across records, columns restart per line.
-#[test]
-fn error_positions_translate_across_records_all_formats() {
-    let json = "{\"a\":1}\n{\"b\":2} {\"c\": @}";
-    let je = stream_json(json, &[3]).unwrap_err();
-    assert_eq!(je, tfd_json::parse_many_values(json).unwrap_err());
-    assert_eq!((je.pos.line, je.pos.column), (2, 15));
-
-    let xml = "<ok/>\n<ok/>\n<bad @></bad>";
-    let xe = stream_xml(xml, &[2]).unwrap_err();
-    assert_eq!(xe, tfd_xml::parse_many_values(xml).unwrap_err());
-    assert_eq!((xe.line, xe.column), (3, 6));
-
-    let csv = "h\nok\n\"a\rb\"x";
-    let ce = stream_csv(csv, &[1]).unwrap_err();
-    assert_eq!(Err(ce.clone()), tfd_csv::parse_value(csv).map(|_| ()));
-    assert_eq!(ce, tfd_csv::CsvError::CharAfterQuote(4, 'x'));
 }
 
 // --- Large-corpus smoke (release-only: ~50 MB of CSV through the
-// --- reader driver with a small chunk size — the O(1 record) pipeline).
+// --- reader with a small chunk size — the bounded-memory pipeline).
 
 #[test]
 #[cfg_attr(
@@ -583,13 +756,17 @@ fn large_corpus_csv_streams_with_small_chunks() {
         );
         rows += 1;
     }
-    let summary = infer_reader(
-        text.as_bytes(),
+    let interner = Interner::new();
+    let summary = common::ingest(
         StreamFormat::Csv,
-        &InferOptions::csv(),
+        tfd_core::engine::Source::Reader(Box::new(text.as_bytes())),
+        1,
         4096,
+        RecoveryPolicy::default(),
+        &interner,
     )
-    .unwrap();
+    .unwrap()
+    .summary;
     assert_eq!(summary.records as u64, rows);
     assert_eq!(summary.bytes as usize, text.len());
     let expected = Shape::record(
