@@ -827,7 +827,9 @@ fn engine_format(format: Format, flag: &str) -> Result<StreamFormat, String> {
 /// and the first-error-wins abort match the sequential per-file loop;
 /// the result is lifted to the one-shot corpus shape (the CSV row fold
 /// re-wraps as a collection, so every mode prints the same shape).
-/// Record-free input is rejected, matching the one-shot front-ends.
+/// Record-free JSON and XML input is rejected, matching the one-shot
+/// front-ends; a CSV header without rows folds to `[⊥]`, as there (the
+/// pipeline itself rejects CSV input without a header).
 /// Under `--skip-errors`, each file's skip summary is sent to `warn`.
 fn engine_shape(
     files: &[String],
@@ -856,7 +858,7 @@ fn engine_shape(
         if !out.recovered.report.is_empty() {
             warn(&format_report(f, &out.recovered.report));
         }
-        if out.recovered.summary.records == 0 {
+        if out.recovered.summary.records == 0 && config.format != StreamFormat::Csv {
             return Err(CliError::Parse(format!("{f}: input contains no records")));
         }
         // The fold's survivor is the schema-sized shape: migrate its

@@ -74,6 +74,41 @@ fn parse_errors_exit_two_on_every_driver() {
 }
 
 #[test]
+fn record_free_input_agrees_on_every_driver() {
+    // A CSV header without rows is an empty table, `[⊥]`, whichever
+    // driver reads it; empty JSON and XML input stay parse errors, and
+    // so does a CSV file without even a header.
+    let header_only = write_temp("header_only.csv", "a,b\n");
+    let cases = [
+        (header_only.as_str(), 0),
+        (&*write_temp("no_records.json", ""), 2),
+        (&*write_temp("no_records.xml", " \n"), 2),
+        (&*write_temp("no_records.csv", ""), 2),
+    ];
+    for (f, code) in cases {
+        for extra in [
+            &[][..],
+            &["--stream"][..],
+            &["--jobs", "2"][..],
+            &["--stream", "--jobs", "2"][..],
+        ] {
+            let mut args = vec!["infer"];
+            args.extend_from_slice(extra);
+            args.push(f);
+            let out = tfd(&args);
+            assert_eq!(exit_code(&out), code, "{f} {extra:?}: {out:?}");
+            if code == 0 {
+                assert_eq!(
+                    String::from_utf8_lossy(&out.stdout).trim(),
+                    "[⊥]",
+                    "{extra:?}"
+                );
+            }
+        }
+    }
+}
+
+#[test]
 fn exceeding_the_error_budget_exits_two() {
     let f = write_temp("b.json", "{\"a\": @}\n{\"b\": @}\n{\"c\": 1}\n");
     let out = tfd(&["infer", "--skip-errors", "--max-errors", "1", &f]);

@@ -680,6 +680,34 @@ pub fn run(
     }
 }
 
+/// `source` past one leading UTF-8 byte-order mark, and the mark's length
+/// (0 when there is none). The one-shot parsers skip the mark the same
+/// way, so both agree on shapes and on error positions.
+fn skip_bom(source: Source<'_>) -> Result<(Source<'_>, usize), StreamError> {
+    const BOM: &[u8] = "\u{feff}".as_bytes();
+    match source {
+        Source::Bytes(bytes) => Ok(match bytes.strip_prefix(BOM) {
+            Some(rest) => (Source::Bytes(rest), BOM.len()),
+            None => (Source::Bytes(bytes), 0),
+        }),
+        Source::Reader(mut reader) => {
+            let mut head = Vec::with_capacity(BOM.len());
+            (&mut reader)
+                .take(BOM.len() as u64)
+                .read_to_end(&mut head)
+                .map_err(StreamError::Io)?;
+            let bom = if head == BOM {
+                head.clear();
+                BOM.len()
+            } else {
+                0
+            };
+            let rest = std::io::Cursor::new(head).chain(reader);
+            Ok((Source::Reader(Box::new(rest)), bom))
+        }
+    }
+}
+
 /// A stretch of the stream between two record boundaries, bound for a
 /// parser (a bundle of whole records).
 struct Bundle<'a, C> {
@@ -771,6 +799,7 @@ impl<'c, F: DataFormat> Run<'c, F> {
 
     #[allow(clippy::expect_used)] // spawn failure and worker panics are re-raised, never swallowed
     fn drive(&self, source: Source<'_>) -> Result<Recovered, StreamError> {
+        let (source, bom) = skip_bom(source)?;
         let corpus = match &source {
             Source::Bytes(bytes) => Some(*bytes),
             Source::Reader(_) => None,
@@ -814,7 +843,8 @@ impl<'c, F: DataFormat> Run<'c, F> {
                 produced
             })
         };
-        let joined = self.join(segs, corpus, *produced.as_ref().unwrap_or(&0));
+        let bytes = *produced.as_ref().unwrap_or(&0) + bom as u64;
+        let joined = self.join(segs, corpus, bom, bytes);
         match produced {
             // A lost stream outranks the errors before it, unless those
             // already decided the run.
@@ -949,18 +979,24 @@ impl<'c, F: DataFormat> Run<'c, F> {
 
     /// Joins the segments in document order: shapes by `csh`, reports by
     /// position. Stream-global positions are derived here, and only when
-    /// an error needs one.
+    /// an error needs one; they start `bom` bytes (a skipped byte-order
+    /// mark, which takes no column) into the stream.
     fn join(
         &self,
         mut segs: Vec<Seg<F::Error>>,
         corpus: Option<&[u8]>,
+        bom: usize,
         bytes: u64,
     ) -> Result<Recovered, StreamError> {
         segs.sort_unstable_by_key(|s| s.idx);
         let total: usize = segs.iter().map(|s| s.report.total()).sum();
         let mut report = ErrorReport::new();
         if let Some(last) = segs.iter().rposition(|s| !s.report.is_empty()) {
-            let (mut at, mut off) = (TextPos::start(), 0);
+            let mut at = TextPos {
+                offset: bom,
+                ..TextPos::start()
+            };
+            let mut off = 0;
             for seg in &mut segs[..=last] {
                 if let Some(corpus) = corpus {
                     F::advance_pos(&mut at, &corpus[off..seg.start]);
@@ -1198,16 +1234,17 @@ impl<'r, 'c, F: DataFormat> Scanner<'r, 'c, F> {
         if self.run.aborted() {
             return Ok(self.read as u64); // the outcome is decided
         }
+        if self.ctx.is_none() && self.open < self.read {
+            let read = self.read;
+            self.prologue(corpus, read, segs);
+        }
         if self.ctx.is_none() {
-            if self.read == 0 {
-                // An empty corpus is not a skippable record: CSV has no
-                // header to read, the other formats hold no records.
-                let (_, ctx) = F::prologue(&[], self.run.interner).map_err(F::wrap_error)?;
-                self.ctx = Some(Arc::new(ctx));
-            } else if self.open < self.read {
-                let read = self.read;
-                self.prologue(corpus, read, segs);
-            }
+            // No record could serve as the prologue: the corpus is empty,
+            // or Skip mode dropped every candidate, which leaves what an
+            // empty corpus is. That is not a skippable record: CSV has no
+            // header to read, the other formats hold no records.
+            let (_, ctx) = F::prologue(&[], self.run.interner).map_err(F::wrap_error)?;
+            self.ctx = Some(Arc::new(ctx));
         }
         if let Some(ctx) = self.ctx.clone() {
             if self.open < self.read {

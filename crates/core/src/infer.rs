@@ -129,6 +129,22 @@ pub fn infer(sample: &Value) -> Shape {
 /// Infers the shape of a single sample under explicit options.
 pub fn infer_with(sample: &Value, options: &InferOptions) -> Shape {
     match sample {
+        Value::List(items) => infer_collection(items, options),
+        Value::Record { name, fields } => Shape::record(
+            *name,
+            fields
+                .iter()
+                .map(|f| (f.name, infer_with(&f.value, options))),
+        ),
+        leaf => infer_leaf(leaf, options),
+    }
+}
+
+/// `S(d)` for a primitive or `null` sample: a shape without children,
+/// computed without allocating. Containers go to [`infer_with`].
+#[inline]
+pub(crate) fn infer_leaf(sample: &Value, options: &InferOptions) -> Shape {
+    match sample {
         Value::Int(i) => {
             if options.infer_bits && (*i == 0 || *i == 1) {
                 Shape::Bit
@@ -153,13 +169,7 @@ pub fn infer_with(sample: &Value, options: &InferOptions) -> Shape {
             Shape::String
         }
         Value::Null => Shape::Null,
-        Value::List(items) => infer_collection(items, options),
-        Value::Record { name, fields } => Shape::record(
-            *name,
-            fields
-                .iter()
-                .map(|f| (f.name, infer_with(&f.value, options))),
-        ),
+        Value::List(_) | Value::Record { .. } => infer_with(sample, options),
     }
 }
 

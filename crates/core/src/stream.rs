@@ -13,19 +13,39 @@
 //! from any `Read` source, in bounded memory — into accumulators like
 //! this one, which is how the CLI's `--stream` mode processes
 //! larger-than-RAM corpora.
+//!
+//! # The no-widen fast path
+//!
+//! `csh` is a least upper bound (Lemma 1), so once `S(d) ⊑ σ` a step of
+//! the fold changes nothing — and on homogeneous data almost every step
+//! is such a step. Before building `S(d)`, [`InferAccumulator::push`]
+//! therefore walks `d` against σ with an allocation-free check
+//! ([`InferAccumulator::covers`]). When the check accepts, the step is
+//! a no-op and only the record count moves; otherwise the record takes
+//! the general `csh(σ, S(d))` step, which stays the only way σ ever
+//! widens. The check is conservative: it accepts only when
+//! `csh(σ, S(d))` would be *structurally identical* to σ, field order
+//! included, and declines whatever it is unsure of (μ-references,
+//! duplicate keys, null elements of heterogeneous collections, labels
+//! or cases out of tag order).
 
 use crate::csh::csh;
-use crate::infer::{infer_with, InferOptions};
+use crate::infer::{infer_leaf, infer_with, InferOptions};
+use crate::multiplicity::Multiplicity;
+use crate::shape::RecordShape;
+use crate::tags::{tag_of, Tag};
 use crate::Shape;
+use std::collections::HashSet;
 use std::fmt;
-use tfd_value::Value;
+use tfd_value::{Field, Value};
 
 /// The incremental `S(d1, …, dn)` fold: `σi = csh(σi−1, S(di))`.
 ///
 /// Pushing records one at a time yields exactly the shape
 /// [`infer_many`](crate::infer_many) computes on the whole sequence (the
 /// unit suite asserts this for all four [`InferOptions`] presets), while
-/// holding only the running shape.
+/// holding only the running shape. A record σ already covers costs a
+/// walk over the record and allocates nothing (see the module docs).
 ///
 /// ```
 /// use tfd_core::{stream::InferAccumulator, InferOptions, Shape};
@@ -42,6 +62,12 @@ pub struct InferAccumulator {
     options: InferOptions,
     shape: Shape,
     records: usize,
+    /// No record folded so far held a record with a repeated field
+    /// name, so no record in σ repeats one either (`csh` never creates
+    /// a repeat from repeat-free inputs): a name locates at most one σ
+    /// field, which the fast path relies on. Cleared for good by the
+    /// first record with a repeat.
+    unique_fields: bool,
 }
 
 impl InferAccumulator {
@@ -51,15 +77,43 @@ impl InferAccumulator {
             options,
             shape: Shape::Bottom,
             records: 0,
+            unique_fields: true,
         }
     }
 
     /// Folds one record in — `σi = csh(σi−1, S(di))` — after which the
-    /// record can be dropped.
+    /// record can be dropped. When σ already [covers](Self::covers) the
+    /// record, the step is skipped: its result would be σ itself.
     pub fn push(&mut self, record: &Value) {
+        self.records += 1;
+        if self.covers(record) {
+            return;
+        }
+        if self.unique_fields && repeats_a_field(record) {
+            self.unique_fields = false;
+        }
         let prev = std::mem::replace(&mut self.shape, Shape::Bottom);
         self.shape = csh(prev, infer_with(record, &self.options));
-        self.records += 1;
+    }
+
+    /// Whether pushing `record` would leave σ unchanged: `true`
+    /// guarantees that `csh(σ, S(record))` is structurally identical to
+    /// σ, field order included. The check allocates nothing and costs a
+    /// walk over `record` (plus, for a record narrower than its σ
+    /// counterpart, a pass over σ's fields). It is conservative: `false`
+    /// only means the general `csh` step has to decide.
+    ///
+    /// ```
+    /// use tfd_core::{stream::InferAccumulator, InferOptions};
+    /// use tfd_value::{json_rec, Value};
+    ///
+    /// let mut acc = InferAccumulator::new(InferOptions::json());
+    /// acc.push(&json_rec([("a", Value::Float(2.5)), ("b", Value::Null)]));
+    /// assert!(acc.covers(&json_rec([("a", Value::Int(1))])));
+    /// assert!(!acc.covers(&json_rec([("a", Value::str("x"))])));
+    /// ```
+    pub fn covers(&self, record: &Value) -> bool {
+        self.unique_fields && fits(&self.shape, record, &self.options, false)
     }
 
     /// The running shape `σi`.
@@ -102,6 +156,260 @@ impl InferAccumulator {
     /// shape).
     pub fn global_shape(&self) -> crate::GlobalShape {
         crate::globalize_env(self.shape.clone())
+    }
+}
+
+/// Whether `csh(sigma, S(d))` is structurally `sigma`, judged without
+/// building `S(d)`. Each accepted case mirrors the `csh` rule that
+/// fires (see `csh.rs`); anything else declines. Requires that no record
+/// in `sigma` repeats a field name.
+///
+/// `folded` says that `S(d)` meets `sigma` only after a `csh` with the
+/// shapes of sibling elements of a collection. Values that fit one by
+/// one also fit as a join, except under a heterogeneous collection: the
+/// join of two plain collections merges their elements, not their
+/// cases, and can leave the case merge with a new case. So a folded
+/// value declines a heterogeneous collection.
+fn fits(sigma: &Shape, d: &Value, o: &InferOptions, folded: bool) -> bool {
+    let sigma = match (sigma, d) {
+        // (null): ⌈σ⌉ = σ for every σ that is not a σ̂; (eq) for null.
+        (
+            Shape::Null
+            | Shape::Nullable(_)
+            | Shape::List(_)
+            | Shape::HeteroList(_)
+            | Shape::Top(_),
+            Value::Null,
+        ) => return true,
+        // (opt): ⌈csh(σ̂, S(d))⌉ = ⌈σ̂⌉ when σ̂ absorbs S(d).
+        (Shape::Nullable(inner), _) => inner,
+        _ => sigma,
+    };
+    match (sigma, d) {
+        // (recd) over same-name records.
+        (Shape::Record(r), Value::Record { name, fields }) => {
+            r.name == *name && fits_fields(r, fields, o, folded)
+        }
+        // (list) over homogeneous collections, and the §6.4 case merge.
+        (Shape::List(element), Value::List(items)) => fits_items(element, items, o, folded),
+        (Shape::HeteroList(cases), Value::List(items)) => !folded && fits_cases(cases, items, o),
+        // (top-incl): the label of S(d)'s tag absorbs S(d).
+        (Shape::Top(labels), Value::Record { .. } | Value::List(_)) => {
+            sorted_by_tag(labels) && fitting_index(labels, d, o, folded).is_some()
+        }
+        (_, Value::Null | Value::Record { .. } | Value::List(_)) => false,
+        (sigma, leaf) => primitive_fits(sigma, &infer_leaf(leaf, o)),
+    }
+}
+
+/// Finds the shape among `shapes` (the labels of a top or the cases of
+/// a collection, whose tags are distinct) with the tag `S(d)` has, and
+/// returns its index when `d` fits it. `None` for a null `d`.
+fn fitting_index<'s>(
+    shapes: impl IntoIterator<Item = &'s Shape>,
+    d: &Value,
+    o: &InferOptions,
+    folded: bool,
+) -> Option<usize> {
+    let leaf = match d {
+        Value::Null | Value::Record { .. } | Value::List(_) => None,
+        leaf => Some(infer_leaf(leaf, o)),
+    };
+    let tag = match (d, &leaf) {
+        (Value::Record { name, .. }, _) => Tag::Name(*name),
+        (Value::List(_), _) => Tag::Collection,
+        (_, Some(s)) => tag_of(s),
+        (_, None) => return None,
+    };
+    let (i, s) = shapes
+        .into_iter()
+        .enumerate()
+        .find(|(_, s)| tag_of(s) == tag)?;
+    match &leaf {
+        Some(l) => primitive_fits(s, l),
+        None => fits(s, d, o, folded),
+    }
+    .then_some(i)
+}
+
+/// Whether `shapes` are in the strict tag order the top and case merges
+/// leave them in (a merge re-sorts, so only sorted input comes back
+/// unchanged).
+fn sorted_by_tag<'s>(shapes: impl IntoIterator<Item = &'s Shape>) -> bool {
+    let mut prev = None;
+    shapes.into_iter().all(|s| {
+        let tag = tag_of(s);
+        let rising = prev.as_ref().is_none_or(|p| *p < tag);
+        prev = Some(tag);
+        rising
+    })
+}
+
+/// Cases a collection may have for the fast path to count its items.
+const MAX_CASES: usize = 16;
+
+/// The §6.4 merge of `cases` with `S(items)` gives back `cases` when
+/// every item fits the case of its tag and every case's multiplicity
+/// already admits how often the items hit it (`ψ ⊔ ψ′ = ψ`, absence
+/// included). Null items decline: they change how `S(items)` is formed.
+fn fits_cases(cases: &[(Shape, Multiplicity)], items: &[Value], o: &InferOptions) -> bool {
+    if !o.hetero_collections
+        || cases.len() > MAX_CASES
+        || !sorted_by_tag(cases.iter().map(|c| &c.0))
+    {
+        return false;
+    }
+    let mut hits = [0usize; MAX_CASES];
+    let folded = items.len() > 1;
+    for item in items {
+        match fitting_index(cases.iter().map(|c| &c.0), item, o, folded) {
+            Some(k) => hits[k] += 1,
+            None => return false,
+        }
+    }
+    // How `S(items)` states each count: one tag makes a plain collection
+    // (`*`), or under `singleton_collections` a lone element's `1`.
+    let tags = hits.iter().filter(|&&n| n > 0).count();
+    cases.iter().zip(hits).all(|(&(_, m), n)| {
+        let seen = match (tags, n) {
+            (_, 0) => Multiplicity::ZeroOrOne,
+            (1, 1) if o.singleton_collections => Multiplicity::One,
+            (1, _) => Multiplicity::Many,
+            (_, n) => Multiplicity::of_count(n),
+        };
+        m.join(seen) == m
+    })
+}
+
+/// Whether `csh(sigma, s)` is `sigma` for a primitive `s`: (eq), (num)
+/// and the §6.2 bit/date rules, with `sigma` on the wide side, through
+/// (opt) and (top-incl).
+fn primitive_fits(sigma: &Shape, s: &Shape) -> bool {
+    use Shape::{Bit, Bool, Date, Float, Int, Nullable, String, Top};
+    match (sigma, s) {
+        (Nullable(inner), s) => primitive_fits(inner, s),
+        (Top(labels), s) => {
+            let tag = tag_of(s);
+            sorted_by_tag(labels)
+                && labels
+                    .iter()
+                    .find(|l| tag_of(l) == tag)
+                    .is_some_and(|l| primitive_fits(l, s))
+        }
+        _ => matches!(
+            (sigma, s),
+            (Int, Int | Bit)
+                | (Float, Int | Float | Bit)
+                | (Bool, Bool | Bit)
+                | (Bit, Bit)
+                | (String, String | Date)
+                | (Date, Date)
+        ),
+    }
+}
+
+/// The (recd) join of `r` with a record of `fields` is `r` when every
+/// field of the record names a field of `r` whose shape absorbs it and
+/// every field of `r` the record lacks is already nullable (`⌈σ⌉ = σ`);
+/// the join keeps `r`'s field order. Each field is looked up at its own
+/// index first, then by a scan onward from the previous match; the
+/// scans give up after a few passes over `r`, about what the hash join
+/// they replace costs.
+fn fits_fields(r: &RecordShape, fields: &[Field], o: &InferOptions, folded: bool) -> bool {
+    let width = r.fields.len();
+    if fields.len() > width {
+        return false;
+    }
+    let mut budget = 8 * (width + fields.len());
+    let mut next = 0;
+    let mut highest = None;
+    let mut required = 0;
+    for (i, f) in fields.iter().enumerate() {
+        let j = if r.fields.get(i).is_some_and(|g| g.name == f.name) {
+            i
+        } else {
+            let Some(k) = (0..width).find(|k| r.fields[(next + k) % width].name == f.name) else {
+                return false;
+            };
+            if k >= budget {
+                return false;
+            }
+            budget -= k;
+            (next + k) % width
+        };
+        // Matches in rising σ order cannot repeat a σ field; out of
+        // order, the field must not repeat an earlier one of the record.
+        if highest.is_some_and(|h| j <= h) {
+            if i >= budget || fields[..i].iter().any(|g| g.name == f.name) {
+                return false;
+            }
+            budget -= i;
+        }
+        highest = highest.max(Some(j));
+        next = j + 1;
+        let g = &r.fields[j].shape;
+        if !fits(g, &f.value, o, folded) {
+            return false;
+        }
+        required += usize::from(g.is_non_nullable());
+    }
+    fields.len() == width
+        || required
+            == r.fields
+                .iter()
+                .filter(|g| g.shape.is_non_nullable())
+                .count()
+}
+
+/// The (list) join of `[element]` with `S(items)` is `[element]` when
+/// every item fits `element` and the items infer as one homogeneous
+/// collection: under heterogeneous collections (§6.4) that means one
+/// tag among the non-null items, and no singleton the
+/// `singleton_collections` rule would keep as a `1` case.
+fn fits_items(element: &Shape, items: &[Value], o: &InferOptions, folded: bool) -> bool {
+    if o.hetero_collections && o.singleton_collections && items.len() == 1 {
+        return false;
+    }
+    let folded = folded || items.len() > 1;
+    let mut first_tag: Option<Tag> = None;
+    for item in items {
+        let (fits_here, tag) = match item {
+            Value::Null => (fits(element, item, o, folded), None),
+            Value::Record { name, .. } => (fits(element, item, o, folded), Some(Tag::Name(*name))),
+            Value::List(_) => (fits(element, item, o, folded), Some(Tag::Collection)),
+            leaf => {
+                let s = infer_leaf(leaf, o);
+                (primitive_fits(element, &s), Some(tag_of(&s)))
+            }
+        };
+        if !fits_here {
+            return false;
+        }
+        if let (true, Some(tag)) = (o.hetero_collections, tag) {
+            match &first_tag {
+                Some(first) if *first != tag => return false,
+                Some(_) => {}
+                None => first_tag = Some(tag),
+            }
+        }
+    }
+    true
+}
+
+/// Whether any record in `v` repeats a field name.
+fn repeats_a_field(v: &Value) -> bool {
+    match v {
+        Value::Record { fields, .. } => {
+            let repeats = if fields.len() <= 16 {
+                (1..fields.len()).any(|i| fields[..i].iter().any(|g| g.name == fields[i].name))
+            } else {
+                let mut seen = HashSet::with_capacity(fields.len());
+                !fields.iter().all(|f| seen.insert(f.name))
+            };
+            repeats || fields.iter().any(|f| repeats_a_field(&f.value))
+        }
+        Value::List(items) => items.iter().any(repeats_a_field),
+        _ => false,
     }
 }
 
@@ -308,6 +616,167 @@ mod tests {
         let acc = InferAccumulator::new(InferOptions::formal());
         assert!(acc.is_empty());
         assert_eq!(acc.finish(), Shape::Bottom);
+    }
+
+    /// Lines shaped like an API dump: the same keys in the same order,
+    /// nested records, a collection of one to three strings.
+    fn homogeneous_lines(n: usize) -> String {
+        (0..n)
+            .map(|i| {
+                let tags: Vec<String> = (0..1 + i % 3).map(|t| format!("\"t{}\"", (i + t) % 17)).collect();
+                format!(
+                    "{{\"id\":{i},\"name\":\"user-{i}\",\"score\":{}.25,\"active\":{},\
+                     \"address\":{{\"city\":\"Lima\",\"zip\":{},\"geo\":{{\"lat\":{i}.5,\"lon\":-1.5}}}},\
+                     \"tags\":[{}],\"created\":\"2016-06-01T10:00:00Z\"}}\n",
+                    i % 100,
+                    i % 2 == 0,
+                    10_000 + i,
+                    tags.join(",")
+                )
+            })
+            .collect()
+    }
+
+    #[test]
+    fn every_record_after_the_first_takes_the_fast_path_on_homogeneous_data() {
+        let docs = tfd_json::parse_many_values(&homogeneous_lines(200)).unwrap();
+        let rows = tfd_csv::parse_value("id,name,score,date,flag\n10,a,2.5,2012-05-01,0\n11,b,3,2012-05-02,1\n12,c,4.5,2012-05-03,1\n")
+            .unwrap();
+        let rows = rows.elements().unwrap().to_vec();
+        for (corpus, options) in [(&docs, InferOptions::json()), (&rows, InferOptions::csv())] {
+            let mut acc = InferAccumulator::new(options.clone());
+            acc.push(&corpus[0]);
+            for (i, d) in corpus.iter().enumerate().skip(1) {
+                assert!(acc.covers(d), "record {i} missed the fast path: {d}");
+                acc.push(d);
+            }
+            assert_eq!(acc.records(), corpus.len());
+            assert_eq!(
+                acc.shape().to_string(),
+                infer_many(corpus, &options).to_string()
+            );
+        }
+    }
+
+    #[test]
+    fn heterogeneous_xml_records_take_the_fast_path_once_sigma_saturates() {
+        // Optional attributes and children, a price cell mixing numbers
+        // and text: σ holds nullable fields, a labelled top and a case
+        // list, and after a few records every step is a no-op.
+        let docs: String = (0..300)
+            .map(|i| {
+                let status = if i % 3 == 0 { " status=\"draft\"" } else { "" };
+                let price = [
+                    "<price>12</price>",
+                    "<price>n/a</price>",
+                    "<price>2.5</price>",
+                    "",
+                ][i % 4];
+                let tags = "<tag>x</tag>".repeat(i % 3);
+                format!("<item id=\"{i}\"{status}><name>n{i}</name>{price}{tags}</item>\n")
+            })
+            .collect();
+        let docs = tfd_xml::parse_many_values(&docs).unwrap();
+        let options = InferOptions::xml();
+        let mut acc = InferAccumulator::new(options.clone());
+        let mut fast = 0;
+        for d in &docs {
+            fast += usize::from(acc.covers(d));
+            acc.push(d);
+        }
+        assert!(
+            fast >= docs.len() - 12,
+            "only {fast} of {} fast",
+            docs.len()
+        );
+        let shape = acc.shape().to_string();
+        assert!(shape.contains("any⟨") && shape.contains(", *"), "{shape}");
+        assert_eq!(shape, infer_many(&docs, &options).to_string());
+    }
+
+    #[test]
+    fn the_fast_path_accepts_fields_in_any_order_and_missing_nullable_ones() {
+        let mut acc = InferAccumulator::new(InferOptions::json());
+        acc.push(&json_rec([
+            ("a", Value::Float(1.5)),
+            ("b", Value::Null),
+            ("c", Value::str("x")),
+        ]));
+        // `b` is null-only: a record lacking it still fits.
+        assert!(acc.covers(&json_rec([("c", Value::str("y")), ("a", Value::Int(2))])));
+        // Stringly ints fit a float column; `null` fits the null column.
+        assert!(acc.covers(&json_rec([
+            ("b", Value::Null),
+            ("a", Value::str("7")),
+            ("c", Value::str("z")),
+        ])));
+        // A missing required field, an unknown one, or a wider leaf do not.
+        assert!(!acc.covers(&json_rec([("a", Value::Int(2))])));
+        assert!(!acc.covers(&json_rec([
+            ("a", Value::Int(2)),
+            ("c", Value::str("y")),
+            ("d", Value::Null),
+        ])));
+        assert!(!acc.covers(&json_rec([
+            ("a", Value::Bool(true)),
+            ("c", Value::str("y"))
+        ])));
+    }
+
+    #[test]
+    fn the_fast_path_covers_labelled_tops_and_case_lists() {
+        // A label absorbs a value of its tag; a new tag or a wider
+        // number does not fit.
+        let mut acc = InferAccumulator::new(InferOptions::formal());
+        acc.push(&Value::Int(1));
+        acc.push(&Value::str("s"));
+        assert_eq!(acc.shape().to_string(), "any⟨int, string⟩");
+        assert!(acc.covers(&Value::Int(2)) && acc.covers(&Value::str("t")));
+        assert!(acc.covers(&Value::Null));
+        assert!(!acc.covers(&Value::Bool(true)) && !acc.covers(&Value::Float(0.5)));
+        // Cases absorb their items while each multiplicity still admits
+        // the count: `1` cases need exactly one item apiece.
+        let mut acc = InferAccumulator::new(InferOptions::json());
+        acc.push(&arr([Value::Int(1), Value::str("s")]));
+        assert!(matches!(acc.shape(), Shape::HeteroList(_)));
+        assert!(acc.covers(&arr([Value::str("t"), Value::Int(2)])));
+        assert!(!acc.covers(&arr([Value::Int(1)])));
+        assert!(!acc.covers(&arr([Value::Int(1), Value::Int(2), Value::str("t")])));
+        assert!(!acc.covers(&arr([Value::Int(1), Value::str("t"), Value::Null])));
+        acc.push(&arr([Value::Int(1), Value::Int(2)]));
+        assert!(acc.covers(&arr([])) && acc.covers(&arr([Value::Int(7)])));
+        // Cases still in first-seen order come back sorted from a merge.
+        let mut acc = InferAccumulator::new(InferOptions::json());
+        acc.push(&arr([Value::str("s"), Value::Int(1)]));
+        assert!(!acc.covers(&arr([Value::str("t"), Value::Int(2)])));
+    }
+
+    #[test]
+    fn the_fast_path_declines_what_it_cannot_vouch_for() {
+        // A collection mixing tags under a homogeneous σ.
+        let mut acc = InferAccumulator::new(InferOptions {
+            infer_bits: true,
+            ..InferOptions::json()
+        });
+        acc.push(&arr([Value::Bool(true), Value::Bool(false)]));
+        assert!(acc.covers(&arr([Value::Bool(true), Value::Bool(true)])));
+        assert!(!acc.covers(&arr([Value::Bool(true), Value::Int(1)])));
+        // A single-element collection the XML preset keeps as a `1` case.
+        let mut acc = InferAccumulator::new(InferOptions::xml());
+        acc.push(&rec("r", [("i", arr([Value::Int(1), Value::Int(2)]))]));
+        assert!(!acc.covers(&rec("r", [("i", arr([Value::Int(3)]))])));
+        assert!(acc.covers(&rec("r", [("i", arr([Value::Int(3), Value::Int(4)]))])));
+        // A repeated key turns the fast path off for the rest of the fold.
+        let mut acc = InferAccumulator::new(InferOptions::json());
+        let repeated = json_rec([("a", Value::Int(1)), ("a", Value::Float(2.5))]);
+        acc.push(&repeated);
+        assert!(!acc.covers(&repeated));
+        assert!(!acc.covers(&json_rec([("a", Value::Int(1))])));
+        let mut expected = InferAccumulator::new(InferOptions::json());
+        expected.push(&repeated);
+        expected.push(&repeated);
+        acc.push(&repeated);
+        assert_eq!(acc.shape().to_string(), expected.shape().to_string());
     }
 
     #[test]

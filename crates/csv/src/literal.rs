@@ -106,11 +106,10 @@ const MONTH_NAMES: &[(&str, u32)] = &[
 ];
 
 fn month_by_name(s: &str) -> Option<u32> {
-    let lower = s.to_ascii_lowercase();
-    let lower = lower.trim_end_matches('.');
+    let s = s.trim_end_matches('.');
     MONTH_NAMES
         .iter()
-        .find(|(name, _)| *name == lower)
+        .find(|(name, _)| name.eq_ignore_ascii_case(s))
         .map(|&(_, m)| m)
 }
 
@@ -150,15 +149,17 @@ pub fn parse_date(text: &str) -> Option<Date> {
         }
     };
 
-    // Numeric formats with - or / separators.
+    // Numeric formats with - or / separators. Shape inference calls this
+    // on every string cell, so nothing here allocates.
     for sep in ['-', '/'] {
-        let parts: Vec<&str> = date_part.split(sep).collect();
-        if parts.len() == 3
-            && parts
-                .iter()
-                .all(|p| !p.is_empty() && p.chars().all(|c| c.is_ascii_digit()))
+        let Some((parts, 3)) = at_most::<3>(date_part.split(sep)) else {
+            continue;
+        };
+        if parts
+            .iter()
+            .all(|p| !p.is_empty() && p.chars().all(|c| c.is_ascii_digit()))
         {
-            let nums: Vec<i64> = parts.iter().map(|p| p.parse().unwrap_or(-1)).collect();
+            let nums = parts.map(|p| p.parse::<i64>().unwrap_or(-1));
             if parts[0].len() == 4 {
                 // YYYY-MM-DD
                 return Date::new(nums[0] as i32, nums[1] as u32, nums[2] as u32);
@@ -172,11 +173,11 @@ pub fn parse_date(text: &str) -> Option<Date> {
     }
 
     // Month-name formats: tokenize on whitespace and commas.
-    let tokens: Vec<&str> = text
-        .split(|c: char| c.is_whitespace() || c == ',')
-        .filter(|t| !t.is_empty())
-        .collect();
-    match tokens.as_slice() {
+    let (tokens, len) = at_most::<3>(
+        text.split(|c: char| c.is_whitespace() || c == ',')
+            .filter(|t| !t.is_empty()),
+    )?;
+    match &tokens[..len] {
         // May 3 | May 3 2012 | May 3, 2012
         [m, d] if month_by_name(m).is_some() => Date::new(2000, month_by_name(m)?, d.parse().ok()?),
         [m, d, y] if month_by_name(m).is_some() => {
@@ -189,6 +190,20 @@ pub fn parse_date(text: &str) -> Option<Date> {
         }
         _ => None,
     }
+}
+
+/// The items of `iter` when there are at most `N` of them, held without
+/// allocating, and their count.
+fn at_most<'a, const N: usize>(
+    iter: impl Iterator<Item = &'a str>,
+) -> Option<([&'a str; N], usize)> {
+    let mut items = [""; N];
+    let mut len = 0;
+    for item in iter {
+        *items.get_mut(len)? = item;
+        len += 1;
+    }
+    Some((items, len))
 }
 
 /// Returns `true` when the (already trimmed) text is an integer literal:

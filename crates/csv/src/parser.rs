@@ -128,7 +128,7 @@ pub fn parse(input: &str) -> Result<CsvFile, CsvError> {
 /// Returns [`CsvError`] for empty input (in header mode) or malformed
 /// quoting.
 pub fn parse_with(input: &str, options: &CsvOptions) -> Result<CsvFile, CsvError> {
-    let mut splitter = RecordSplitter::new(input, options.delimiter);
+    let mut splitter = RecordSplitter::new(strip_bom(input), options.delimiter);
     let mut fields: Vec<Cow<'_, str>> = Vec::new();
     let mut records: Vec<Vec<String>> = Vec::new();
     if options.has_header {
@@ -207,7 +207,7 @@ pub fn parse_value_in(
     literals: &LiteralOptions,
     interner: &Interner,
 ) -> Result<Value, CsvError> {
-    let mut splitter = RecordSplitter::new(input, options.delimiter);
+    let mut splitter = RecordSplitter::new(strip_bom(input), options.delimiter);
     let mut fields: Vec<Cow<'_, str>> = Vec::new();
     let row_name = body_name();
     if options.has_header {
@@ -273,6 +273,14 @@ pub fn parse_rows_in(
 ) -> Result<(), CsvError> {
     let mut splitter = RecordSplitter::new(input, options.delimiter);
     each_row(&mut splitter, headers, literals, each)
+}
+
+/// `input` past one leading UTF-8 byte-order mark, so it does not end up
+/// in the first column's name. Only the one-shot entry points strip it:
+/// the ingest pipeline skips the mark at stream offset 0 itself, and
+/// hands [`parse_header_in`] and [`parse_rows_in`] text without one.
+fn strip_bom(input: &str) -> &str {
+    input.strip_prefix('\u{feff}').unwrap_or(input)
 }
 
 /// Reads the next record as the header row: trimmed names (the paper's

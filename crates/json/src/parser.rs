@@ -26,6 +26,7 @@ use crate::lexer::{LexErrorKind, Pos};
 use crate::Json;
 use std::borrow::Cow;
 use std::fmt;
+use tfd_value::intern::NameMemo;
 use tfd_value::{body_name, Field, Interner, Name, Value};
 
 /// What went wrong while parsing.
@@ -149,7 +150,7 @@ pub fn parse(input: &str) -> Result<Json, ParseError> {
 /// As [`parse`], plus [`ParseErrorKind::TooDeep`] when nesting exceeds
 /// `options.max_depth`.
 pub fn parse_with(input: &str, options: &ParserOptions) -> Result<Json, ParseError> {
-    let mut p = Parser::new(input, options.max_depth, Interner::global());
+    let mut p = Parser::new(input, options.max_depth, Interner::global()).skip_bom();
     p.skip_ws();
     let doc = p.parse_value(&mut JsonSink, 0)?;
     p.expect_eof()?;
@@ -203,7 +204,7 @@ pub fn parse_value_in(
     options: &ParserOptions,
     interner: &Interner,
 ) -> Result<Value, ParseError> {
-    let mut p = Parser::new(input, options.max_depth, interner);
+    let mut p = Parser::new(input, options.max_depth, interner).skip_bom();
     p.skip_ws();
     let doc = p.parse_value(&mut ValueSink { body: body_name() }, 0)?;
     p.expect_eof()?;
@@ -227,7 +228,8 @@ pub fn parse_many(input: &str) -> Result<Vec<Json>, ParseError> {
         input,
         ParserOptions::default().max_depth,
         Interner::global(),
-    );
+    )
+    .skip_bom();
     let mut docs = Vec::new();
     p.skip_ws();
     while !p.at_eof() {
@@ -279,13 +281,18 @@ pub fn parse_many_values_in(
     interner: &Interner,
 ) -> Result<Vec<Value>, ParseError> {
     let mut docs = Vec::new();
-    parse_many_values_each(input, options, interner, &mut |v| docs.push(v))?;
+    let p = Parser::new(input, options.max_depth, interner).skip_bom();
+    each_value(p, &mut |v| docs.push(v))?;
     Ok(docs)
 }
 
 /// [`parse_many_values_in`] handing each document to `each` as soon as
 /// it is parsed, so a caller folding the documents never holds more
 /// than one of them.
+///
+/// Unlike the other entry points, it parses `input` exactly as given: a
+/// leading byte-order mark is an error here, because this is how the
+/// ingest pipeline parses a bundle cut from the middle of a stream.
 ///
 /// # Errors
 ///
@@ -297,7 +304,11 @@ pub fn parse_many_values_each(
     interner: &Interner,
     each: &mut dyn FnMut(Value),
 ) -> Result<(), ParseError> {
-    let mut p = Parser::new(input, options.max_depth, interner);
+    each_value(Parser::new(input, options.max_depth, interner), each)
+}
+
+/// Hands every document `p` parses to `each`.
+fn each_value(mut p: Parser<'_>, each: &mut dyn FnMut(Value)) -> Result<(), ParseError> {
     let mut sink = ValueSink { body: body_name() };
     p.skip_ws();
     while !p.at_eof() {
@@ -413,9 +424,10 @@ struct Parser<'a> {
     /// from it, in characters, only when an error is raised).
     line_start: usize,
     max_depth: usize,
-    /// Arena object keys intern into (the process-default arena for the
-    /// legacy entry points, a corpus arena for the `_in` variants).
-    interner: &'a Interner,
+    /// Object keys intern through this memo into the arena (the
+    /// process-default arena for the legacy entry points, a corpus arena
+    /// for the `_in` variants); repeated keys take no lock.
+    names: NameMemo<'a>,
 }
 
 impl<'a> Parser<'a> {
@@ -427,8 +439,20 @@ impl<'a> Parser<'a> {
             line: 1,
             line_start: 0,
             max_depth,
-            interner,
+            names: NameMemo::new(interner),
         }
+    }
+
+    /// Steps over one leading UTF-8 byte-order mark. The one-shot entry
+    /// points call this; a bundle parsed by the ingest pipeline does
+    /// not, because the pipeline skips the mark at stream offset 0
+    /// itself. Offsets still count the mark's bytes; columns do not.
+    fn skip_bom(mut self) -> Self {
+        if self.input.starts_with('\u{feff}') {
+            self.pos = '\u{feff}'.len_utf8();
+            self.line_start = self.pos;
+        }
+        self
     }
 
     /// The source position of `offset`, with the column counted in
@@ -589,7 +613,8 @@ impl<'a> Parser<'a> {
             }
             // Keys intern straight from the (usually borrowed) slice:
             // no String materializes for escape-free keys.
-            let key = self.interner.intern(self.parse_string()?);
+            let key = self.parse_string()?;
+            let key = self.names.intern(&key);
             self.skip_ws();
             if self.bytes.get(self.pos) != Some(&b':') {
                 return self.unexpected("':'");

@@ -62,6 +62,19 @@
 //!
 //! [`stats`] reports an honest, capacity-based estimate of retained
 //! bytes per live arena and process-wide (see [`InternStats`]).
+//!
+//! # Parsing through a [`NameMemo`]
+//!
+//! An arena is shared: every shard worker of one ingest run interns
+//! into the same table, and [`Interner::intern`] takes its lock for
+//! every spelling. The JSON and XML parsers therefore put a
+//! [`NameMemo`] in front of the arena for the length of one parse call.
+//! A repeated key (the common case, since records re-state their keys)
+//! is answered from the memo's private table with one hash and one byte
+//! comparison, and takes no lock. Only a spelling the memo has not seen
+//! reaches the arena. The memo hands out the arena's own [`Name`]s, so
+//! the names, and the arena's [`Interner::stats`], are exactly what
+//! interning every spelling directly would give.
 
 // The one unsafe block in the workspace: lifetime-laundering an arena's
 // `Box<str>` contents to `&'static str` (see the SAFETY comment in
@@ -202,7 +215,9 @@ impl Interner {
 
     /// Interns a spelling into this arena, returning its canonical
     /// symbol. Takes a read lock on the fast path and a write lock only
-    /// for never-before-seen spellings.
+    /// for never-before-seen spellings. A caller interning many
+    /// repeated spellings from one thread (a parser) goes through a
+    /// [`NameMemo`] instead, whose hits take no lock at all.
     pub fn intern(&self, s: impl AsRef<str>) -> Name {
         let s = s.as_ref();
         let arena = self.inner.id;
@@ -320,6 +335,90 @@ impl fmt::Debug for Interner {
             .field("symbols", &s.symbols)
             .field("retained_bytes", &s.retained_bytes)
             .finish()
+    }
+}
+
+/// Slots in a [`NameMemo`]'s table (a power of two).
+const MEMO_SLOTS: usize = 256;
+/// Names a [`NameMemo`] stores before it stops admitting: half the
+/// slots, so a probe always ends at an empty slot within a few steps.
+const MEMO_FILL: usize = MEMO_SLOTS / 2;
+/// Lookups a [`NameMemo`] sends straight to the arena before it
+/// allocates its table, so a tiny parse never pays for one.
+const MEMO_LAZY: usize = 32;
+
+/// A single-threaded memo in front of an [`Interner`], owned by one
+/// parse call.
+///
+/// [`NameMemo::intern`] returns exactly the [`Name`] the arena returns
+/// (same spelling pointer, same arena id), so a parse through a memo
+/// is indistinguishable from one interning every spelling directly,
+/// down to the arena's [`Interner::stats`]. A hit costs one FNV hash
+/// (the content hash every `Name` carries) and one byte comparison,
+/// and takes no lock. A miss interns into the arena and remembers the
+/// result.
+///
+/// The table is an open-addressing array of 256 slots. It never evicts:
+/// once it holds 128 names, further new spellings go to the arena
+/// unremembered, so a key vocabulary larger than the table cannot make
+/// it thrash. The table is allocated only after the memo has answered
+/// its first 32 lookups, so a one-record parse allocates nothing.
+///
+/// ```
+/// use tfd_value::{intern::NameMemo, Interner};
+/// let corpus = Interner::new();
+/// let mut memo = NameMemo::new(&corpus);
+/// for _ in 0..100 {
+///     assert_eq!(memo.intern("city").as_str(), corpus.intern("city").as_str());
+/// }
+/// assert_eq!(corpus.stats().symbols, 1);
+/// ```
+pub struct NameMemo<'a> {
+    interner: &'a Interner,
+    /// `None` until [`MEMO_LAZY`] lookups have gone to the arena.
+    slots: Option<Box<[Option<Name>]>>,
+    /// Lookups before the table exists, then names stored in it.
+    count: usize,
+}
+
+impl<'a> NameMemo<'a> {
+    /// An empty memo over `interner`.
+    pub fn new(interner: &'a Interner) -> NameMemo<'a> {
+        NameMemo {
+            interner,
+            slots: None,
+            count: 0,
+        }
+    }
+
+    /// [`Interner::intern`], answered from the memo when the spelling
+    /// was seen before in this parse.
+    pub fn intern(&mut self, s: &str) -> Name {
+        let Some(slots) = self.slots.as_deref_mut() else {
+            self.count += 1;
+            if self.count == MEMO_LAZY {
+                self.slots = Some(vec![None; MEMO_SLOTS].into_boxed_slice());
+                self.count = 0;
+            }
+            return self.interner.intern(s);
+        };
+        let chash = content_hash(s);
+        // Fibonacci hashing spreads FNV's weaker low bits over the index.
+        let mut i =
+            (chash.wrapping_mul(0x9e37_79b9) >> (u32::BITS - MEMO_SLOTS.trailing_zeros())) as usize;
+        loop {
+            match slots[i] {
+                Some(n) if n.chash == chash && n.s == s => return n,
+                Some(_) => i = (i + 1) % MEMO_SLOTS,
+                None => break,
+            }
+        }
+        let name = self.interner.intern(s);
+        if self.count < MEMO_FILL {
+            slots[i] = Some(name);
+            self.count += 1;
+        }
+        name
     }
 }
 
@@ -857,6 +956,56 @@ mod tests {
         assert!(std::ptr::eq(n1.as_str(), n2.as_str()));
         assert_eq!(a.len(), 1);
         assert_eq!(a.id(), b.id());
+    }
+
+    #[test]
+    fn memo_hands_out_the_arenas_own_names() {
+        // Two FNV-1a collisions: same content hash, hence the same
+        // first memo slot, yet distinct names.
+        let spellings = [
+            "costarring",
+            "liquid",
+            "declinate",
+            "macallums",
+            "memo-a",
+            "memo-b",
+        ];
+        assert_eq!(content_hash("costarring"), content_hash("liquid"));
+        assert_eq!(content_hash("declinate"), content_hash("macallums"));
+        let arena = Interner::new();
+        let direct = Interner::new();
+        let mut memo = NameMemo::new(&arena);
+        for round in 0..50 {
+            for s in spellings {
+                let n = memo.intern(s);
+                assert_eq!(n.as_str(), s, "round {round}");
+                assert!(std::ptr::eq(n.as_str(), arena.intern(s).as_str()));
+                assert_eq!(n.arena_id(), arena.id());
+                direct.intern(s);
+            }
+        }
+        assert_eq!(arena.stats(), direct.stats());
+    }
+
+    #[test]
+    fn memo_allocates_lazily_and_stops_admitting_when_full() {
+        let arena = Interner::new();
+        let mut memo = NameMemo::new(&arena);
+        for _ in 1..MEMO_LAZY {
+            memo.intern("lazy");
+        }
+        assert!(memo.slots.is_none(), "a short parse allocates no table");
+        memo.intern("lazy");
+        assert!(memo.slots.is_some());
+        let spellings: Vec<String> = (0..4 * MEMO_SLOTS).map(|i| format!("full-{i}")).collect();
+        for s in spellings.iter().chain(&spellings) {
+            assert!(std::ptr::eq(
+                memo.intern(s).as_str(),
+                arena.intern(s).as_str()
+            ));
+        }
+        assert_eq!(memo.count, MEMO_FILL);
+        assert_eq!(arena.len(), 1 + spellings.len());
     }
 
     #[test]

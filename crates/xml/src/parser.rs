@@ -31,6 +31,7 @@ use crate::{Attribute, Element, XmlNode};
 use std::borrow::Cow;
 use std::fmt;
 use tfd_csv::literal::parse_literal;
+use tfd_value::intern::NameMemo;
 use tfd_value::{body_name, Interner, Name, Value};
 
 /// Parser configuration.
@@ -168,7 +169,7 @@ pub fn parse(input: &str) -> Result<Element, XmlError> {
 /// As [`parse`], plus [`XmlErrorKind::TooDeep`] when nesting exceeds the
 /// configured limit.
 pub fn parse_with(input: &str, options: &XmlOptions) -> Result<Element, XmlError> {
-    let mut p = XmlParser::new(input, options.clone());
+    let mut p = XmlParser::new(input, options.clone()).skip_bom();
     p.skip_prolog()?;
     let root = p.parse_element(&mut ElementSink, 0)?;
     p.skip_misc()?;
@@ -236,7 +237,7 @@ pub fn parse_value_in(
     encode: &EncodeOptions,
     interner: &Interner,
 ) -> Result<Value, XmlError> {
-    let mut p = XmlParser::new_in(input, options.clone(), interner);
+    let mut p = XmlParser::new_in(input, options.clone(), interner).skip_bom();
     p.skip_prolog()?;
     let mut sink = ValueSink {
         options: encode.clone(),
@@ -295,13 +296,18 @@ pub fn parse_many_values_in(
     interner: &Interner,
 ) -> Result<Vec<Value>, XmlError> {
     let mut docs = Vec::new();
-    parse_many_values_each(input, options, encode, interner, &mut |v| docs.push(v))?;
+    let p = XmlParser::new_in(input, options.clone(), interner).skip_bom();
+    each_value(p, encode, &mut |v| docs.push(v))?;
     Ok(docs)
 }
 
 /// [`parse_many_values_in`] handing each document to `each` as soon as
 /// its root element closes, so a caller folding the documents never
 /// holds more than one of them.
+///
+/// Unlike the other entry points, it parses `input` exactly as given: a
+/// leading byte-order mark is an error here, because this is how the
+/// ingest pipeline parses a bundle cut from the middle of a stream.
 ///
 /// # Errors
 ///
@@ -314,7 +320,19 @@ pub fn parse_many_values_each(
     interner: &Interner,
     each: &mut dyn FnMut(Value),
 ) -> Result<(), XmlError> {
-    let mut p = XmlParser::new_in(input, options.clone(), interner);
+    each_value(
+        XmlParser::new_in(input, options.clone(), interner),
+        encode,
+        each,
+    )
+}
+
+/// Hands the value of every document `p` parses to `each`.
+fn each_value(
+    mut p: XmlParser<'_>,
+    encode: &EncodeOptions,
+    each: &mut dyn FnMut(Value),
+) -> Result<(), XmlError> {
     let mut sink = ValueSink {
         options: encode.clone(),
         body: body_name(),
@@ -446,10 +464,11 @@ struct XmlParser<'a> {
     /// from it (in characters) only when an error is raised.
     line_start: usize,
     options: XmlOptions,
-    /// Arena element/attribute names intern into (the process-default
-    /// arena for the legacy entry points, a corpus arena for the `_in`
-    /// variants).
-    interner: &'a Interner,
+    /// Element and attribute names intern through this memo into the
+    /// arena (the process-default arena for the legacy entry points, a
+    /// corpus arena for the `_in` variants); repeated names take no
+    /// lock.
+    names: NameMemo<'a>,
 }
 
 impl<'a> XmlParser<'a> {
@@ -465,8 +484,20 @@ impl<'a> XmlParser<'a> {
             line: 1,
             line_start: 0,
             options,
-            interner,
+            names: NameMemo::new(interner),
         }
+    }
+
+    /// Steps over one leading UTF-8 byte-order mark. The one-shot entry
+    /// points call this; a bundle parsed by the ingest pipeline does
+    /// not, because the pipeline skips the mark at stream offset 0
+    /// itself. Columns do not count the mark.
+    fn skip_bom(mut self) -> Self {
+        if self.input.starts_with('\u{feff}') {
+            self.pos = '\u{feff}'.len_utf8();
+            self.line_start = self.pos;
+        }
+        self
     }
 
     /// Builds an error at the current position. The column counts
@@ -712,7 +743,7 @@ impl<'a> XmlParser<'a> {
                 None => break,
             }
         }
-        Ok(self.interner.intern(&self.input[start..self.pos]))
+        Ok(self.names.intern(&self.input[start..self.pos]))
     }
 
     #[allow(clippy::expect_used)] // checked invariant, documented at each site

@@ -17,6 +17,11 @@
 //!   after migrating the schema-sized survivor into a long-lived arena
 //!   (what the CLI does with the process arena).
 //!
+//! The parsers intern through a per-parse name memo; the last tests
+//! check that a parse through it hands out exactly the arena's own
+//! names (pointer-equal to [`Interner::intern`] of the same spelling)
+//! and leaves the arena's stats exactly as direct interning would.
+//!
 //! Every assertion is about arenas the test itself created (their
 //! [`Interner::stats`] and [`intern::is_live`]), never about
 //! process-wide totals, which sibling tests running in parallel also
@@ -252,4 +257,117 @@ fn fingerprint_is_arena_stable() {
         fa, fg,
         "fingerprint differs after migrating to a long-lived arena"
     );
+}
+
+/// Every record and field name in `v` that the parser interned (the
+/// `•` body name is the process arena's), in document order.
+fn names_in(v: &tfd_value::Value, out: &mut Vec<tfd_value::Name>) {
+    let mut push = |n: tfd_value::Name| {
+        if n != tfd_value::BODY_NAME {
+            out.push(n);
+        }
+    };
+    match v {
+        tfd_value::Value::Record { name, fields } => {
+            push(*name);
+            for f in fields {
+                push(f.name);
+            }
+            fields.iter().for_each(|f| names_in(&f.value, out));
+        }
+        tfd_value::Value::List(items) => items.iter().for_each(|i| names_in(i, out)),
+        _ => {}
+    }
+}
+
+/// Checks that the names a parse into `parsed_into` produced are the
+/// arena's own, and that interning their spellings straight into a
+/// fresh arena, in first-seen order, leaves it with the same stats.
+fn assert_memo_transparent(label: &str, values: &[tfd_value::Value], parsed_into: &Interner) {
+    let mut names = Vec::new();
+    values.iter().for_each(|v| names_in(v, &mut names));
+    assert!(!names.is_empty(), "{label}: no names parsed");
+    let direct = Interner::new();
+    for n in &names {
+        let own = parsed_into.intern(n.as_str());
+        assert!(
+            std::ptr::eq(n.as_str(), own.as_str()) && n.arena_id() == own.arena_id(),
+            "{label}: {n:?} is not the arena's own name"
+        );
+        direct.intern(n.as_str());
+    }
+    assert_eq!(
+        parsed_into.stats(),
+        direct.stats(),
+        "{label}: the memo changed the arena's footprint"
+    );
+}
+
+#[test]
+fn json_keys_through_the_memo_are_the_arenas_names() {
+    // Escaped keys spell the same name as their plain twins, and the
+    // FNV-colliding spellings share a content hash (and so a memo slot).
+    let colliding = [
+        "costarring",
+        "liquid",
+        "declinate",
+        "macallums",
+        "altarage",
+        "zinke",
+    ];
+    let mut text = String::new();
+    for i in 0..200 {
+        text.push_str(&format!(r#"{{"a\u0062": {i}, "ab": 1, "\u010daj": "x""#));
+        for (j, k) in colliding.iter().enumerate() {
+            text.push_str(&format!(r#", "{k}": {{"n{}": {j}}}"#, (i + j) % 3));
+        }
+        text.push_str("}\n");
+    }
+    let arena = Interner::new();
+    let values = tfd_json::parse_many_values_in(&text, &Default::default(), &arena).unwrap();
+    let tfd_value::Value::Record { fields, .. } = &values[7] else {
+        panic!("a record")
+    };
+    assert_eq!(fields[0].name.as_str(), "ab");
+    assert!(std::ptr::eq(
+        fields[0].name.as_str(),
+        fields[1].name.as_str()
+    ));
+    assert_eq!(fields[2].name.as_str(), "čaj");
+    assert_memo_transparent("json", &values, &arena);
+    assert_eq!(arena.stats().symbols, 2 + colliding.len() + 3);
+}
+
+#[test]
+fn xml_names_through_the_memo_are_the_arenas_names() {
+    let doc = r#"<čaj množství="1" druh="zelený"><číslo>2</číslo><Ωmega a="b"/></čaj>"#;
+    let text: String = (0..100).map(|_| format!("{doc}\n")).collect();
+    let arena = Interner::new();
+    let values =
+        tfd_xml::parse_many_values_in(&text, &Default::default(), &Default::default(), &arena)
+            .unwrap();
+    assert_eq!(values.len(), 100);
+    assert_memo_transparent("xml", &values, &arena);
+    assert!(arena.lookup("množství").is_some() && arena.lookup("Ωmega").is_some());
+}
+
+#[test]
+fn a_vocabulary_larger_than_the_memo_stays_exact() {
+    // 10k UUID-style keys, each used by several records of one bundle:
+    // the memo fills, stops admitting, and every later spelling goes to
+    // the arena, which must still see each spelling exactly once.
+    let keys: Vec<String> = (0..10_000)
+        .map(|k| format!("{k:08x}-0000-4000-8000-{k:012x}"))
+        .collect();
+    let mut text = String::new();
+    for i in 0..30_000 {
+        let fields: Vec<String> = (0..4)
+            .map(|j| format!(r#""{}": {i}"#, keys[(i * 4 + j) % keys.len()]))
+            .collect();
+        text.push_str(&format!("{{{}}}\n", fields.join(", ")));
+    }
+    let arena = Interner::new();
+    let values = tfd_json::parse_many_values_in(&text, &Default::default(), &arena).unwrap();
+    assert_memo_transparent("uuid", &values, &arena);
+    assert_eq!(arena.stats().symbols, keys.len());
 }

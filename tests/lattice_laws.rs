@@ -11,13 +11,19 @@
 //!   approximated over the sample);
 //! * `csh` is commutative, idempotent and associative;
 //! * inference is monotone: `S(dᵢ) ⊑ S(d1, …, dn)`;
-//! * `⊑` and `hasShape` cohere: `S(d) ⊑ σ` implies `conforms(σ, d)`.
+//! * `⊑` and `hasShape` cohere: `S(d) ⊑ σ` implies `conforms(σ, d)`;
+//! * the streaming fold's no-widen fast path only skips steps that are
+//!   no-ops: whenever it accepts `d`, `csh(σ, S(d))` prints exactly as σ.
 
 mod common;
 
-use common::value_strategy;
+use common::{conforming, value_strategy};
 use proptest::prelude::*;
-use tfd_core::{conforms, csh_ref, infer_many, infer_with, is_preferred, InferOptions, Shape};
+use proptest::test_runner::TestCaseError;
+use tfd_core::stream::InferAccumulator;
+use tfd_core::{conforms, csh, csh_ref, infer_many, infer_with, is_preferred, InferOptions, Shape};
+use tfd_value::corpus::{generate_corpus, CorpusConfig, Rng};
+use tfd_value::Value;
 
 fn shape_of(d: &tfd_value::Value) -> Shape {
     infer_with(d, &InferOptions::formal())
@@ -208,6 +214,103 @@ proptest! {
             is_preferred(&erase_labels(&sa), &erase_labels(&sb))
         );
     }
+}
+
+// --- The streaming fold's no-widen fast path ---
+
+fn presets() -> [InferOptions; 4] {
+    [
+        InferOptions::formal(),
+        InferOptions::json(),
+        InferOptions::csv(),
+        InferOptions::xml(),
+    ]
+}
+
+/// Folds `samples` under `options`, and after each one probes the fast
+/// path with `probes` values conforming to the running shape. Whenever
+/// the accumulator says it covers a value, the general step must print
+/// exactly as the running shape (`==` alone would forgive a field
+/// reordering); at the end the fold must print as `infer_many`. Returns
+/// how many probes the fast path accepted.
+fn check_fast_path(
+    samples: &[Value],
+    options: &InferOptions,
+    probes: usize,
+    rng: &mut Rng,
+) -> Result<usize, TestCaseError> {
+    let mut acc = InferAccumulator::new(options.clone());
+    let mut accepted = 0;
+    for d in samples {
+        let conforming_probes = (0..probes).map(|_| conforming(acc.shape(), rng));
+        for probe in std::iter::once(d.clone()).chain(conforming_probes) {
+            if acc.covers(&probe) {
+                accepted += 1;
+                let stepped = csh(acc.shape().clone(), infer_with(&probe, options));
+                prop_assert_eq!(
+                    stepped.to_string(),
+                    acc.shape().to_string(),
+                    "{:?}: the fast path took {} into {}",
+                    options,
+                    probe,
+                    acc.shape()
+                );
+            }
+        }
+        acc.push(d);
+    }
+    prop_assert_eq!(
+        acc.shape().to_string(),
+        infer_many(samples, options).to_string(),
+        "{:?}: the fold left infer_many",
+        options
+    );
+    Ok(accepted)
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(256))]
+
+    #[test]
+    fn fast_path_skips_only_no_op_steps(
+        samples in prop::collection::vec(value_strategy(), 1..8),
+        seed in any::<u64>(),
+    ) {
+        let mut rng = Rng::new(seed);
+        for options in presets() {
+            check_fast_path(&samples, &options, 4, &mut rng)?;
+        }
+    }
+}
+
+#[test]
+fn fast_path_skips_only_no_op_steps_on_messy_corpora() {
+    // The §2.3 mess: missing fields, nulls, mixed number encodings and
+    // stringly numbers, over corpora sharing one schema.
+    let messy = CorpusConfig {
+        max_depth: 3,
+        missing_field_prob: 0.2,
+        null_prob: 0.1,
+        float_prob: 0.3,
+        stringly_number_prob: 0.1,
+        ..CorpusConfig::default()
+    };
+    let mut accepted = 0;
+    for seed in 0..64 {
+        let corpus = generate_corpus(seed, 12, &messy);
+        let mut rng = Rng::new(seed);
+        for options in presets() {
+            accepted += check_fast_path(&corpus, &options, 2, &mut rng)
+                .unwrap_or_else(|e| panic!("seed {seed}: {e:?}"));
+        }
+    }
+    // The property must not hold vacuously. (Most records here are not
+    // covered: the generator mixes leaf types per field, so σ soon holds
+    // labelled tops, which the fast path leaves to `csh`.)
+    assert!(
+        accepted > 300,
+        "the fast path accepted only {accepted} records"
+    );
 }
 
 // --- μ-shapes: the algebra laws under a shape environment ---

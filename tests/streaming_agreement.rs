@@ -14,7 +14,7 @@
 
 mod common;
 
-use common::{ingest_pieces, piece_rotations, value_strategy};
+use common::{ingest_bytes, ingest_pieces, piece_rotations, value_strategy};
 use proptest::prelude::*;
 use std::fmt::Write as _;
 use tfd_core::stream::{InferAccumulator, StreamError, StreamFormat};
@@ -604,6 +604,59 @@ fn error_positions_translate_across_records_all_formats() {
     match oneshot(StreamFormat::Json, "{ \"čaj\": @ }") {
         Err(StreamError::Json(e)) => assert_eq!(e.pos.column, 10),
         other => panic!("expected a JSON error, got {other:?}"),
+    }
+}
+
+/// A leading UTF-8 byte-order mark is skipped by every front-end, at
+/// stream offset 0 only: the pipeline over readers (1-byte pieces
+/// included) and over in-memory bytes agrees with the one-shot parsers
+/// on shapes and on error positions, and a mark anywhere else is data.
+#[test]
+fn a_leading_byte_order_mark_is_skipped_like_oneshot() {
+    use StreamFormat::{Csv, Json, Xml};
+    let cases = [
+        (Json, "\u{feff}{\"a\": 1}\n{\"a\": 2.5}"),
+        (Json, "\u{feff}{\"a\": @}"),
+        (Json, "\u{feff}\u{feff}{\"a\": 1}"),
+        (Json, "{\"a\": 1}\u{feff}{\"a\": 2}"),
+        (Json, "\u{feff}"),
+        (Xml, "\u{feff}<r a=\"1\"/>\n<r a=\"2.5\"/>"),
+        (Xml, "\u{feff}<?xml version=\"1.0\"?>\n<r><bad @/></r>"),
+        (Xml, "<r/>\u{feff}<r/>"),
+        (Csv, "\u{feff}a,b\n1,2\n"),
+        (Csv, "\u{feff}a,b\n\"x\"y,2\n"),
+        (Csv, "\u{feff}a\n"),
+        (Csv, "\u{feff}"),
+    ];
+    for (format, text) in cases {
+        assert_sweep_agrees(format, text);
+        let want = oneshot(format, text);
+        for jobs in [1, 2] {
+            for chunk in [1, 3, 4096] {
+                let got = ingest_bytes(format, text.as_bytes(), jobs, chunk, &Interner::new())
+                    .map(|r| (format!("{:?}", r.summary.shape), r.summary.records));
+                assert_eq!(
+                    got, want,
+                    "{format:?} bytes jobs {jobs} chunk {chunk}: {text:?}"
+                );
+            }
+        }
+    }
+    // The mark names no column, and takes no column in a position
+    // (offsets still count its three bytes).
+    match oneshot(Csv, "\u{feff}a,b\n1,2\n") {
+        Ok((shape, 1)) => assert!(!shape.contains('\u{feff}'), "{shape}"),
+        other => panic!("expected one row, got {other:?}"),
+    }
+    match oneshot(Json, "\u{feff}{\"a\": @}") {
+        Err(StreamError::Json(e)) => {
+            assert_eq!((e.pos.offset, e.pos.line, e.pos.column), (9, 1, 7));
+        }
+        other => panic!("expected a JSON error, got {other:?}"),
+    }
+    match oneshot(Xml, "\u{feff}<r><bad @/></r>") {
+        Err(StreamError::Xml(e)) => assert_eq!((e.line, e.column), (1, 9)),
+        other => panic!("expected an XML error, got {other:?}"),
     }
 }
 
