@@ -68,7 +68,9 @@ OPTIONS:
                                equals a run over the corpus with the bad
                                records deleted (not with value/html)
     --max-errors <N>           with --skip-errors: abort once more than N
-                               records were skipped (default: 1000)
+                               records were skipped in one input file;
+                               each file has its own budget (default:
+                               1000)
     --max-record-bytes <N>     hard cap on a single record's size in
                                bytes; a record that outgrows it fails (or,
                                with --skip-errors, is dropped) instead of

@@ -118,6 +118,34 @@ fn exceeding_the_error_budget_exits_two() {
 }
 
 #[test]
+fn the_error_budget_is_per_input_file() {
+    // Two bad records in each of two files: 4 in all, but never more
+    // than 2 in one file's run.
+    let a = write_temp("budget_a.json", "{\"a\": 1}\n{\"a\": @}\n{\"b\": @}\n");
+    let b = write_temp("budget_b.json", "{\"c\": @}\n{\"a\": 2}\n[1,]\n");
+    for extra in [
+        &[][..],
+        &["--stream"][..],
+        &["--jobs", "2"][..],
+        &["--stream", "--jobs", "2"][..],
+    ] {
+        for (budget, want) in [("2", 0), ("1", 2)] {
+            let mut args = vec!["infer", "--skip-errors", "--max-errors", budget];
+            args.extend_from_slice(extra);
+            args.extend([a.as_str(), b.as_str()]);
+            let out = tfd(&args);
+            assert_eq!(exit_code(&out), want, "{args:?}: {out:?}");
+        }
+    }
+}
+
+#[test]
+fn help_says_the_error_budget_is_per_file() {
+    let stdout = String::from_utf8(tfd(&["--help"]).stdout).unwrap();
+    assert!(stdout.contains("skipped in one input file"), "{stdout}");
+}
+
+#[test]
 fn io_errors_exit_three() {
     for extra in [&[][..], &["--stream"][..], &["--jobs", "2"][..]] {
         let mut args = vec!["infer"];

@@ -14,13 +14,19 @@
 //!    with;
 //! 2. **whole-record bundles** — everything up to the last boundary of a
 //!    window becomes one bundle, so a bundle never splits a record;
-//! 3. **one-shot parse** — the format's multi-record parser
-//!    ([`DataFormat::parse_bundle`]) parses the bundle whole, folding
-//!    each record into the bundle's [`InferAccumulator`] as soon as it
-//!    is parsed. Only a bundle that fails (or holds invalid UTF-8, or
-//!    could hold an over-sized record) is re-parsed record by record
-//!    between the same boundaries, which is where the record-size cap
-//!    and per-record errors are applied;
+//! 3. **one-shot parse, resumed past bad records** — the format's
+//!    multi-record parser ([`DataFormat::parse_bundle`]) parses the
+//!    bundle whole, folding each record into the bundle's
+//!    [`InferAccumulator`] as soon as it is parsed. When it fails, what
+//!    it folded stays folded: it reports the boundary it got to, one
+//!    short boundary scan from there finds the end of the failing
+//!    record, that record alone is re-parsed (where the
+//!    record-size cap, the UTF-8 check and its error position apply),
+//!    and the whole parse resumes after it. A bundle that holds invalid
+//!    UTF-8 or could hold an over-sized record is scanned once for the
+//!    records at fault, and the stretches between them parse whole. A
+//!    bad record thus costs its own re-parse plus one short scan, not
+//!    its bundle's;
 //! 4. **document-order join** — the per-bundle shapes join with [`csh`]
 //!    in document order, which reproduces the sequential fold byte for
 //!    byte (`tests/parallel_agreement.rs`).
@@ -47,7 +53,7 @@ use std::borrow::Cow;
 use std::collections::VecDeque;
 use std::io::Read;
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::{Arc, Condvar, Mutex};
+use std::sync::{Arc, Condvar, Mutex, OnceLock};
 use tfd_value::{Interner, Name, Value};
 
 // --- Dynamic dispatch: one place that maps a runtime `StreamFormat` to
@@ -169,14 +175,18 @@ pub trait DataFormat {
     ///
     /// # Errors
     ///
-    /// The first malformed record in `text`.
+    /// The first malformed record in `text`, paired with the offset just
+    /// past the last record handed to `each` (0 when none was). That
+    /// offset is a [`DataFormat::scan`] boundary of `text` (for CSV,
+    /// past the row's line terminator), so the run can settle the
+    /// failing record on its own and resume whole-parsing after it.
     fn parse_bundle(
         text: &str,
         ctx: &Self::Context,
         max_depth: Option<usize>,
         interner: &Interner,
         each: &mut dyn FnMut(Value),
-    ) -> Result<(), Self::Error>;
+    ) -> Result<(), (usize, Self::Error)>;
 
     /// A fresh boundary scanner.
     fn boundaries() -> Self::Boundaries;
@@ -184,7 +194,8 @@ pub trait DataFormat {
     /// Feeds a chunk through the boundary scanner; `boundary` receives
     /// the chunk-relative offset just past each completed record — a
     /// position where a fresh parser sees exactly the remaining record
-    /// sequence.
+    /// sequence, and a fresh scanner finds exactly the remaining
+    /// boundaries.
     fn scan(scanner: &mut Self::Boundaries, chunk: &[u8], boundary: &mut dyn FnMut(usize));
 
     /// Whether a bare `\r` (and a CRLF pair, once) ends a line; JSON
@@ -327,7 +338,7 @@ impl DataFormat for JsonFormat {
         max_depth: Option<usize>,
         interner: &Interner,
         each: &mut dyn FnMut(Value),
-    ) -> Result<(), Self::Error> {
+    ) -> Result<(), (usize, Self::Error)> {
         let mut opts = tfd_json::ParserOptions::default();
         if let Some(depth) = max_depth {
             opts.max_depth = depth;
@@ -419,7 +430,7 @@ impl DataFormat for XmlFormat {
         max_depth: Option<usize>,
         interner: &Interner,
         each: &mut dyn FnMut(Value),
-    ) -> Result<(), Self::Error> {
+    ) -> Result<(), (usize, Self::Error)> {
         let mut opts = tfd_xml::XmlOptions::default();
         if let Some(depth) = max_depth {
             opts.max_depth = depth;
@@ -492,7 +503,7 @@ impl DataFormat for CsvFormat {
         tfd_csv::parse_value_in(
             text,
             &tfd_csv::CsvOptions::default(),
-            &tfd_csv::LiteralOptions::default(),
+            csv_literals(),
             interner,
         )
     }
@@ -510,11 +521,11 @@ impl DataFormat for CsvFormat {
         _max_depth: Option<usize>,
         _interner: &Interner,
         each: &mut dyn FnMut(Value),
-    ) -> Result<(), Self::Error> {
+    ) -> Result<(), (usize, Self::Error)> {
         tfd_csv::parse_rows_in(
             text,
             &tfd_csv::CsvOptions::default(),
-            &tfd_csv::LiteralOptions::default(),
+            csv_literals(),
             ctx,
             each,
         )
@@ -578,6 +589,13 @@ impl DataFormat for CsvFormat {
     fn invalid_utf8(pos: &TextPos) -> Self::Error {
         tfd_csv::CsvError::InvalidUtf8(pos.line)
     }
+}
+
+/// The CSV literal rules every bundle and record parse uses, built once
+/// (the default missing-value list is seven `String`s and a `Vec`).
+fn csv_literals() -> &'static tfd_csv::LiteralOptions {
+    static LITERALS: OnceLock<tfd_csv::LiteralOptions> = OnceLock::new();
+    LITERALS.get_or_init(tfd_csv::LiteralOptions::default)
 }
 
 /// The position `bytes[..k]` advances to from the start of `bytes`.
@@ -886,29 +904,22 @@ impl<'c, F: DataFormat> Run<'c, F> {
         }
     }
 
-    /// Parses one bundle into its fold and skip report: whole when it
-    /// can, record by record when it must.
+    /// Parses one bundle into its fold and skip report.
     fn settle(&self, b: Bundle<'_, F::Context>) -> Option<Seg<F::Error>> {
         if self.aborted() && b.idx > self.first_bad.load(Ordering::Relaxed) {
             return None;
         }
-        let policy = &self.config.policy;
-        let mut acc = InferAccumulator::new(self.config.options.clone());
-        let mut report = ErrorReport::new();
-        // A bundle within the record cap cannot hold an over-sized
-        // record, so only the one-shot parse can fail it.
-        let whole = b.bytes.len() <= policy.max_record_bytes
-            && std::str::from_utf8(&b.bytes).is_ok_and(|text| {
-                F::parse_bundle(text, &b.ctx, policy.max_depth, self.interner, &mut |v| {
-                    acc.push(&v)
-                })
-                .is_ok()
-            });
-        if !whole {
-            acc = InferAccumulator::new(self.config.options.clone());
-            self.per_record(&b.bytes, &b.ctx, &mut acc, &mut report);
-            self.note_errors(b.idx, report.total());
-        }
+        let mut fold = BundleFold {
+            run: self,
+            bytes: &b.bytes,
+            ctx: &b.ctx,
+            acc: InferAccumulator::new(self.config.options.clone()),
+            report: ErrorReport::new(),
+            cursor: (0, TextPos::start()),
+        };
+        fold.all();
+        let BundleFold { acc, report, .. } = fold;
+        self.note_errors(b.idx, report.total());
         let span =
             matches!(b.bytes, Cow::Owned(_)).then(|| local_pos::<F>(&b.bytes, b.bytes.len()));
         Some(Seg {
@@ -920,61 +931,6 @@ impl<'c, F: DataFormat> Run<'c, F> {
             shape: acc.finish(),
             report,
         })
-    }
-
-    /// The slow path: every record between the bundle's boundaries on
-    /// its own, so the cap, invalid UTF-8 and parse errors hit exactly
-    /// the records that carry them. Positions are bundle-local.
-    fn per_record(
-        &self,
-        bytes: &[u8],
-        ctx: &F::Context,
-        acc: &mut InferAccumulator,
-        report: &mut ErrorReport<F::Error>,
-    ) {
-        let mut ends = Vec::new();
-        F::scan(&mut F::boundaries(), bytes, &mut |off| ends.push(off));
-        if ends.last() != Some(&bytes.len()) {
-            ends.push(bytes.len()); // the unterminated end-of-input tail
-        }
-        let mut pos = TextPos::start();
-        let mut start = 0;
-        for end in ends {
-            let record = &bytes[start..end];
-            if let Err(e) = self.one_record(record, ctx, acc) {
-                report.record(F::shift_error(e, &pos));
-                if report.total() > self.budget {
-                    break; // this bundle alone decides the run
-                }
-            }
-            F::advance_pos(&mut pos, record);
-            start = end;
-        }
-    }
-
-    /// One record, all or nothing: its value folds only if it parses.
-    fn one_record(
-        &self,
-        record: &[u8],
-        ctx: &F::Context,
-        acc: &mut InferAccumulator,
-    ) -> Result<(), F::Error> {
-        let limit = self.config.policy.max_record_bytes;
-        let (from, to) = F::record_extent(record);
-        if to - from > limit {
-            return Err(F::record_too_large(limit, &local_pos::<F>(record, from)));
-        }
-        let mut values = Vec::new();
-        let text = utf8::<F>(record)?;
-        F::parse_bundle(
-            text,
-            ctx,
-            self.config.policy.max_depth,
-            self.interner,
-            &mut |v| values.push(v),
-        )?;
-        values.iter().for_each(|v| acc.push(v));
-        Ok(())
     }
 
     /// Joins the segments in document order: shapes by `csh`, reports by
@@ -1031,6 +987,151 @@ impl<'c, F: DataFormat> Run<'c, F> {
             report,
         })
     }
+}
+
+/// One bundle being folded: whole-parsed as far as it goes, and when a
+/// record fails, that record alone is settled on its own before
+/// whole-parsing resumes at the next boundary. Offsets are
+/// bundle-relative.
+struct BundleFold<'f, 'c, F: DataFormat> {
+    run: &'f Run<'c, F>,
+    bytes: &'f [u8],
+    ctx: &'f F::Context,
+    acc: InferAccumulator,
+    report: ErrorReport<F::Error>,
+    /// A bundle offset and its position, advanced only forward, so
+    /// positioning every error in a bundle stays linear.
+    cursor: (usize, TextPos),
+}
+
+impl<F: DataFormat> BundleFold<'_, '_, F> {
+    /// True once this bundle alone decides the run.
+    fn over_budget(&self) -> bool {
+        self.report.total() > self.run.budget
+    }
+
+    /// Folds the whole bundle. A bundle within the record cap cannot hold
+    /// an over-sized record, so, valid UTF-8, it whole-parses as it is;
+    /// otherwise one scan finds the records that hold invalid UTF-8 or
+    /// exceed the cap, and the stretches between them whole-parse.
+    fn all(&mut self) {
+        let limit = self.run.config.policy.max_record_bytes;
+        let bytes = self.bytes;
+        if bytes.len() <= limit {
+            if let Ok(text) = std::str::from_utf8(bytes) {
+                return self.stretch(text, 0);
+            }
+        }
+        let (mut clean, mut start) = (0, 0);
+        while start < bytes.len() && !self.over_budget() {
+            let end = start + record_end::<F>(&bytes[start..]);
+            let record = &bytes[start..end];
+            let (from, to) = F::record_extent(record);
+            if to - from > limit || std::str::from_utf8(record).is_err() {
+                self.valid_stretch(clean, start);
+                self.record(start, end);
+                clean = end;
+            }
+            start = end;
+        }
+        self.valid_stretch(clean, bytes.len());
+    }
+
+    /// [`BundleFold::stretch`] over `bytes[from..to]`, whose records all
+    /// passed the UTF-8 check one by one.
+    fn valid_stretch(&mut self, from: usize, to: usize) {
+        if from < to && !self.over_budget() {
+            match std::str::from_utf8(&self.bytes[from..to]) {
+                Ok(text) => self.stretch(text, from),
+                Err(_) => unreachable!("records valid one by one are valid together"),
+            }
+        }
+    }
+
+    /// Whole-parses `text`, the whole records from bundle offset `base`:
+    /// what parses folds as it is parsed, and at a failure the failing
+    /// record — from the boundary the parser reports to the next one
+    /// (one short scan) — is settled on its own, and parsing resumes
+    /// after it.
+    fn stretch(&mut self, text: &str, base: usize) {
+        let policy = &self.run.config.policy;
+        let mut at = 0;
+        while at < text.len() && !self.over_budget() {
+            let acc = &mut self.acc;
+            let parsed = F::parse_bundle(
+                &text[at..],
+                self.ctx,
+                policy.max_depth,
+                self.run.interner,
+                &mut |v| acc.push(&v),
+            );
+            let Err((parsed_to, _)) = parsed else { return };
+            let start = at + parsed_to;
+            let mut end = start + record_end::<F>(&text.as_bytes()[start..]);
+            // Boundaries are character boundaries; never slice mid-char.
+            while !text.is_char_boundary(end) {
+                end += 1;
+            }
+            self.record(base + start, base + end);
+            at = end;
+        }
+    }
+
+    /// Settles the record `bytes[start..end]` on its own, reporting its
+    /// error at its bundle-relative position.
+    fn record(&mut self, start: usize, end: usize) {
+        if let Err(e) = self.one(&self.bytes[start..end]) {
+            let (off, pos) = &mut self.cursor;
+            F::advance_pos(pos, &self.bytes[*off..start]);
+            *off = start;
+            self.report.record(F::shift_error(e, pos));
+        }
+    }
+
+    /// One record, all or nothing: its values fold only if it is within
+    /// the record cap, valid UTF-8, and parses.
+    fn one(&mut self, record: &[u8]) -> Result<(), F::Error> {
+        let policy = &self.run.config.policy;
+        let limit = policy.max_record_bytes;
+        let (from, to) = F::record_extent(record);
+        if to - from > limit {
+            return Err(F::record_too_large(limit, &local_pos::<F>(record, from)));
+        }
+        let mut values = Vec::new();
+        let text = utf8::<F>(record)?;
+        F::parse_bundle(
+            text,
+            self.ctx,
+            policy.max_depth,
+            self.run.interner,
+            &mut |v| values.push(v),
+        )
+        .map_err(|(_, e)| e)?;
+        values.iter().for_each(|v| self.acc.push(v));
+        Ok(())
+    }
+}
+
+/// The length of the record at the front of `bytes`, which start at a
+/// boundary: the first boundary a fresh scanner finds, or all of
+/// `bytes` for an unterminated tail. The scan goes in doubling pieces,
+/// so it reads about as far as the record reaches.
+fn record_end<F: DataFormat>(bytes: &[u8]) -> usize {
+    let mut scanner = F::boundaries();
+    let (mut fed, mut piece) = (0, 256);
+    while fed < bytes.len() {
+        let to = bytes.len().min(fed + piece);
+        let mut first = None;
+        F::scan(&mut scanner, &bytes[fed..to], &mut |off| {
+            first.get_or_insert(fed + off);
+        });
+        if let Some(end) = first {
+            return end;
+        }
+        fed = to;
+        piece *= 2;
+    }
+    bytes.len()
 }
 
 /// The scanning side of a run: cuts the stream into whole-record
@@ -1430,6 +1531,7 @@ pub fn infer_reader_parallel_dyn_in<'r, R: Read + Send + 'r>(
 #[allow(clippy::unwrap_used)]
 mod tests {
     use super::*;
+    use tfd_value::corpus::Rng;
 
     /// Serves `bytes`, then fails every later read.
     struct Failing(&'static [u8]);
@@ -1478,6 +1580,112 @@ mod tests {
             .unwrap_err();
             assert!(matches!(err, StreamError::Json(_)), "jobs {jobs}: {err:?}");
         }
+    }
+
+    /// A corpus laid out like a real file: records from `good` and
+    /// (at a per-corpus rate, so runs of them and all-bad corpora occur)
+    /// from `bad`, joined by `seps`, with `junk` straight after some
+    /// records and a final separator only sometimes.
+    fn layout(rng: &mut Rng, good: &[&str], bad: &[&str], seps: &[&str], junk: &[&str]) -> String {
+        let pick = |rng: &mut Rng, items: &[&str]| {
+            items[rng.below(items.len() as u64) as usize].to_owned()
+        };
+        let rate = [0.0, 0.3, 0.7, 1.0][rng.below(4) as usize];
+        let mut text = String::new();
+        for i in 0..1 + rng.below(14) {
+            if i > 0 {
+                text += &pick(rng, seps);
+            }
+            let records = if rng.chance(rate) { bad } else { good };
+            text += &pick(rng, records);
+            if !junk.is_empty() && rng.chance(0.2) {
+                text += &pick(rng, junk);
+            }
+        }
+        if rng.chance(0.5) {
+            text += &pick(rng, seps);
+        }
+        text
+    }
+
+    /// Parses `text` as `run` does — whole, then past each failing
+    /// record — and asserts every offset reported with an error is 0 or a
+    /// `scan` boundary of the same bytes. Returns the errors seen.
+    fn reported_offsets_are_boundaries<F: DataFormat>(text: &str, ctx: &F::Context) -> usize {
+        let mut ends = Vec::new();
+        F::scan(&mut F::boundaries(), text.as_bytes(), &mut |off| {
+            ends.push(off)
+        });
+        let interner = Interner::new();
+        let (mut at, mut errors) = (0, 0);
+        while let Err((off, _)) = F::parse_bundle(&text[at..], ctx, None, &interner, &mut |_| {}) {
+            let reported = at + off;
+            assert!(
+                off == 0 || ends.contains(&reported),
+                "{}: offset {off} from {at} is not a boundary {ends:?} of {text:?}",
+                F::NAME
+            );
+            errors += 1;
+            match ends.iter().find(|&&end| end > reported) {
+                Some(&end) => at = end,
+                None => break,
+            }
+        }
+        errors
+    }
+
+    #[test]
+    fn parse_bundle_reports_a_scan_boundary_with_its_error() {
+        let mut rng = Rng::new(7);
+        let interner = Interner::new();
+        let header = Arc::new(vec![interner.intern("a"), interner.intern("b")]);
+        let (mut json, mut xml, mut csv) = (0, 0, 0);
+        for _ in 0..400 {
+            let text = layout(
+                &mut rng,
+                &[
+                    r#"{"a": 1}"#,
+                    "[1, 2]",
+                    r#""s""#,
+                    "12",
+                    "-0.5",
+                    "true",
+                    "null",
+                    r#"{"b": {"c": [true]}}"#,
+                ],
+                &[r#"{"bad": @}"#, "[1,]", r#"{"a" 1}"#, "0123", "tru", "}"],
+                &["\n", "\r\n", "\n\n", " ", ""],
+                &["x", "@", "é"],
+            );
+            json += reported_offsets_are_boundaries::<JsonFormat>(&text, &());
+            let text = layout(
+                &mut rng,
+                &[
+                    "<a/>",
+                    r#"<r x="1">t</r>"#,
+                    "<r><s/>text</r>",
+                    "<?xml version=\"1.0\"?><a/>",
+                ],
+                &[
+                    "<bad x=1></bad>",
+                    "<r>&undef;</r>",
+                    "<a><b></a></b>",
+                    "<r>&aaaaaaaaaaaaaaaaaaaa;</r>",
+                ],
+                &["\n", "\r\n", "\n\n", "\n<!-- c -->\n", "\n<?pi x?>\n", ""],
+                &["junk", "x"],
+            );
+            xml += reported_offsets_are_boundaries::<XmlFormat>(&text, &());
+            let text = layout(
+                &mut rng,
+                &["1,x", "2,\"q,q\"", "", "3,\"multi\nline\""],
+                &["\"x\"y,9", "\"p\"!,q"],
+                &["\n", "\r\n", "\r"],
+                &[],
+            );
+            csv += reported_offsets_are_boundaries::<CsvFormat>(&text, &header);
+        }
+        assert!(json > 100 && xml > 100 && csv > 100, "{json} {xml} {csv}");
     }
 
     #[test]

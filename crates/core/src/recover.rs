@@ -26,11 +26,12 @@
 //! scanners are *resumable state machines over raw bytes* that never
 //! feed back into the parser, so a record whose **content** is garbage
 //! still gets delimited correctly as long as its string/quote/depth
-//! structure closes. A bundle that fails its one-shot parse is re-parsed
-//! record by record between those boundaries, so a failed record reports
-//! exactly the error a fail-fast run reports for it — at its
-//! stream-global position — and a clean record contributes exactly its
-//! shape. Fail-fast is the same path with a budget of 0.
+//! structure closes. When a bundle's one-shot parse fails, the failing
+//! record — from the boundary the parser reached to the next one — is
+//! parsed on its own, and the bundle parse resumes after it, so a failed
+//! record reports exactly the error a fail-fast run reports for it — at
+//! its stream-global position — and a clean record contributes exactly
+//! its shape. Fail-fast is the same path with a budget of 0.
 
 use crate::engine::{run, IngestConfig, Source};
 use crate::infer::InferOptions;

@@ -544,8 +544,7 @@ pub struct StreamSummary {
 
 /// Default chunk size for [`crate::engine::IngestConfig`] (64 KiB:
 /// large enough that most records never straddle a read, small enough
-/// to stay cache-friendly and to bound what one failing bundle costs
-/// to re-parse).
+/// to stay cache-friendly).
 pub const DEFAULT_CHUNK_SIZE: usize = 64 * 1024;
 
 #[cfg(test)]

@@ -213,7 +213,8 @@ pub fn parse_value_in(
     if options.has_header {
         let headers = header_names(&mut splitter, interner)?;
         let mut rows = Vec::new();
-        each_row(&mut splitter, &headers, literals, &mut |row| rows.push(row))?;
+        each_row(&mut splitter, &headers, literals, &mut |row| rows.push(row))
+            .map_err(|(_, e)| e)?;
         Ok(Value::List(rows))
     } else {
         // Headerless mode needs the max width before columns can be
@@ -262,15 +263,34 @@ pub fn parse_header_in(
 ///
 /// # Errors
 ///
-/// As [`parse`]; rows before the first error have already been handed
-/// to `each`.
+/// As [`parse`], paired with the byte offset just past the line
+/// terminator of the last row handed to `each` (0 when none was). That
+/// offset is a record boundary of
+/// [`stream::BoundaryScanner`](crate::stream::BoundaryScanner) over the
+/// same bytes, so parsing can resume there once the failing row is
+/// dealt with.
+///
+/// ```
+/// let interner = tfd_value::Interner::new();
+/// let headers = [interner.intern("a"), interner.intern("b")];
+/// let mut rows = 0;
+/// let (parsed_to, _) = tfd_csv::parse_rows_in(
+///     "1,2\r\n3,4\n\"5\"x,6\n",
+///     &tfd_csv::CsvOptions::default(),
+///     &tfd_csv::LiteralOptions::default(),
+///     &headers,
+///     &mut |_| rows += 1,
+/// )
+/// .unwrap_err();
+/// assert_eq!((rows, parsed_to), (2, 9));
+/// ```
 pub fn parse_rows_in(
     input: &str,
     options: &CsvOptions,
     literals: &LiteralOptions,
     headers: &[Name],
     each: &mut dyn FnMut(Value),
-) -> Result<(), CsvError> {
+) -> Result<(), (usize, CsvError)> {
     let mut splitter = RecordSplitter::new(input, options.delimiter);
     each_row(&mut splitter, headers, literals, each)
 }
@@ -298,16 +318,22 @@ fn header_names(
 }
 
 /// Reads every remaining record as a `•`-named row over `headers`:
-/// short rows pad with empty cells, extra cells are dropped.
+/// short rows pad with empty cells, extra cells are dropped. An error
+/// comes with the offset just past the last row handed out.
 fn each_row(
     splitter: &mut RecordSplitter<'_>,
     headers: &[Name],
     literals: &LiteralOptions,
     each: &mut dyn FnMut(Value),
-) -> Result<(), CsvError> {
+) -> Result<(), (usize, CsvError)> {
     let row_name = body_name();
     let mut fields: Vec<Cow<'_, str>> = Vec::new();
-    while splitter.next_record(&mut fields)? {
+    let mut parsed_to = splitter.pos;
+    while splitter
+        .next_record(&mut fields)
+        .map_err(|e| (parsed_to, e))?
+    {
+        parsed_to = splitter.pos;
         each(Value::record(
             row_name,
             headers.iter().enumerate().map(|(i, &h)| {

@@ -282,7 +282,7 @@ pub fn parse_many_values_in(
 ) -> Result<Vec<Value>, ParseError> {
     let mut docs = Vec::new();
     let p = Parser::new(input, options.max_depth, interner).skip_bom();
-    each_value(p, &mut |v| docs.push(v))?;
+    each_value(p, &mut |v| docs.push(v)).map_err(|(_, e)| e)?;
     Ok(docs)
 }
 
@@ -296,23 +296,41 @@ pub fn parse_many_values_in(
 ///
 /// # Errors
 ///
-/// As [`parse_many_values_with`]; documents before the first error have
-/// already been handed to `each`.
+/// As [`parse_many_values_with`], paired with the byte offset just past
+/// the last document handed to `each` (0 when none was). That offset is
+/// a record boundary of [`stream::BoundaryScanner`](crate::stream::BoundaryScanner)
+/// over the same bytes, so parsing can resume there once the failing
+/// record is dealt with.
+///
+/// ```
+/// let mut docs = 0;
+/// let (parsed_to, _) = tfd_json::parse_many_values_each(
+///     "{\"a\":1} [2]\n{\"a\" 1}",
+///     &tfd_json::ParserOptions::default(),
+///     &tfd_value::Interner::new(),
+///     &mut |_| docs += 1,
+/// )
+/// .unwrap_err();
+/// assert_eq!((docs, parsed_to), (2, 11));
+/// ```
 pub fn parse_many_values_each(
     input: &str,
     options: &ParserOptions,
     interner: &Interner,
     each: &mut dyn FnMut(Value),
-) -> Result<(), ParseError> {
+) -> Result<(), (usize, ParseError)> {
     each_value(Parser::new(input, options.max_depth, interner), each)
 }
 
-/// Hands every document `p` parses to `each`.
-fn each_value(mut p: Parser<'_>, each: &mut dyn FnMut(Value)) -> Result<(), ParseError> {
+/// Hands every document `p` parses to `each`; an error comes with the
+/// offset just past the last document handed out.
+fn each_value(mut p: Parser<'_>, each: &mut dyn FnMut(Value)) -> Result<(), (usize, ParseError)> {
     let mut sink = ValueSink { body: body_name() };
+    let mut parsed_to = 0;
     p.skip_ws();
     while !p.at_eof() {
-        each(p.parse_value(&mut sink, 0)?);
+        each(p.parse_value(&mut sink, 0).map_err(|e| (parsed_to, e))?);
+        parsed_to = p.pos;
         p.skip_ws();
     }
     Ok(())

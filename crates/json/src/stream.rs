@@ -13,8 +13,9 @@
 //!
 //! The ingest pipeline (`tfd_core::engine::run`) cuts corpora into
 //! whole-record bundles at these boundaries and parses each bundle with
-//! [`parse_many_values_each`](crate::parse_many_values_each); a bundle
-//! that fails is re-parsed record by record between the same boundaries.
+//! [`parse_many_values_each`](crate::parse_many_values_each); when that
+//! parse fails, the failing record runs from the boundary it reports to
+//! the next boundary this scanner finds.
 
 /// Scanner state between two consumed bytes. Every variant is resumable:
 /// a chunk may end (and the next begin) in any of them.

@@ -297,7 +297,7 @@ pub fn parse_many_values_in(
 ) -> Result<Vec<Value>, XmlError> {
     let mut docs = Vec::new();
     let p = XmlParser::new_in(input, options.clone(), interner).skip_bom();
-    each_value(p, encode, &mut |v| docs.push(v))?;
+    each_value(p, encode, &mut |v| docs.push(v)).map_err(|(_, e)| e)?;
     Ok(docs)
 }
 
@@ -311,15 +311,32 @@ pub fn parse_many_values_in(
 ///
 /// # Errors
 ///
-/// As [`parse_many_values`]; documents before the first error have
-/// already been handed to `each`.
+/// As [`parse_many_values`], paired with the byte offset just past the
+/// root element of the last document handed to `each` (0 when none
+/// was). That offset is a record boundary of
+/// [`stream::BoundaryScanner`](crate::stream::BoundaryScanner) over the
+/// same bytes, so parsing can resume there once the failing record is
+/// dealt with.
+///
+/// ```
+/// let mut docs = 0;
+/// let (parsed_to, _) = tfd_xml::parse_many_values_each(
+///     "<a/>\n<!-- c --><b/>\n<c x=1/>",
+///     &tfd_xml::XmlOptions::default(),
+///     &tfd_xml::EncodeOptions::default(),
+///     &tfd_value::Interner::new(),
+///     &mut |_| docs += 1,
+/// )
+/// .unwrap_err();
+/// assert_eq!((docs, parsed_to), (2, 19));
+/// ```
 pub fn parse_many_values_each(
     input: &str,
     options: &XmlOptions,
     encode: &EncodeOptions,
     interner: &Interner,
     each: &mut dyn FnMut(Value),
-) -> Result<(), XmlError> {
+) -> Result<(), (usize, XmlError)> {
     each_value(
         XmlParser::new_in(input, options.clone(), interner),
         encode,
@@ -327,18 +344,21 @@ pub fn parse_many_values_each(
     )
 }
 
-/// Hands the value of every document `p` parses to `each`.
+/// Hands the value of every document `p` parses to `each`; an error
+/// comes with the offset just past the last root element handed out.
 fn each_value(
     mut p: XmlParser<'_>,
     encode: &EncodeOptions,
     each: &mut dyn FnMut(Value),
-) -> Result<(), XmlError> {
+) -> Result<(), (usize, XmlError)> {
     let mut sink = ValueSink {
         options: encode.clone(),
         body: body_name(),
     };
-    while p.skip_prolog_opt()? {
-        each(p.parse_element(&mut sink, 0)?);
+    let mut parsed_to = 0;
+    while p.skip_prolog_opt().map_err(|e| (parsed_to, e))? {
+        each(p.parse_element(&mut sink, 0).map_err(|e| (parsed_to, e))?);
+        parsed_to = p.pos;
     }
     Ok(())
 }

@@ -316,3 +316,217 @@ fn skip_mode_csv_recovers_a_corrupt_header_and_rejects_empty_input() {
         assert_eq!(e, StreamError::Csv(tfd_csv::CsvError::Empty));
     }
 }
+
+/// What real files put around records.
+#[derive(Debug, Clone, Copy)]
+enum Sep {
+    Lf,
+    CrLf,
+    /// A blank line (JSON and XML; CSV writes blank rows as records).
+    Blank,
+    /// An XML comment between documents.
+    Comment,
+    /// An XML processing instruction between documents.
+    Pi,
+}
+
+impl Sep {
+    fn text(self) -> &'static str {
+        match self {
+            Sep::Lf => "\n",
+            Sep::CrLf => "\r\n",
+            Sep::Blank => "\n\r\n",
+            Sep::Comment => "\n<!-- between -->\n",
+            Sep::Pi => "\n<?note a=\"1\"?>\n",
+        }
+    }
+}
+
+/// One record of a laid-out corpus: its text, whether it is replaced by
+/// a corruption, whether junk follows it on its line, and what separates
+/// it from the next.
+type Slot = (String, bool, bool, Sep);
+
+/// Lays records out the way real files have them: the separators of
+/// `slots`, junk straight after a complete record, and a final newline
+/// only when `final_newline`. The first record is kept clean (for CSV
+/// the header row is separate and always clean).
+///
+/// `junk` must be a record of its own to the format's boundary scanner
+/// (JSON's `x` after a record is a one-byte junk record); the expected
+/// report then names it too, on its record's line. Returns the layout and
+/// whether the clean subset is meaningful: XML junk glues onto the next
+/// document, so an XML layout with junk is only compared across bundle
+/// sizes.
+fn lay_out(
+    header: &str,
+    slots: &[Slot],
+    corruptions: &[&str],
+    junk: Option<&str>,
+    final_newline: bool,
+) -> Mutated {
+    let mut dirty = header.to_owned();
+    let mut clean = header.to_owned();
+    let mut bad_lines = Vec::new();
+    for (i, (rec, corrupt, with_junk, sep)) in slots.iter().enumerate() {
+        let line = 1 + dirty.matches('\n').count();
+        let last = i + 1 == slots.len();
+        let sep = if last && !final_newline {
+            ""
+        } else {
+            sep.text()
+        };
+        if *corrupt && i > 0 {
+            dirty.push_str(corruptions[bad_lines.len() % corruptions.len()]);
+            bad_lines.push(line);
+        } else {
+            dirty.push_str(rec);
+            clean.push_str(rec);
+            clean.push_str(sep);
+        }
+        if let (Some(junk), true) = (junk, *with_junk) {
+            dirty.push_str(junk);
+            bad_lines.push(line);
+        }
+        dirty.push_str(sep);
+    }
+    Mutated {
+        dirty,
+        clean,
+        bad_lines,
+    }
+}
+
+/// Skip mode over `m` at jobs 1/2/7: the whole corpus in one bundle
+/// (which resumes past every bad record) and one-byte windows (at most
+/// one record per bundle, so nothing resumes) give the same shape,
+/// record count and `ErrorReport`; with `apart`, both also match the
+/// clean subset.
+fn assert_resume_equals_one_per_bundle<F: DataFormat>(m: &Mutated, apart: bool) {
+    let format = format_of::<F>();
+    for jobs in [1, 2, 7] {
+        let interner = Interner::new();
+        let run = |chunk| {
+            ingest(
+                format,
+                Source::Bytes(m.dirty.as_bytes()),
+                jobs,
+                chunk,
+                RecoveryPolicy::skip(),
+                &interner,
+            )
+            .unwrap_or_else(|e| panic!("{} jobs {jobs} chunk {chunk}: {e}", F::NAME))
+        };
+        let (whole, single) = (run(1 << 16), run(1));
+        let label = format!("{} jobs {jobs}\ndirty: {:?}", F::NAME, m.dirty);
+        assert_eq!(
+            format!("{:?}", whole.summary.shape),
+            format!("{:?}", single.summary.shape),
+            "{label}"
+        );
+        assert_eq!(whole.summary.records, single.summary.records, "{label}");
+        assert_eq!(whole.report, single.report, "{label}");
+        if apart {
+            assert_recovered::<F>(&whole, m, &format!("whole jobs {jobs}"));
+            assert_recovered::<F>(&single, m, &format!("one-byte jobs {jobs}"));
+        }
+    }
+}
+
+/// A corruption rate that also yields runs of adjacent bad records, and
+/// corpora where every record after the first is bad.
+fn bad_rate() -> SFn<usize> {
+    prop::sample::select(&[0, 20, 60, 100])
+}
+
+fn slots<S: Strategy<Value = String> + 'static>(
+    record: S,
+    seps: &'static [Sep],
+    junk: bool,
+) -> SFn<(Vec<Slot>, bool)> {
+    (
+        prop::collection::vec(
+            (
+                record,
+                (0usize..100, 0usize..100),
+                prop::sample::select(seps),
+            ),
+            1..12,
+        ),
+        bad_rate(),
+        any::<bool>(),
+    )
+        .prop_map(move |(raw, rate, final_newline)| {
+            let slots = raw
+                .into_iter()
+                .map(|(rec, (bad, j), sep)| (rec, bad < rate, junk && j < 25, sep))
+                .collect();
+            (slots, final_newline)
+        })
+        .boxed()
+}
+
+const JSON_SEPS: &[Sep] = &[Sep::Lf, Sep::CrLf, Sep::Blank];
+const XML_SEPS: &[Sep] = &[Sep::Lf, Sep::CrLf, Sep::Blank, Sep::Comment, Sep::Pi];
+const CSV_SEPS: &[Sep] = &[Sep::Lf, Sep::CrLf];
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(48))]
+
+    #[test]
+    fn json_resume_equals_one_record_per_bundle(
+        (slots, final_newline) in slots(
+            value_strategy().prop_map(|d| {
+                let text = tfd_json::to_json_string(&tfd_json::Json::from_value(&d));
+                // `truex` is one bad record to the scanner, not a
+                // keyword and junk: keep junk off keywords.
+                if text.ends_with(|c: char| c.is_ascii_alphabetic()) {
+                    format!("[{text}]")
+                } else {
+                    text
+                }
+            }),
+            JSON_SEPS,
+            true,
+        ),
+    ) {
+        let m = lay_out("", &slots, JSON_BAD, Some("x"), final_newline);
+        assert_resume_equals_one_per_bundle::<JsonFormat>(&m, true);
+    }
+
+    #[test]
+    fn xml_resume_equals_one_record_per_bundle(
+        (slots, final_newline) in slots(
+            ("[a-z]", "[a-z0-9]{0,3}", "[a-z 0-9]{0,6}").prop_map(|(h, n, t)| {
+                let name = format!("{h}{n}");
+                if t.is_empty() {
+                    format!("<{name}/>")
+                } else {
+                    format!("<{name}>{t}</{name}>")
+                }
+            }),
+            XML_SEPS,
+            true,
+        ),
+    ) {
+        let junk = slots.iter().any(|s| s.2);
+        let m = lay_out("", &slots, XML_BAD, Some("junk"), final_newline);
+        assert_resume_equals_one_per_bundle::<XmlFormat>(&m, !junk);
+    }
+
+    #[test]
+    fn csv_resume_equals_one_record_per_bundle(
+        (slots, final_newline) in slots(
+            prop_oneof![
+                (0i64..1000, "[a-z]{0,5}").prop_map(|(a, b)| format!("{a},{b}")),
+                // A blank line is a row of empty cells.
+                Just(String::new()),
+            ],
+            CSV_SEPS,
+            false,
+        ),
+    ) {
+        let m = lay_out("a,b\r\n", &slots, CSV_BAD, None, final_newline);
+        assert_resume_equals_one_per_bundle::<CsvFormat>(&m, true);
+    }
+}

@@ -208,3 +208,85 @@ fn oversized_records_are_rejected_by_every_driver() {
         assert!(first.contains("line 2"), "{label}: {first}");
     }
 }
+
+/// Faults in the middle of a bundle: an invalid-UTF-8 record and an
+/// over-sized record among good ones. Skip mode drops exactly those two,
+/// with the same report from every driver; fail-fast stops at the first.
+/// Each corpus is run with the invalid record alone (under the default
+/// cap, so the whole-corpus bundle is within it) and with the over-sized
+/// one appended (past a 48-byte cap).
+#[test]
+fn faults_mid_bundle_cost_only_their_own_records() {
+    let long = "y".repeat(100);
+    let cases = [
+        (
+            StreamFormat::Json,
+            &b"{\"a\": 1}\n{\"a\": \"\xff\"}\n{\"a\": 2}\n"[..],
+            format!("{{\"a\": \"{long}\"}}\n{{\"a\": 3}}\n"),
+            "input is not valid UTF-8 at line 2, column 8",
+            "record exceeds size limit of 48 bytes at line 4, column 1",
+        ),
+        (
+            StreamFormat::Xml,
+            &b"<r a=\"1\"/>\n<r a=\"\xff\"/>\n<r a=\"2\"/>\n"[..],
+            format!("<r>{long}</r>\n<r a=\"3\"/>\n"),
+            "input is not valid UTF-8 at line 2, column 7",
+            "record exceeds size limit of 48 bytes at line 4, column 1",
+        ),
+        (
+            StreamFormat::Csv,
+            &b"a,b\n1,x\n2,\xff\n3,z\n"[..],
+            format!("4,{long}\n5,y\n"),
+            "input is not valid UTF-8 on line 3",
+            "record starting on line 5 exceeds size limit of 48 bytes",
+        ),
+    ];
+    for (format, head, tail, utf8_error, cap_error) in &cases {
+        let whole = [head, tail.as_bytes()].concat();
+        for (bytes, cap, want, records) in [
+            (*head, None, vec![*utf8_error], 2),
+            (&whole[..], Some(48), vec![*utf8_error, *cap_error], 3),
+        ] {
+            let mut policy = RecoveryPolicy::skip();
+            if let Some(cap) = cap {
+                policy.max_record_bytes = cap;
+            }
+            let label = format!("{format:?} cap {cap:?}");
+            for (source, jobs, chunk) in sources(bytes) {
+                let interner = Interner::new();
+                let got = ingest(*format, source, jobs, chunk, policy, &interner)
+                    .unwrap_or_else(|e| panic!("{label} jobs {jobs} chunk {chunk}: {e}"));
+                let errors: Vec<String> =
+                    got.report.errors().iter().map(|e| e.to_string()).collect();
+                assert_eq!(errors, want, "{label} jobs {jobs} chunk {chunk}");
+                assert_eq!(
+                    got.summary.records, records,
+                    "{label} jobs {jobs} chunk {chunk}"
+                );
+            }
+            policy.mode = RecoveryMode::FailFast;
+            for (source, jobs, chunk) in sources(bytes) {
+                let interner = Interner::new();
+                let err = ingest(*format, source, jobs, chunk, policy, &interner)
+                    .expect_err("fail-fast must reject");
+                assert_eq!(
+                    err.to_string(),
+                    want[0],
+                    "{label} jobs {jobs} chunk {chunk}"
+                );
+            }
+        }
+    }
+}
+
+/// `bytes` in memory as one bundle (inline and on workers) and in small
+/// bundles, and from a reader in small and whole reads.
+fn sources(bytes: &[u8]) -> Vec<(Source<'_>, usize, usize)> {
+    vec![
+        (Source::Bytes(bytes), 1, 1 << 16),
+        (Source::Bytes(bytes), 2, 1 << 16),
+        (Source::Bytes(bytes), 7, 16),
+        (Source::Reader(Box::new(bytes)), 1, 1 << 16),
+        (Source::Reader(Box::new(bytes)), 2, 7),
+    ]
+}
