@@ -14,10 +14,14 @@
 //!    with;
 //! 2. **whole-record bundles** — everything up to the last boundary of a
 //!    window becomes one bundle, so a bundle never splits a record;
-//! 3. **one-shot parse, resumed past bad records** — the format's
-//!    multi-record parser ([`DataFormat::parse_bundle`]) parses the
-//!    bundle whole, folding each record into the bundle's
-//!    [`InferAccumulator`] as soon as it is parsed. When it fails, what
+//! 3. **one-shot parse straight into σ, resumed past bad records** —
+//!    the format's multi-record parser ([`DataFormat::parse_bundle`])
+//!    parses the bundle whole, folding each record into the bundle's
+//!    [`InferAccumulator`] as soon as it is parsed. The JSON parser
+//!    walks a record after a covered one straight against σ, so a
+//!    record σ already covers is counted without being built (see
+//!    [`crate::stream`]); XML and CSV records are built and pushed.
+//!    When the parse fails, what
 //!    it folded stays folded: it reports the boundary it got to, one
 //!    short boundary scan from there finds the end of the failing
 //!    record, that record alone is re-parsed (where the
@@ -54,6 +58,7 @@ use std::collections::VecDeque;
 use std::io::Read;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, Condvar, Mutex, OnceLock};
+use tfd_value::visit::RecordFold;
 use tfd_value::{Interner, Name, Value};
 
 // --- Dynamic dispatch: one place that maps a runtime `StreamFormat` to
@@ -170,13 +175,17 @@ pub trait DataFormat {
     /// Parses a bundle of whole records — a stretch between two
     /// boundaries of [`DataFormat::scan`], past the prologue — seeded
     /// with the prologue context and nesting at most `max_depth` deep
-    /// when set. Each record's value goes to `each` as soon as it is
-    /// parsed. Error positions are local to `text`.
+    /// when set, folding each record into `fold` — the bundle's
+    /// [`InferAccumulator`] — as soon as it is parsed. A format may parse
+    /// a record straight into the fold's [walk](RecordFold::walk), so a
+    /// record σ already covers is counted without being built (JSON
+    /// does); every other record is built and [pushed](RecordFold::push).
+    /// Error positions are local to `text`.
     ///
     /// # Errors
     ///
     /// The first malformed record in `text`, paired with the offset just
-    /// past the last record handed to `each` (0 when none was). That
+    /// past the last record folded into `fold` (0 when none was). That
     /// offset is a [`DataFormat::scan`] boundary of `text` (for CSV,
     /// past the row's line terminator), so the run can settle the
     /// failing record on its own and resume whole-parsing after it.
@@ -185,7 +194,7 @@ pub trait DataFormat {
         ctx: &Self::Context,
         max_depth: Option<usize>,
         interner: &Interner,
-        each: &mut dyn FnMut(Value),
+        fold: &mut impl RecordFold,
     ) -> Result<(), (usize, Self::Error)>;
 
     /// A fresh boundary scanner.
@@ -337,13 +346,13 @@ impl DataFormat for JsonFormat {
         _ctx: &(),
         max_depth: Option<usize>,
         interner: &Interner,
-        each: &mut dyn FnMut(Value),
+        fold: &mut impl RecordFold,
     ) -> Result<(), (usize, Self::Error)> {
         let mut opts = tfd_json::ParserOptions::default();
         if let Some(depth) = max_depth {
             opts.max_depth = depth;
         }
-        tfd_json::parse_many_values_each(text, &opts, interner, each)
+        tfd_json::parse_many_values_each(text, &opts, interner, fold)
     }
 
     fn boundaries() -> Self::Boundaries {
@@ -429,7 +438,7 @@ impl DataFormat for XmlFormat {
         _ctx: &(),
         max_depth: Option<usize>,
         interner: &Interner,
-        each: &mut dyn FnMut(Value),
+        fold: &mut impl RecordFold,
     ) -> Result<(), (usize, Self::Error)> {
         let mut opts = tfd_xml::XmlOptions::default();
         if let Some(depth) = max_depth {
@@ -440,7 +449,7 @@ impl DataFormat for XmlFormat {
             &opts,
             &tfd_xml::EncodeOptions::default(),
             interner,
-            each,
+            &mut |v| fold.push(v),
         )
     }
 
@@ -520,14 +529,14 @@ impl DataFormat for CsvFormat {
         ctx: &Self::Context,
         _max_depth: Option<usize>,
         _interner: &Interner,
-        each: &mut dyn FnMut(Value),
+        fold: &mut impl RecordFold,
     ) -> Result<(), (usize, Self::Error)> {
         tfd_csv::parse_rows_in(
             text,
             &tfd_csv::CsvOptions::default(),
             csv_literals(),
             ctx,
-            each,
+            &mut |v| fold.push(v),
         )
     }
 
@@ -1057,13 +1066,12 @@ impl<F: DataFormat> BundleFold<'_, '_, F> {
         let policy = &self.run.config.policy;
         let mut at = 0;
         while at < text.len() && !self.over_budget() {
-            let acc = &mut self.acc;
             let parsed = F::parse_bundle(
                 &text[at..],
                 self.ctx,
                 policy.max_depth,
                 self.run.interner,
-                &mut |v| acc.push(&v),
+                &mut self.acc,
             );
             let Err((parsed_to, _)) = parsed else { return };
             let start = at + parsed_to;
@@ -1104,7 +1112,7 @@ impl<F: DataFormat> BundleFold<'_, '_, F> {
             self.ctx,
             policy.max_depth,
             self.run.interner,
-            &mut |v| values.push(v),
+            &mut values,
         )
         .map_err(|(_, e)| e)?;
         values.iter().for_each(|v| self.acc.push(v));
@@ -1618,7 +1626,8 @@ mod tests {
         });
         let interner = Interner::new();
         let (mut at, mut errors) = (0, 0);
-        while let Err((off, _)) = F::parse_bundle(&text[at..], ctx, None, &interner, &mut |_| {}) {
+        let mut acc = InferAccumulator::new(F::infer_options());
+        while let Err((off, _)) = F::parse_bundle(&text[at..], ctx, None, &interner, &mut acc) {
             let reported = at + off;
             assert!(
                 off == 0 || ends.contains(&reported),

@@ -23,6 +23,7 @@ use crate::csh::csh;
 use crate::multiplicity::Multiplicity;
 use crate::tags::tag_of;
 use crate::Shape;
+use tfd_value::visit::Leaf;
 use tfd_value::Value;
 
 /// Options controlling the extensions of the inference algorithm.
@@ -144,17 +145,27 @@ pub fn infer_with(sample: &Value, options: &InferOptions) -> Shape {
 /// computed without allocating. Containers go to [`infer_with`].
 #[inline]
 pub(crate) fn infer_leaf(sample: &Value, options: &InferOptions) -> Shape {
-    match sample {
-        Value::Int(i) => {
-            if options.infer_bits && (*i == 0 || *i == 1) {
+    match sample.as_leaf() {
+        Some(leaf) => leaf_shape(leaf, options),
+        None => infer_with(sample, options),
+    }
+}
+
+/// `S(d)` for a leaf, classified from its [`Leaf`] event alone: the one
+/// leaf rule that both inference and the fold's σ walk use.
+#[inline]
+pub(crate) fn leaf_shape(leaf: Leaf<'_>, options: &InferOptions) -> Shape {
+    match leaf {
+        Leaf::Int(i) => {
+            if options.infer_bits && (i == 0 || i == 1) {
                 Shape::Bit
             } else {
                 Shape::Int
             }
         }
-        Value::Float(_) => Shape::Float,
-        Value::Bool(_) => Shape::Bool,
-        Value::Str(s) => {
+        Leaf::Float => Shape::Float,
+        Leaf::Bool => Shape::Bool,
+        Leaf::Str(s) => {
             if options.detect_dates && tfd_csv::parse_date(s).is_some() {
                 return Shape::Date;
             }
@@ -168,8 +179,7 @@ pub(crate) fn infer_leaf(sample: &Value, options: &InferOptions) -> Shape {
             }
             Shape::String
         }
-        Value::Null => Shape::Null,
-        Value::List(_) | Value::Record { .. } => infer_with(sample, options),
+        Leaf::Null => Shape::Null,
     }
 }
 

@@ -60,6 +60,7 @@ pub mod report;
 mod shape;
 pub mod stream;
 mod tags;
+mod walk;
 
 pub use conforms::{conforms, conforms_in, value_matches_tag};
 pub use corpus::{infer_files_parallel, infer_sources_parallel, CorpusSource, FileSummary};

@@ -19,25 +19,36 @@
 //! `csh` is a least upper bound (Lemma 1), so once `S(d) ⊑ σ` a step of
 //! the fold changes nothing — and on homogeneous data almost every step
 //! is such a step. Before building `S(d)`, [`InferAccumulator::push`]
-//! therefore walks `d` against σ with an allocation-free check
-//! ([`InferAccumulator::covers`]). When the check accepts, the step is
+//! therefore walks σ alongside `d`'s events
+//! ([`InferAccumulator::covers`]). When the walk accepts, the step is
 //! a no-op and only the record count moves; otherwise the record takes
 //! the general `csh(σ, S(d))` step, which stays the only way σ ever
-//! widens. The check is conservative: it accepts only when
+//! widens. The walk is conservative: it accepts only when
 //! `csh(σ, S(d))` would be *structurally identical* to σ, field order
 //! included, and declines whatever it is unsure of (μ-references,
 //! duplicate keys, null elements of heterogeneous collections, labels
 //! or cases out of tag order).
+//!
+//! # Parsing straight into σ
+//!
+//! The same walk runs on events straight from a parser. The accumulator
+//! is a [`RecordFold`]: after a record σ covered, it offers the parser a
+//! [walk](RecordFold::walk) for the next one, and a record the walk
+//! accepts is counted without ever being built — no `Value`, no
+//! interned key (the JSON front-end does this, see
+//! [`tfd_json::parse_many_values_each`]). A record the walk declines is
+//! parsed again, built and [pushed](InferAccumulator::push), and so is
+//! the record after it, until one is covered again: a run of widening
+//! records pays for one extra parse, at its start.
 
 use crate::csh::csh;
-use crate::infer::{infer_leaf, infer_with, InferOptions};
-use crate::multiplicity::Multiplicity;
-use crate::shape::RecordShape;
-use crate::tags::{tag_of, Tag};
+use crate::infer::{infer_with, InferOptions};
+use crate::walk::{Stacks, Walk};
 use crate::Shape;
 use std::collections::HashSet;
 use std::fmt;
-use tfd_value::{Field, Value};
+use tfd_value::visit::{Leaf, RecordFold, RecordWalk, Visitor};
+use tfd_value::Value;
 
 /// The incremental `S(d1, …, dn)` fold: `σi = csh(σi−1, S(di))`.
 ///
@@ -46,6 +57,10 @@ use tfd_value::{Field, Value};
 /// unit suite asserts this for all four [`InferOptions`] presets), while
 /// holding only the running shape. A record σ already covers costs a
 /// walk over the record and allocates nothing (see the module docs).
+///
+/// As a [`RecordFold`], it takes records straight from a parser: each
+/// record is walked against σ from its events when the previous one was
+/// covered, and built and pushed otherwise.
 ///
 /// ```
 /// use tfd_core::{stream::InferAccumulator, InferOptions, Shape};
@@ -68,6 +83,11 @@ pub struct InferAccumulator {
     /// field, which the fast path relies on. Cleared for good by the
     /// first record with a repeat.
     unique_fields: bool,
+    /// σ covered the last record folded, so the next one is worth
+    /// walking before it is built.
+    walking: bool,
+    /// What σ walks work on, kept from one walk to the next.
+    stacks: Stacks,
 }
 
 impl InferAccumulator {
@@ -78,6 +98,8 @@ impl InferAccumulator {
             shape: Shape::Bottom,
             records: 0,
             unique_fields: true,
+            walking: false,
+            stacks: Stacks::default(),
         }
     }
 
@@ -86,7 +108,12 @@ impl InferAccumulator {
     /// record, the step is skipped: its result would be σ itself.
     pub fn push(&mut self, record: &Value) {
         self.records += 1;
-        if self.covers(record) {
+        self.walking = self.unique_fields
+            && replay(
+                record,
+                Walk::new(&self.shape, &self.options, &mut self.stacks),
+            );
+        if self.walking {
             return;
         }
         if self.unique_fields && repeats_a_field(record) {
@@ -98,8 +125,9 @@ impl InferAccumulator {
 
     /// Whether pushing `record` would leave σ unchanged: `true`
     /// guarantees that `csh(σ, S(record))` is structurally identical to
-    /// σ, field order included. The check allocates nothing and costs a
-    /// walk over `record` (plus, for a record narrower than its σ
+    /// σ, field order included. The check replays `record`'s events into
+    /// a σ walk, the one the fold runs on parser events, and costs a walk
+    /// over `record` (plus, for a record narrower than its σ
     /// counterpart, a pass over σ's fields). It is conservative: `false`
     /// only means the general `csh` step has to decide.
     ///
@@ -113,7 +141,11 @@ impl InferAccumulator {
     /// assert!(!acc.covers(&json_rec([("a", Value::str("x"))])));
     /// ```
     pub fn covers(&self, record: &Value) -> bool {
-        self.unique_fields && fits(&self.shape, record, &self.options, false)
+        self.unique_fields
+            && replay(
+                record,
+                Walk::new(&self.shape, &self.options, &mut Stacks::default()),
+            )
     }
 
     /// The running shape `σi`.
@@ -159,241 +191,73 @@ impl InferAccumulator {
     }
 }
 
-/// Whether `csh(sigma, S(d))` is structurally `sigma`, judged without
-/// building `S(d)`. Each accepted case mirrors the `csh` rule that
-/// fires (see `csh.rs`); anything else declines. Requires that no record
-/// in `sigma` repeats a field name.
-///
-/// `folded` says that `S(d)` meets `sigma` only after a `csh` with the
-/// shapes of sibling elements of a collection. Values that fit one by
-/// one also fit as a join, except under a heterogeneous collection: the
-/// join of two plain collections merges their elements, not their
-/// cases, and can leave the case merge with a new case. So a folded
-/// value declines a heterogeneous collection.
-fn fits(sigma: &Shape, d: &Value, o: &InferOptions, folded: bool) -> bool {
-    let sigma = match (sigma, d) {
-        // (null): ⌈σ⌉ = σ for every σ that is not a σ̂; (eq) for null.
-        (
-            Shape::Null
-            | Shape::Nullable(_)
-            | Shape::List(_)
-            | Shape::HeteroList(_)
-            | Shape::Top(_),
-            Value::Null,
-        ) => return true,
-        // (opt): ⌈csh(σ̂, S(d))⌉ = ⌈σ̂⌉ when σ̂ absorbs S(d).
-        (Shape::Nullable(inner), _) => inner,
-        _ => sigma,
-    };
-    match (sigma, d) {
-        // (recd) over same-name records.
-        (Shape::Record(r), Value::Record { name, fields }) => {
-            r.name == *name && fits_fields(r, fields, o, folded)
-        }
-        // (list) over homogeneous collections, and the §6.4 case merge.
-        (Shape::List(element), Value::List(items)) => fits_items(element, items, o, folded),
-        (Shape::HeteroList(cases), Value::List(items)) => !folded && fits_cases(cases, items, o),
-        // (top-incl): the label of S(d)'s tag absorbs S(d).
-        (Shape::Top(labels), Value::Record { .. } | Value::List(_)) => {
-            sorted_by_tag(labels) && fitting_index(labels, d, o, folded).is_some()
-        }
-        (_, Value::Null | Value::Record { .. } | Value::List(_)) => false,
-        (sigma, leaf) => primitive_fits(sigma, &infer_leaf(leaf, o)),
+/// Replays `record` into `walk`: whether σ covers it.
+fn replay(record: &Value, mut walk: Walk<'_, '_>) -> bool {
+    record.visit(&mut walk);
+    walk.end()
+}
+
+/// The accumulator's walk of one record from a parser's events: a record
+/// it accepts is counted.
+#[derive(Debug)]
+pub struct FoldWalk<'a> {
+    walk: Walk<'a, 'a>,
+    records: &'a mut usize,
+}
+
+impl Visitor for FoldWalk<'_> {
+    #[inline]
+    fn record_start(&mut self, name: &str) -> bool {
+        self.walk.record_start(name)
+    }
+    #[inline]
+    fn key(&mut self, key: &str) -> bool {
+        self.walk.key(key)
+    }
+    #[inline]
+    fn record_end(&mut self) -> bool {
+        self.walk.record_end()
+    }
+    #[inline]
+    fn list_start(&mut self) -> bool {
+        self.walk.list_start()
+    }
+    #[inline]
+    fn list_end(&mut self) -> bool {
+        self.walk.list_end()
+    }
+    #[inline]
+    fn leaf(&mut self, leaf: Leaf<'_>) -> bool {
+        self.walk.leaf(leaf)
     }
 }
 
-/// Finds the shape among `shapes` (the labels of a top or the cases of
-/// a collection, whose tags are distinct) with the tag `S(d)` has, and
-/// returns its index when `d` fits it. `None` for a null `d`.
-fn fitting_index<'s>(
-    shapes: impl IntoIterator<Item = &'s Shape>,
-    d: &Value,
-    o: &InferOptions,
-    folded: bool,
-) -> Option<usize> {
-    let leaf = match d {
-        Value::Null | Value::Record { .. } | Value::List(_) => None,
-        leaf => Some(infer_leaf(leaf, o)),
-    };
-    let tag = match (d, &leaf) {
-        (Value::Record { name, .. }, _) => Tag::Name(*name),
-        (Value::List(_), _) => Tag::Collection,
-        (_, Some(s)) => tag_of(s),
-        (_, None) => return None,
-    };
-    let (i, s) = shapes
-        .into_iter()
-        .enumerate()
-        .find(|(_, s)| tag_of(s) == tag)?;
-    match &leaf {
-        Some(l) => primitive_fits(s, l),
-        None => fits(s, d, o, folded),
-    }
-    .then_some(i)
-}
-
-/// Whether `shapes` are in the strict tag order the top and case merges
-/// leave them in (a merge re-sorts, so only sorted input comes back
-/// unchanged).
-fn sorted_by_tag<'s>(shapes: impl IntoIterator<Item = &'s Shape>) -> bool {
-    let mut prev = None;
-    shapes.into_iter().all(|s| {
-        let tag = tag_of(s);
-        let rising = prev.as_ref().is_none_or(|p| *p < tag);
-        prev = Some(tag);
-        rising
-    })
-}
-
-/// Cases a collection may have for the fast path to count its items.
-const MAX_CASES: usize = 16;
-
-/// The §6.4 merge of `cases` with `S(items)` gives back `cases` when
-/// every item fits the case of its tag and every case's multiplicity
-/// already admits how often the items hit it (`ψ ⊔ ψ′ = ψ`, absence
-/// included). Null items decline: they change how `S(items)` is formed.
-fn fits_cases(cases: &[(Shape, Multiplicity)], items: &[Value], o: &InferOptions) -> bool {
-    if !o.hetero_collections
-        || cases.len() > MAX_CASES
-        || !sorted_by_tag(cases.iter().map(|c| &c.0))
-    {
-        return false;
-    }
-    let mut hits = [0usize; MAX_CASES];
-    let folded = items.len() > 1;
-    for item in items {
-        match fitting_index(cases.iter().map(|c| &c.0), item, o, folded) {
-            Some(k) => hits[k] += 1,
-            None => return false,
-        }
-    }
-    // How `S(items)` states each count: one tag makes a plain collection
-    // (`*`), or under `singleton_collections` a lone element's `1`.
-    let tags = hits.iter().filter(|&&n| n > 0).count();
-    cases.iter().zip(hits).all(|(&(_, m), n)| {
-        let seen = match (tags, n) {
-            (_, 0) => Multiplicity::ZeroOrOne,
-            (1, 1) if o.singleton_collections => Multiplicity::One,
-            (1, _) => Multiplicity::Many,
-            (_, n) => Multiplicity::of_count(n),
-        };
-        m.join(seen) == m
-    })
-}
-
-/// Whether `csh(sigma, s)` is `sigma` for a primitive `s`: (eq), (num)
-/// and the §6.2 bit/date rules, with `sigma` on the wide side, through
-/// (opt) and (top-incl).
-fn primitive_fits(sigma: &Shape, s: &Shape) -> bool {
-    use Shape::{Bit, Bool, Date, Float, Int, Nullable, String, Top};
-    match (sigma, s) {
-        (Nullable(inner), s) => primitive_fits(inner, s),
-        (Top(labels), s) => {
-            let tag = tag_of(s);
-            sorted_by_tag(labels)
-                && labels
-                    .iter()
-                    .find(|l| tag_of(l) == tag)
-                    .is_some_and(|l| primitive_fits(l, s))
-        }
-        _ => matches!(
-            (sigma, s),
-            (Int, Int | Bit)
-                | (Float, Int | Float | Bit)
-                | (Bool, Bool | Bit)
-                | (Bit, Bit)
-                | (String, String | Date)
-                | (Date, Date)
-        ),
+impl RecordWalk for FoldWalk<'_> {
+    fn finish(self) -> bool {
+        let covered = self.walk.end();
+        *self.records += usize::from(covered);
+        covered
     }
 }
 
-/// The (recd) join of `r` with a record of `fields` is `r` when every
-/// field of the record names a field of `r` whose shape absorbs it and
-/// every field of `r` the record lacks is already nullable (`⌈σ⌉ = σ`);
-/// the join keeps `r`'s field order. Each field is looked up at its own
-/// index first, then by a scan onward from the previous match; the
-/// scans give up after a few passes over `r`, about what the hash join
-/// they replace costs.
-fn fits_fields(r: &RecordShape, fields: &[Field], o: &InferOptions, folded: bool) -> bool {
-    let width = r.fields.len();
-    if fields.len() > width {
-        return false;
-    }
-    let mut budget = 8 * (width + fields.len());
-    let mut next = 0;
-    let mut highest = None;
-    let mut required = 0;
-    for (i, f) in fields.iter().enumerate() {
-        let j = if r.fields.get(i).is_some_and(|g| g.name == f.name) {
-            i
-        } else {
-            let Some(k) = (0..width).find(|k| r.fields[(next + k) % width].name == f.name) else {
-                return false;
-            };
-            if k >= budget {
-                return false;
-            }
-            budget -= k;
-            (next + k) % width
-        };
-        // Matches in rising σ order cannot repeat a σ field; out of
-        // order, the field must not repeat an earlier one of the record.
-        if highest.is_some_and(|h| j <= h) {
-            if i >= budget || fields[..i].iter().any(|g| g.name == f.name) {
-                return false;
-            }
-            budget -= i;
-        }
-        highest = highest.max(Some(j));
-        next = j + 1;
-        let g = &r.fields[j].shape;
-        if !fits(g, &f.value, o, folded) {
-            return false;
-        }
-        required += usize::from(g.is_non_nullable());
-    }
-    fields.len() == width
-        || required
-            == r.fields
-                .iter()
-                .filter(|g| g.shape.is_non_nullable())
-                .count()
-}
+/// The fold as a parser drives it: a record after a covered one is
+/// walked from its events, any other record is built and pushed.
+impl RecordFold for InferAccumulator {
+    type Walk<'w> = FoldWalk<'w>;
 
-/// The (list) join of `[element]` with `S(items)` is `[element]` when
-/// every item fits `element` and the items infer as one homogeneous
-/// collection: under heterogeneous collections (§6.4) that means one
-/// tag among the non-null items, and no singleton the
-/// `singleton_collections` rule would keep as a `1` case.
-fn fits_items(element: &Shape, items: &[Value], o: &InferOptions, folded: bool) -> bool {
-    if o.hetero_collections && o.singleton_collections && items.len() == 1 {
-        return false;
-    }
-    let folded = folded || items.len() > 1;
-    let mut first_tag: Option<Tag> = None;
-    for item in items {
-        let (fits_here, tag) = match item {
-            Value::Null => (fits(element, item, o, folded), None),
-            Value::Record { name, .. } => (fits(element, item, o, folded), Some(Tag::Name(*name))),
-            Value::List(_) => (fits(element, item, o, folded), Some(Tag::Collection)),
-            leaf => {
-                let s = infer_leaf(leaf, o);
-                (primitive_fits(element, &s), Some(tag_of(&s)))
-            }
-        };
-        if !fits_here {
-            return false;
+    fn walk(&mut self) -> Option<FoldWalk<'_>> {
+        if !self.walking {
+            return None;
         }
-        if let (true, Some(tag)) = (o.hetero_collections, tag) {
-            match &first_tag {
-                Some(first) if *first != tag => return false,
-                Some(_) => {}
-                None => first_tag = Some(tag),
-            }
-        }
+        Some(FoldWalk {
+            walk: Walk::new(&self.shape, &self.options, &mut self.stacks),
+            records: &mut self.records,
+        })
     }
-    true
+
+    fn push(&mut self, record: Value) {
+        InferAccumulator::push(self, &record);
+    }
 }
 
 /// Whether any record in `v` repeats a field name.

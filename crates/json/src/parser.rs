@@ -5,12 +5,16 @@
 //! therefore works directly on the input bytes with **no intermediate
 //! token values**:
 //!
-//! * escape-free string literals are returned as *borrowed* slices of the
-//!   input (`Cow::Borrowed`) — the overwhelmingly common case for both
-//!   keys and values — and only strings containing escapes allocate;
-//! * object keys are interned into [`Name`] symbols straight from the
-//!   borrowed slice, so a million-row array of records allocates its key
-//!   strings once, not a million times;
+//! * escape-free string literals are handed on as *borrowed* slices of
+//!   the input — the overwhelmingly common case for both keys and values
+//!   — and only strings containing escapes are decoded, into one buffer
+//!   the parser reuses;
+//! * object keys reach the sink before their values: the `Value` and
+//!   [`Json`] sinks intern them into [`Name`] symbols straight from the
+//!   slice, so a million-row array of records allocates its key strings
+//!   once, not a million times, and the σ-walk sink of
+//!   [`parse_many_values_each`] compares them as bytes without interning
+//!   at all;
 //! * numbers parse straight from the input span (shared int/float fast
 //!   path), with no per-token `String`;
 //! * line/column positions are not tracked per character: the parser
@@ -24,10 +28,10 @@
 
 use crate::lexer::{LexErrorKind, Pos};
 use crate::Json;
-use std::borrow::Cow;
 use std::fmt;
 use tfd_value::intern::NameMemo;
-use tfd_value::{body_name, Field, Interner, Name, Value};
+use tfd_value::visit::{Leaf, RecordFold, RecordWalk, Visitor};
+use tfd_value::{body_name, Field, Interner, Name, Value, BODY_NAME};
 
 /// What went wrong while parsing.
 #[derive(Debug, Clone, PartialEq)]
@@ -150,9 +154,9 @@ pub fn parse(input: &str) -> Result<Json, ParseError> {
 /// As [`parse`], plus [`ParseErrorKind::TooDeep`] when nesting exceeds
 /// `options.max_depth`.
 pub fn parse_with(input: &str, options: &ParserOptions) -> Result<Json, ParseError> {
-    let mut p = Parser::new(input, options.max_depth, Interner::global()).skip_bom();
+    let mut p = Parser::new(input, options.max_depth).skip_bom();
     p.skip_ws();
-    let doc = p.parse_value(&mut JsonSink, 0)?;
+    let doc = p.parse_value(&mut JsonSink::new(), 0)?;
     p.expect_eof()?;
     Ok(doc)
 }
@@ -204,9 +208,9 @@ pub fn parse_value_in(
     options: &ParserOptions,
     interner: &Interner,
 ) -> Result<Value, ParseError> {
-    let mut p = Parser::new(input, options.max_depth, interner).skip_bom();
+    let mut p = Parser::new(input, options.max_depth).skip_bom();
     p.skip_ws();
-    let doc = p.parse_value(&mut ValueSink { body: body_name() }, 0)?;
+    let doc = p.parse_value(&mut ValueSink::new(interner), 0)?;
     p.expect_eof()?;
     Ok(doc)
 }
@@ -224,16 +228,12 @@ pub fn parse_value_in(
 /// # Ok::<(), tfd_json::ParseError>(())
 /// ```
 pub fn parse_many(input: &str) -> Result<Vec<Json>, ParseError> {
-    let mut p = Parser::new(
-        input,
-        ParserOptions::default().max_depth,
-        Interner::global(),
-    )
-    .skip_bom();
+    let mut p = Parser::new(input, ParserOptions::default().max_depth).skip_bom();
+    let mut sink = JsonSink::new();
     let mut docs = Vec::new();
     p.skip_ws();
     while !p.at_eof() {
-        docs.push(p.parse_value(&mut JsonSink, 0)?);
+        docs.push(p.parse_value(&mut sink, 0)?);
         p.skip_ws();
     }
     Ok(docs)
@@ -281,14 +281,21 @@ pub fn parse_many_values_in(
     interner: &Interner,
 ) -> Result<Vec<Value>, ParseError> {
     let mut docs = Vec::new();
-    let p = Parser::new(input, options.max_depth, interner).skip_bom();
-    each_value(p, &mut |v| docs.push(v)).map_err(|(_, e)| e)?;
+    let p = Parser::new(input, options.max_depth).skip_bom();
+    fold_values(p, interner, &mut docs).map_err(|(_, e)| e)?;
     Ok(docs)
 }
 
-/// [`parse_many_values_in`] handing each document to `each` as soon as
-/// it is parsed, so a caller folding the documents never holds more
-/// than one of them.
+/// Folds the documents of `input` into `fold` as they are parsed, so a
+/// caller folding them never holds more than one.
+///
+/// A document the fold offers a [walk](RecordFold::walk) for is parsed
+/// straight into that walk: no [`Value`] is built and no key is
+/// interned. When the walk declines the document, it is parsed again
+/// from its start into a `Value` and [pushed](RecordFold::push). Every
+/// other document is parsed into a `Value` and pushed. The same parser
+/// code runs either way, so errors and their positions do not depend
+/// on the fold.
 ///
 /// Unlike the other entry points, it parses `input` exactly as given: a
 /// leading byte-order mark is an error here, because this is how the
@@ -297,76 +304,115 @@ pub fn parse_many_values_in(
 /// # Errors
 ///
 /// As [`parse_many_values_with`], paired with the byte offset just past
-/// the last document handed to `each` (0 when none was). That offset is
-/// a record boundary of [`stream::BoundaryScanner`](crate::stream::BoundaryScanner)
+/// the last document folded (0 when none was). That offset is a record
+/// boundary of [`stream::BoundaryScanner`](crate::stream::BoundaryScanner)
 /// over the same bytes, so parsing can resume there once the failing
 /// record is dealt with.
 ///
 /// ```
-/// let mut docs = 0;
+/// let mut docs = Vec::new();
 /// let (parsed_to, _) = tfd_json::parse_many_values_each(
 ///     "{\"a\":1} [2]\n{\"a\" 1}",
 ///     &tfd_json::ParserOptions::default(),
 ///     &tfd_value::Interner::new(),
-///     &mut |_| docs += 1,
+///     &mut docs,
 /// )
 /// .unwrap_err();
-/// assert_eq!((docs, parsed_to), (2, 11));
+/// assert_eq!((docs.len(), parsed_to), (2, 11));
 /// ```
-pub fn parse_many_values_each(
+pub fn parse_many_values_each<F: RecordFold + ?Sized>(
     input: &str,
     options: &ParserOptions,
     interner: &Interner,
-    each: &mut dyn FnMut(Value),
+    fold: &mut F,
 ) -> Result<(), (usize, ParseError)> {
-    each_value(Parser::new(input, options.max_depth, interner), each)
+    fold_values(Parser::new(input, options.max_depth), interner, fold)
 }
 
-/// Hands every document `p` parses to `each`; an error comes with the
-/// offset just past the last document handed out.
-fn each_value(mut p: Parser<'_>, each: &mut dyn FnMut(Value)) -> Result<(), (usize, ParseError)> {
-    let mut sink = ValueSink { body: body_name() };
+/// Folds every document `p` parses into `fold`, walked or built (see
+/// [`parse_many_values_each`]); an error comes with the offset just past
+/// the last document folded.
+fn fold_values<F: RecordFold + ?Sized>(
+    mut p: Parser<'_>,
+    interner: &Interner,
+    fold: &mut F,
+) -> Result<(), (usize, ParseError)> {
+    let mut sink = ValueSink::new(interner);
     let mut parsed_to = 0;
     p.skip_ws();
     while !p.at_eof() {
-        each(p.parse_value(&mut sink, 0).map_err(|e| (parsed_to, e))?);
+        let start = p.mark();
+        let walked = match fold.walk() {
+            Some(walk) => {
+                let mut walk = WalkSink { walk, open: true };
+                p.parse_value(&mut walk, 0).map_err(|e| (parsed_to, e))?;
+                walk.walk.finish()
+            }
+            None => false,
+        };
+        if !walked {
+            p.rewind(start);
+            fold.push(p.parse_value(&mut sink, 0).map_err(|e| (parsed_to, e))?);
+        }
         parsed_to = p.pos;
         p.skip_ws();
     }
     Ok(())
 }
 
-/// How parsed pieces are assembled into an output document. Two
-/// instantiations exist: [`JsonSink`] (the [`Json`] tree) and
-/// [`ValueSink`] (the universal [`Value`] with interned names). The
-/// parser is generic over the sink so both outputs share the single
-/// byte-level pass.
+/// How parsed pieces are assembled into an output document, in the
+/// order the parser meets them: an object's key reaches the sink before
+/// its value is parsed. Three instantiations exist: [`JsonSink`] (the
+/// [`Json`] tree), [`ValueSink`] (the universal [`Value`] with interned
+/// names) and [`WalkSink`] (a [`Visitor`]'s events, building nothing).
+/// The parser is generic over the sink so every output shares the
+/// single byte-level pass, its checks and its error positions.
 trait Sink {
     type Out;
+    type Key;
     type Obj;
+    type Arr;
 
     fn int(&mut self, i: i64) -> Self::Out;
-    fn float(&mut self, f: f64) -> Self::Out;
+    /// A float literal, its grammar already checked; `None` when `span`
+    /// does not convert to an `f64`.
+    fn float(&mut self, span: &str) -> Option<Self::Out>;
     fn boolean(&mut self, b: bool) -> Self::Out;
     fn null(&mut self) -> Self::Out;
-    fn string(&mut self, s: Cow<'_, str>) -> Self::Out;
+    fn string(&mut self, s: &str) -> Self::Out;
     fn obj_new(&mut self) -> Self::Obj;
-    fn obj_push(&mut self, obj: &mut Self::Obj, key: Name, value: Self::Out);
+    fn key(&mut self, key: &str) -> Self::Key;
+    fn obj_push(&mut self, obj: &mut Self::Obj, key: Self::Key, value: Self::Out);
     fn obj_finish(&mut self, obj: Self::Obj) -> Self::Out;
-    fn arr_finish(&mut self, items: Vec<Self::Out>) -> Self::Out;
+    fn arr_new(&mut self) -> Self::Arr;
+    fn arr_push(&mut self, arr: &mut Self::Arr, item: Self::Out);
+    fn arr_finish(&mut self, arr: Self::Arr) -> Self::Out;
 }
 
-struct JsonSink;
+/// Builds [`Json`] trees, interning keys into the process-default arena.
+struct JsonSink {
+    names: NameMemo<'static>,
+}
+
+impl JsonSink {
+    fn new() -> JsonSink {
+        JsonSink {
+            names: NameMemo::new(Interner::global()),
+        }
+    }
+}
 
 impl Sink for JsonSink {
     type Out = Json;
+    type Key = Name;
     type Obj = Vec<(Name, Json)>;
+    type Arr = Vec<Json>;
 
     fn int(&mut self, i: i64) -> Json {
         Json::Int(i)
     }
-    fn float(&mut self, f: f64) -> Json {
-        Json::Float(f)
+    fn float(&mut self, span: &str) -> Option<Json> {
+        span.parse().ok().map(Json::Float)
     }
     fn boolean(&mut self, b: bool) -> Json {
         Json::Bool(b)
@@ -374,11 +420,14 @@ impl Sink for JsonSink {
     fn null(&mut self) -> Json {
         Json::Null
     }
-    fn string(&mut self, s: Cow<'_, str>) -> Json {
-        Json::String(s.into_owned())
+    fn string(&mut self, s: &str) -> Json {
+        Json::String(s.to_owned())
     }
     fn obj_new(&mut self) -> Self::Obj {
         Vec::new()
+    }
+    fn key(&mut self, key: &str) -> Name {
+        self.names.intern(key)
     }
     fn obj_push(&mut self, obj: &mut Self::Obj, key: Name, value: Json) {
         obj.push((key, value));
@@ -386,24 +435,45 @@ impl Sink for JsonSink {
     fn obj_finish(&mut self, obj: Self::Obj) -> Json {
         Json::Object(obj)
     }
-    fn arr_finish(&mut self, items: Vec<Json>) -> Json {
-        Json::Array(items)
+    fn arr_new(&mut self) -> Self::Arr {
+        Vec::new()
+    }
+    fn arr_push(&mut self, arr: &mut Self::Arr, item: Json) {
+        arr.push(item);
+    }
+    fn arr_finish(&mut self, arr: Self::Arr) -> Json {
+        Json::Array(arr)
     }
 }
 
-struct ValueSink {
+/// Builds universal [`Value`]s. Keys intern through a memo into the
+/// arena (the process-default arena for the legacy entry points, a
+/// corpus arena for the `_in` variants), so repeated keys take no lock.
+struct ValueSink<'i> {
+    names: NameMemo<'i>,
     body: Name,
 }
 
-impl Sink for ValueSink {
+impl<'i> ValueSink<'i> {
+    fn new(interner: &'i Interner) -> ValueSink<'i> {
+        ValueSink {
+            names: NameMemo::new(interner),
+            body: body_name(),
+        }
+    }
+}
+
+impl Sink for ValueSink<'_> {
     type Out = Value;
+    type Key = Name;
     type Obj = Vec<Field>;
+    type Arr = Vec<Value>;
 
     fn int(&mut self, i: i64) -> Value {
         Value::Int(i)
     }
-    fn float(&mut self, f: f64) -> Value {
-        Value::Float(f)
+    fn float(&mut self, span: &str) -> Option<Value> {
+        span.parse().ok().map(Value::Float)
     }
     fn boolean(&mut self, b: bool) -> Value {
         Value::Bool(b)
@@ -411,11 +481,14 @@ impl Sink for ValueSink {
     fn null(&mut self) -> Value {
         Value::Null
     }
-    fn string(&mut self, s: Cow<'_, str>) -> Value {
-        Value::Str(s.into_owned())
+    fn string(&mut self, s: &str) -> Value {
+        Value::Str(s.to_owned())
     }
     fn obj_new(&mut self) -> Self::Obj {
         Vec::new()
+    }
+    fn key(&mut self, key: &str) -> Name {
+        self.names.intern(key)
     }
     fn obj_push(&mut self, obj: &mut Self::Obj, key: Name, value: Value) {
         obj.push(Field { name: key, value });
@@ -426,9 +499,84 @@ impl Sink for ValueSink {
             fields: obj,
         }
     }
-    fn arr_finish(&mut self, items: Vec<Value>) -> Value {
-        Value::List(items)
+    fn arr_new(&mut self) -> Self::Arr {
+        Vec::new()
     }
+    fn arr_push(&mut self, arr: &mut Self::Arr, item: Value) {
+        arr.push(item);
+    }
+    fn arr_finish(&mut self, arr: Self::Arr) -> Value {
+        Value::List(arr)
+    }
+}
+
+/// Sends a document's events to a [`Visitor`] and builds nothing.
+/// Objects are `•` records, as [`ValueSink`] names them; floats are never
+/// converted. Once the visitor declines, the rest of the document is
+/// only parsed, so its grammar is still checked to the end.
+struct WalkSink<W> {
+    walk: W,
+    /// The visitor still wants events.
+    open: bool,
+}
+
+impl<W: Visitor> WalkSink<W> {
+    fn send(&mut self, event: impl FnOnce(&mut W) -> bool) {
+        if self.open {
+            self.open = event(&mut self.walk);
+        }
+    }
+}
+
+impl<W: Visitor> Sink for WalkSink<W> {
+    type Out = ();
+    type Key = ();
+    type Obj = ();
+    type Arr = ();
+
+    fn int(&mut self, i: i64) {
+        self.send(|w| w.leaf(Leaf::Int(i)));
+    }
+    fn float(&mut self, _span: &str) -> Option<()> {
+        // The grammar `parse_number` checked is a subset of what
+        // `f64::from_str` accepts, so every span converts.
+        self.send(|w| w.leaf(Leaf::Float));
+        Some(())
+    }
+    fn boolean(&mut self, _: bool) {
+        self.send(|w| w.leaf(Leaf::Bool));
+    }
+    fn null(&mut self) {
+        self.send(|w| w.leaf(Leaf::Null));
+    }
+    fn string(&mut self, s: &str) {
+        self.send(|w| w.leaf(Leaf::Str(s)));
+    }
+    fn obj_new(&mut self) {
+        self.send(|w| w.record_start(BODY_NAME));
+    }
+    fn key(&mut self, key: &str) {
+        self.send(|w| w.key(key));
+    }
+    fn obj_push(&mut self, _: &mut (), _: (), _: ()) {}
+    fn obj_finish(&mut self, _: ()) {
+        self.send(Visitor::record_end);
+    }
+    fn arr_new(&mut self) {
+        self.send(Visitor::list_start);
+    }
+    fn arr_push(&mut self, _: &mut (), _: ()) {}
+    fn arr_finish(&mut self, _: ()) {
+        self.send(Visitor::list_end);
+    }
+}
+
+/// Where a parser stands, to return to.
+#[derive(Clone, Copy)]
+struct Mark {
+    pos: usize,
+    line: usize,
+    line_start: usize,
 }
 
 struct Parser<'a> {
@@ -442,14 +590,13 @@ struct Parser<'a> {
     /// from it, in characters, only when an error is raised).
     line_start: usize,
     max_depth: usize,
-    /// Object keys intern through this memo into the arena (the
-    /// process-default arena for the legacy entry points, a corpus arena
-    /// for the `_in` variants); repeated keys take no lock.
-    names: NameMemo<'a>,
+    /// The decoded text of the last string literal that held an escape,
+    /// reused from one such literal to the next.
+    unescaped: String,
 }
 
 impl<'a> Parser<'a> {
-    fn new(input: &'a str, max_depth: usize, interner: &'a Interner) -> Parser<'a> {
+    fn new(input: &'a str, max_depth: usize) -> Parser<'a> {
         Parser {
             input,
             bytes: input.as_bytes(),
@@ -457,8 +604,22 @@ impl<'a> Parser<'a> {
             line: 1,
             line_start: 0,
             max_depth,
-            names: NameMemo::new(interner),
+            unescaped: String::new(),
         }
+    }
+
+    fn mark(&self) -> Mark {
+        Mark {
+            pos: self.pos,
+            line: self.line,
+            line_start: self.line_start,
+        }
+    }
+
+    fn rewind(&mut self, to: Mark) {
+        self.pos = to.pos;
+        self.line = to.line;
+        self.line_start = to.line_start;
     }
 
     /// Steps over one leading UTF-8 byte-order mark. The one-shot entry
@@ -629,10 +790,11 @@ impl<'a> Parser<'a> {
             if self.bytes.get(self.pos) != Some(&b'"') {
                 return self.unexpected("an object key (string)");
             }
-            // Keys intern straight from the (usually borrowed) slice:
-            // no String materializes for escape-free keys.
+            // The sink takes the key straight from the (usually borrowed)
+            // slice, before the value: no String materializes for
+            // escape-free keys.
             let key = self.parse_string()?;
-            let key = self.names.intern(&key);
+            let key = sink.key(key);
             self.skip_ws();
             if self.bytes.get(self.pos) != Some(&b':') {
                 return self.unexpected("':'");
@@ -660,13 +822,14 @@ impl<'a> Parser<'a> {
         self.check_depth(depth)?;
         self.pos += 1; // '['
         self.skip_ws();
-        let mut items = Vec::new();
+        let mut items = sink.arr_new();
         if self.bytes.get(self.pos) == Some(&b']') {
             self.pos += 1;
             return Ok(sink.arr_finish(items));
         }
         loop {
-            items.push(self.parse_value(sink, depth + 1)?);
+            let item = self.parse_value(sink, depth + 1)?;
+            sink.arr_push(&mut items, item);
             self.skip_ws();
             match self.bytes.get(self.pos) {
                 Some(b',') => {
@@ -684,8 +847,8 @@ impl<'a> Parser<'a> {
 
     /// Parses a string literal. Escape-free contents — the common case —
     /// are returned as a borrowed slice of the input; only strings with
-    /// escapes allocate (once, seeded with the scanned prefix).
-    fn parse_string(&mut self) -> Result<Cow<'a, str>, ParseError> {
+    /// escapes are decoded, into the parser's reused buffer.
+    fn parse_string(&mut self) -> Result<&str, ParseError> {
         let quote = self.pos;
         self.pos += 1; // opening '"'
         let start = self.pos;
@@ -695,14 +858,16 @@ impl<'a> Parser<'a> {
                 Some(b'"') => {
                     let s = &self.input[start..self.pos];
                     self.pos += 1;
-                    return Ok(Cow::Borrowed(s));
+                    return Ok(s);
                 }
                 Some(b'\\') => {
-                    // Escape found: switch to the owned slow path, seeded
-                    // with everything scanned so far.
-                    let mut out = String::with_capacity(self.pos - start + 16);
+                    // Escape found: switch to the decoding slow path,
+                    // seeded with everything scanned so far.
+                    let mut out = std::mem::take(&mut self.unescaped);
+                    out.clear();
                     out.push_str(&self.input[start..self.pos]);
-                    return self.parse_string_owned(quote, out).map(Cow::Owned);
+                    self.unescaped = self.parse_string_escaped(quote, out)?;
+                    return Ok(&self.unescaped);
                 }
                 Some(&b) if b < 0x20 => {
                     return Err(self.err(LexErrorKind::ControlCharInString(b as char), quote));
@@ -712,8 +877,13 @@ impl<'a> Parser<'a> {
         }
     }
 
-    /// Continues a string literal from its first escape.
-    fn parse_string_owned(&mut self, quote: usize, mut out: String) -> Result<String, ParseError> {
+    /// Continues a string literal from its first escape, decoding into
+    /// `out`.
+    fn parse_string_escaped(
+        &mut self,
+        quote: usize,
+        mut out: String,
+    ) -> Result<String, ParseError> {
         loop {
             match self.bytes.get(self.pos) {
                 None => return Err(self.err(LexErrorKind::UnterminatedString, quote)),
@@ -873,10 +1043,8 @@ impl<'a> Parser<'a> {
             // Out-of-range integers degrade to floats (JSON allows
             // arbitrary precision; we keep the value approximately).
         }
-        let span = &self.input[start..self.pos];
-        span.parse::<f64>()
-            .map(|f| sink.float(f))
-            .map_err(|_| self.bad_number(start))
+        sink.float(&self.input[start..self.pos])
+            .ok_or_else(|| self.bad_number(start))
     }
 
     fn bad_number(&self, start: usize) -> ParseError {

@@ -54,6 +54,7 @@ mod metrics;
 mod path;
 mod print;
 pub mod scan;
+pub mod visit;
 
 pub use builder::{arr, json_rec, rec};
 pub use intern::{InternStats, Interner, Name};
@@ -75,10 +76,11 @@ pub const BODY_NAME: &str = "\u{2022}";
 /// call sites self-describing.
 pub const BODY_FIELD: &str = "\u{2022}";
 
-/// The interned [`Name`] of [`BODY_NAME`] (`•`). Cheaper than re-interning
-/// the constant at every use in a hot loop.
+/// The interned [`Name`] of [`BODY_NAME`] (`•`), interned into the
+/// process-default arena once and cached: later calls take no lock.
 pub fn body_name() -> Name {
-    Name::new(BODY_NAME)
+    static BODY: std::sync::OnceLock<Name> = std::sync::OnceLock::new();
+    *BODY.get_or_init(|| Name::new(BODY_NAME))
 }
 
 /// A record field: a name paired with a value.

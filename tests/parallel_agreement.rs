@@ -108,7 +108,7 @@ fn assert_bundles_concatenate<F: DataFormat>(corpus: &[u8]) {
         for group in cuts.chunks(per) {
             let to = *group.last().expect("non-empty chunk");
             let bundle = std::str::from_utf8(&corpus[from..to]).expect("cut at a boundary");
-            F::parse_bundle(bundle, &ctx, None, &interner, &mut |v| got.push(v))
+            F::parse_bundle(bundle, &ctx, None, &interner, &mut got)
                 .expect("a bundle of accepted records parses");
             from = to;
         }
