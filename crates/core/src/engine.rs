@@ -17,11 +17,12 @@
 //! 3. **one-shot parse straight into σ, resumed past bad records** —
 //!    the format's multi-record parser ([`DataFormat::parse_bundle`])
 //!    parses the bundle whole, folding each record into the bundle's
-//!    [`InferAccumulator`] as soon as it is parsed. The JSON parser
-//!    walks a record after a covered one straight against σ, so a
-//!    record σ already covers is counted without being built (see
-//!    [`crate::stream`]); XML and CSV records are built and pushed.
-//!    When the parse fails, what
+//!    [`InferAccumulator`] as soon as it is parsed. Every front-end
+//!    walks a record after a covered one straight against σ — a JSON
+//!    document, an XML document's §6.2 encoding, a CSV row's cells — so
+//!    a record σ already covers is counted without being built (see
+//!    [`crate::stream`]); a record the walk declines is built and
+//!    pushed. When the parse fails, what
 //!    it folded stays folded: it reports the boundary it got to, one
 //!    short boundary scan from there finds the end of the failing
 //!    record, that record alone is re-parsed (where the
@@ -176,10 +177,11 @@ pub trait DataFormat {
     /// boundaries of [`DataFormat::scan`], past the prologue — seeded
     /// with the prologue context and nesting at most `max_depth` deep
     /// when set, folding each record into `fold` — the bundle's
-    /// [`InferAccumulator`] — as soon as it is parsed. A format may parse
-    /// a record straight into the fold's [walk](RecordFold::walk), so a
-    /// record σ already covers is counted without being built (JSON
-    /// does); every other record is built and [pushed](RecordFold::push).
+    /// [`InferAccumulator`] — as soon as it is parsed. Every format
+    /// parses a record straight into the fold's [walk](RecordFold::walk)
+    /// when it offers one, so a record σ already covers is counted
+    /// without being built; every other record is built and
+    /// [pushed](RecordFold::push).
     /// Error positions are local to `text`.
     ///
     /// # Errors
@@ -449,7 +451,7 @@ impl DataFormat for XmlFormat {
             &opts,
             &tfd_xml::EncodeOptions::default(),
             interner,
-            &mut |v| fold.push(v),
+            fold,
         )
     }
 
@@ -536,7 +538,7 @@ impl DataFormat for CsvFormat {
             &tfd_csv::CsvOptions::default(),
             csv_literals(),
             ctx,
-            &mut |v| fold.push(v),
+            fold,
         )
     }
 

@@ -170,11 +170,11 @@ pub(crate) fn leaf_shape(leaf: Leaf<'_>, options: &InferOptions) -> Shape {
                 return Shape::Date;
             }
             if options.stringly_primitives {
-                match tfd_csv::literal::infer_primitive(s) {
-                    Some(Value::Int(_)) => return Shape::Int,
-                    Some(Value::Float(_)) => return Shape::Float,
-                    Some(Value::Bool(_)) => return Shape::Bool,
-                    _ => {}
+                match tfd_csv::literal::primitive(s) {
+                    Leaf::Int(_) => return Shape::Int,
+                    Leaf::Float => return Shape::Float,
+                    Leaf::Bool => return Shape::Bool,
+                    Leaf::Null | Leaf::Str(_) => {}
                 }
             }
             Shape::String

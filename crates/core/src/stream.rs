@@ -34,12 +34,14 @@
 //! The same walk runs on events straight from a parser. The accumulator
 //! is a [`RecordFold`]: after a record σ covered, it offers the parser a
 //! [walk](RecordFold::walk) for the next one, and a record the walk
-//! accepts is counted without ever being built — no `Value`, no
-//! interned key (the JSON front-end does this, see
-//! [`tfd_json::parse_many_values_each`]). A record the walk declines is
-//! parsed again, built and [pushed](InferAccumulator::push), and so is
-//! the record after it, until one is covered again: a run of widening
-//! records pays for one extra parse, at its start.
+//! accepts is counted without ever being built — no `Value`, and for
+//! JSON no interned key (see [`tfd_json::parse_many_values_each`],
+//! [`tfd_xml::parse_many_values_each`] and [`tfd_csv::parse_rows_in`]).
+//! A record the walk declines is built and
+//! [pushed](InferAccumulator::push) (JSON and XML parse it again; CSV
+//! builds it from the cells it split), and so is the record after it,
+//! until one is covered again: a run of widening records pays for one
+//! extra parse, at its start.
 
 use crate::csh::csh;
 use crate::infer::{infer_with, InferOptions};
@@ -608,10 +610,22 @@ mod tests {
         assert!(!acc.covers(&arr([Value::Int(1), Value::str("t"), Value::Null])));
         acc.push(&arr([Value::Int(1), Value::Int(2)]));
         assert!(acc.covers(&arr([])) && acc.covers(&arr([Value::Int(7)])));
-        // Cases still in first-seen order come back sorted from a merge.
+        // Cases still in first-seen order come back sorted from a merge,
+        // so only an equal collection leaves them as they are.
         let mut acc = InferAccumulator::new(InferOptions::json());
         acc.push(&arr([Value::str("s"), Value::Int(1)]));
-        assert!(!acc.covers(&arr([Value::str("t"), Value::Int(2)])));
+        let step = |d: &Value| csh(acc.shape().clone(), infer_with(d, acc.options()));
+        let equal = arr([Value::str("t"), Value::Int(2)]);
+        assert!(acc.covers(&equal));
+        assert_eq!(step(&equal).to_string(), acc.shape().to_string());
+        for merged in [
+            arr([Value::Int(2), Value::str("t")]),
+            arr([Value::str("t"), Value::Float(2.5)]),
+            arr([Value::str("t"), Value::Int(2), Value::Int(3)]),
+        ] {
+            assert!(!acc.covers(&merged));
+            assert_ne!(step(&merged).to_string(), acc.shape().to_string());
+        }
     }
 
     #[test]

@@ -7,13 +7,22 @@
 //! open record or collection, and declines at the first event σ might
 //! not absorb. A built value replays its events into it
 //! ([`InferAccumulator::covers`](crate::InferAccumulator::covers)); the
-//! JSON front-end sends them straight from its parser.
+//! JSON, XML and CSV front-ends send them straight from their parsers.
 //!
 //! Each accepted case mirrors the `csh` rule that fires (see `csh.rs`);
 //! anything else declines. The walk needs that no record in σ repeats a
 //! field name. What a whole collection decides — how many items it held,
 //! and so whether a heterogeneous collection inside it meets σ only
 //! after a join with its siblings — is settled when the collection ends.
+//!
+//! A case merge re-sorts its cases by tag, but `S(d)` lists them in the
+//! order the items first show them, and `csh` gives back an operand
+//! equal to the other unchanged. So a case list of σ out of tag order
+//! (one no merge has touched yet, as on homogeneous XML) comes back
+//! unchanged only from an *equal* one: below it the walk runs exact,
+//! accepting only what makes `S(d)` equal σ there — the cases in σ's
+//! order with σ's multiplicities, every record with all of σ's fields,
+//! every leaf of σ's very shape.
 
 use crate::infer::{leaf_shape, InferOptions};
 use crate::multiplicity::Multiplicity;
@@ -55,6 +64,7 @@ enum Frame<'s> {
         /// [`Walk::matched`].
         base: usize,
         single: bool,
+        exact: bool,
     },
     /// A collection, joined by (list) with `[element]`.
     List {
@@ -63,6 +73,7 @@ enum Frame<'s> {
         /// The tag of the first non-null item, under §6.4.
         tag: Option<Tag>,
         single: bool,
+        exact: bool,
     },
     /// A collection merged (§6.4) with `cases`.
     Cases {
@@ -70,7 +81,10 @@ enum Frame<'s> {
         items: usize,
         /// Items per case.
         hits: [u32; MAX_CASES],
+        /// Cases hit so far.
+        distinct: usize,
         single: bool,
+        exact: bool,
     },
 }
 
@@ -86,6 +100,16 @@ impl Frame<'_> {
             Frame::Record { single, .. }
             | Frame::List { single, .. }
             | Frame::Cases { single, .. } => single,
+        }
+    }
+
+    /// `exact`, common to every frame: the values in it must make `S(d)`
+    /// equal σ, because a case list of σ out of tag order holds them.
+    fn exact(&self) -> bool {
+        match *self {
+            Frame::Record { exact, .. }
+            | Frame::List { exact, .. }
+            | Frame::Cases { exact, .. } => exact,
         }
     }
 }
@@ -184,11 +208,23 @@ impl<'s, 'b> Walk<'s, 'b> {
                 Some(element)
             }
             Frame::Cases {
-                cases, items, hits, ..
+                cases,
+                items,
+                hits,
+                distinct,
+                exact,
+                ..
             } => {
                 // The case of the item's tag (cases have distinct tags).
                 *items += 1;
                 let k = cases.iter().position(|(s, _)| probe.tags(s))?;
+                if hits[k] == 0 {
+                    // Exact, the cases show up in σ's order.
+                    if *exact && k != *distinct {
+                        return None;
+                    }
+                    *distinct += 1;
+                }
                 hits[k] = hits[k].saturating_add(1);
                 Some(&cases[k].0)
             }
@@ -222,8 +258,23 @@ impl<'s, 'b> Walk<'s, 'b> {
         Some(())
     }
 
+    /// Whether the value starting now must make `S(d)` equal σ.
+    #[inline]
+    fn exact(&self) -> bool {
+        self.frames.last().is_some_and(Frame::exact)
+    }
+
     #[inline]
     fn on_leaf(&mut self, leaf: Leaf<'_>) -> Option<()> {
+        if self.exact() {
+            let s = leaf_shape(leaf, self.o);
+            let sigma = self.slot(Probe::Leaf(&s))?;
+            (*sigma == s).then_some(())?;
+            return match leaf {
+                Leaf::Null => Some(()),
+                _ => self.tag_item(|| tag_of(&s)),
+            };
+        }
         if leaf == Leaf::Null {
             // (null): ⌈σ⌉ = σ for every σ that is not a σ̂; (eq) for null.
             let sigma = self.slot(Probe::Null)?;
@@ -237,6 +288,16 @@ impl<'s, 'b> Walk<'s, 'b> {
             )
             .then_some(());
         }
+        if let (Leaf::Str(_), false) = (leaf, self.o.stringly_primitives) {
+            // `S(d)` is `string` or `date`, one tag: a `string` slot of σ
+            // absorbs both, so only another slot (a `date`) needs the
+            // date check.
+            let sigma = self.slot(Probe::Leaf(&Shape::String))?;
+            let fits = primitive_fits(sigma, &Shape::String)
+                || primitive_fits(sigma, &Shape::Date) && leaf_shape(leaf, self.o) == Shape::Date;
+            fits.then_some(())?;
+            return self.tag_item(|| Tag::Str);
+        }
         let s = leaf_shape(leaf, self.o);
         let sigma = self.slot(Probe::Leaf(&s))?;
         primitive_fits(sigma, &s).then_some(())?;
@@ -245,11 +306,16 @@ impl<'s, 'b> Walk<'s, 'b> {
 
     #[inline]
     fn on_record(&mut self, name: &str) -> Option<()> {
+        let exact = self.exact();
         let sigma = self.slot(Probe::Record(name))?;
         // (opt) and (top-incl): the record or label of the name absorbs it.
         let r = match strip_nullable(sigma) {
-            Shape::Record(r) if spells(r.name, name) => r,
-            Shape::Top(labels) if sorted_by_tag(labels) => {
+            Shape::Record(r)
+                if spells(r.name, name) && !(exact && matches!(sigma, Shape::Nullable(_))) =>
+            {
+                r
+            }
+            Shape::Top(labels) if !exact && sorted_by_tag(labels) => {
                 match labels.iter().find(|l| Probe::Record(name).tags(l))? {
                     Shape::Record(r) => r,
                     _ => return None,
@@ -267,6 +333,7 @@ impl<'s, 'b> Walk<'s, 'b> {
             required: 0,
             base: self.stacks.matched.len(),
             single: false,
+            exact,
         });
         Some(())
     }
@@ -342,17 +409,19 @@ impl<'s, 'b> Walk<'s, 'b> {
             required,
             base,
             single,
+            exact,
             ..
         }) = self.frames.last()
         else {
             return None;
         };
         let complete = seen == r.fields.len()
-            || required
-                == r.fields
-                    .iter()
-                    .filter(|g| g.shape.is_non_nullable())
-                    .count();
+            || !exact
+                && required
+                    == r.fields
+                        .iter()
+                        .filter(|g| g.shape.is_non_nullable())
+                        .count();
         complete.then_some(())?;
         self.frames.pop();
         self.stacks.matched.truncate(base);
@@ -360,8 +429,9 @@ impl<'s, 'b> Walk<'s, 'b> {
     }
 
     fn on_list(&mut self) -> Option<()> {
+        let exact = self.exact();
         let sigma = self.slot(Probe::Collection)?;
-        let frame = self.list_frame(sigma)?;
+        let frame = self.list_frame(sigma, exact)?;
         self.tag_item(|| Tag::Collection)?;
         if let (Frame::Cases { .. }, Some(top)) = (&frame, self.frames.last_mut()) {
             *top.single() = true;
@@ -372,27 +442,31 @@ impl<'s, 'b> Walk<'s, 'b> {
 
     /// The frame a collection opens under `sigma`: (list) over a
     /// homogeneous collection, the §6.4 case merge, through (opt) and
-    /// (top-incl).
-    fn list_frame(&self, sigma: &'s Shape) -> Option<Frame<'s>> {
+    /// (top-incl); `exact` when it must make `S(d)` equal σ.
+    fn list_frame(&self, sigma: &'s Shape, exact: bool) -> Option<Frame<'s>> {
+        if exact && matches!(sigma, Shape::Nullable(_) | Shape::Top(_)) {
+            return None;
+        }
         match strip_nullable(sigma) {
             Shape::List(element) => Some(Frame::List {
                 element,
                 items: 0,
                 tag: None,
                 single: false,
+                exact,
             }),
-            Shape::HeteroList(cases) => (self.o.hetero_collections
-                && cases.len() <= MAX_CASES
-                && sorted_by_tag(cases.iter().map(|c| &c.0)))
-            .then_some(Frame::Cases {
-                cases,
-                items: 0,
-                hits: [0; MAX_CASES],
-                single: false,
-            }),
+            Shape::HeteroList(cases) => (self.o.hetero_collections && cases.len() <= MAX_CASES)
+                .then(|| Frame::Cases {
+                    cases,
+                    items: 0,
+                    hits: [0; MAX_CASES],
+                    distinct: 0,
+                    single: false,
+                    exact: exact || !sorted_by_tag(cases.iter().map(|c| &c.0)),
+                }),
             Shape::Top(labels) if sorted_by_tag(labels) => {
                 let label = labels.iter().find(|l| tag_of(l) == Tag::Collection)?;
-                self.list_frame(label)
+                self.list_frame(label, false)
             }
             _ => None,
         }
@@ -401,18 +475,34 @@ impl<'s, 'b> Walk<'s, 'b> {
     fn on_list_end(&mut self) -> Option<()> {
         let o = self.o;
         let single = match *self.frames.last()? {
-            Frame::List { items, single, .. } => {
+            Frame::List {
+                element,
+                items,
+                single,
+                exact,
+                ..
+            } => {
                 // A lone element the `singleton_collections` rule would
-                // keep as a `1` case.
+                // keep as a `1` case; exact, `S([])` is `[⊥]`.
                 let lone = o.hetero_collections && o.singleton_collections && items == 1;
-                (!(lone || single && items > 1)).then_some(single)?
+                let empty = exact && items == 0 && *element != Shape::Bottom;
+                (!(lone || single && items > 1 || empty)).then_some(single)?
             }
             Frame::Cases {
                 cases,
                 items,
                 ref hits,
                 single,
-            } => (!(single && items > 1) && counts_fit(cases, hits, o)).then_some(single)?,
+                exact,
+                ..
+            } => {
+                let counts = if exact {
+                    counts_equal(cases, hits, o)
+                } else {
+                    counts_fit(cases, hits, o)
+                };
+                (!(single && items > 1) && counts).then_some(single)?
+            }
             Frame::Record { .. } => return None,
         };
         self.frames.pop();
@@ -463,6 +553,19 @@ fn counts_fit(cases: &[(Shape, Multiplicity)], hits: &[u32], o: &InferOptions) -
         };
         m.join(seen) == m
     })
+}
+
+/// Whether `S(items)` states `cases` exactly, in σ's order (which the
+/// walk checked as the items came): §6.4 counts each case of several,
+/// and keeps a lone case only as the `singleton_collections` rule's `1`.
+fn counts_equal(cases: &[(Shape, Multiplicity)], hits: &[u32], o: &InferOptions) -> bool {
+    match cases {
+        [(_, m)] => o.singleton_collections && hits[0] == 1 && *m == Multiplicity::One,
+        _ => cases
+            .iter()
+            .zip(hits)
+            .all(|(&(_, m), &n)| n > 0 && m == Multiplicity::of_count(n as usize)),
+    }
 }
 
 /// (opt): `⌈csh(σ̂, S(d))⌉ = ⌈σ̂⌉` when σ̂ absorbs `S(d)`.

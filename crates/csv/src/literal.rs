@@ -9,6 +9,7 @@
 //! column a boolean is inferred at the shape level (see `tfd-core`), from
 //! integer values that are only ever 0 or 1.
 
+use tfd_value::visit::Leaf;
 use tfd_value::Value;
 
 /// Options controlling literal inference.
@@ -133,8 +134,17 @@ fn month_by_name(s: &str) -> Option<u32> {
 /// ```
 pub fn parse_date(text: &str) -> Option<Date> {
     let text = text.trim();
-    if text.is_empty() {
-        return None;
+    // Most strings are rejected here, before any split: every form below
+    // starts (past the commas the month-name forms skip) with a digit, a
+    // `+` (a `u32` day may carry one) or a month name.
+    let lead = text.trim_start_matches(|c: char| c.is_whitespace() || c == ',');
+    match lead.bytes().next()? {
+        b'0'..=b'9' | b'+' => {}
+        b if b.is_ascii_alphabetic() => {
+            let first = lead.split(|c: char| c.is_whitespace() || c == ',').next()?;
+            month_by_name(first)?;
+        }
+        _ => return None,
     }
 
     // Split a trailing time part off ISO-like datetimes.
@@ -206,36 +216,79 @@ fn at_most<'a, const N: usize>(
     Some((items, len))
 }
 
-/// Returns `true` when the (already trimmed) text is an integer literal:
-/// an optional sign followed by ASCII digits, fitting `i64`.
+/// The integer an (already trimmed) integer literal spells: an optional
+/// sign followed by ASCII digits, fitting `i64`.
 fn parse_int(text: &str) -> Option<i64> {
     let rest = text.strip_prefix(['-', '+']).unwrap_or(text);
-    if rest.is_empty() || !rest.chars().all(|c| c.is_ascii_digit()) {
+    if rest.is_empty() || !rest.bytes().all(|b| b.is_ascii_digit()) {
         return None;
     }
     text.parse().ok()
 }
 
-/// Returns the float value when the text is a decimal/exponent literal.
-/// Rejects forms Rust accepts but data files don't use (`inf`, `nan`,
-/// hex). Requires at least one digit.
-fn parse_float(text: &str) -> Option<f64> {
-    let rest = text.strip_prefix(['-', '+']).unwrap_or(text);
-    if rest.is_empty() {
-        return None;
+/// Whether the (already trimmed) text is a decimal/exponent literal:
+/// `f64`'s own grammar without the `inf`/`nan` forms (which data files
+/// do not use) — an optional sign, digits with at most one `.` and at
+/// least one digit, then an optional exponent. Checked without
+/// converting: the value is only built when a [`Value`] is.
+fn is_float(text: &str) -> bool {
+    let b = text.as_bytes();
+    let mut i = usize::from(matches!(b.first(), Some(b'+' | b'-')));
+    let digits = |i: &mut usize| {
+        let start = *i;
+        while b.get(*i).is_some_and(u8::is_ascii_digit) {
+            *i += 1;
+        }
+        *i - start
+    };
+    let mut mantissa = digits(&mut i);
+    if b.get(i) == Some(&b'.') {
+        i += 1;
+        mantissa += digits(&mut i);
     }
-    let mut saw_digit = false;
-    for c in rest.chars() {
-        match c {
-            '0'..='9' => saw_digit = true,
-            '.' | 'e' | 'E' | '+' | '-' => {}
-            _ => return None,
+    if mantissa == 0 {
+        return false;
+    }
+    if matches!(b.get(i), Some(b'e' | b'E')) {
+        i += 1;
+        i += usize::from(matches!(b.get(i), Some(b'+' | b'-')));
+        if digits(&mut i) == 0 {
+            return false;
         }
     }
-    if !saw_digit {
-        return None;
+    i == b.len()
+}
+
+/// The literal rule on (already trimmed) text: a missing-value marker
+/// is `null`, then booleans, integers and floats; anything else is a
+/// string.
+fn classify<'t>(t: &'t str, missing_values: &[String]) -> Leaf<'t> {
+    if missing_values.iter().any(|m| m == t) {
+        Leaf::Null
+    } else if t.eq_ignore_ascii_case("true") || t.eq_ignore_ascii_case("false") {
+        // Allocation-free case-insensitive check: this runs once per CSV
+        // cell and XML attribute.
+        Leaf::Bool
+    } else if let Some(i) = parse_int(t) {
+        Leaf::Int(i)
+    } else if is_float(t) {
+        Leaf::Float
+    } else {
+        Leaf::Str(t)
     }
-    text.parse().ok()
+}
+
+/// The value of (already trimmed) text that [`classify`] read as `leaf`.
+#[allow(clippy::expect_used)] // checked invariant, documented at the site
+fn build(t: &str, leaf: Leaf<'_>) -> Value {
+    match leaf {
+        Leaf::Null => Value::Null,
+        Leaf::Bool => Value::Bool(t.eq_ignore_ascii_case("true")),
+        Leaf::Int(i) => Value::Int(i),
+        // `is_float` accepts a subset of `f64::from_str`'s grammar.
+        Leaf::Float => Value::Float(t.parse().expect("a float literal converts")),
+        Leaf::Str(s) => Value::Str(s.to_owned()),
+    }
 }
 
 /// Classifies bare text as a primitive value when it reads as one:
@@ -245,7 +298,7 @@ fn parse_float(text: &str) -> Option<f64> {
 /// This is the content-based primitive inference the JSON provider
 /// applies to *string literals* (§2.3: the World Bank service encodes
 /// numbers as strings, yet the provided type says `Value : option float`
-/// and `Date : int`).
+/// and `Date : int`). It builds the value [`primitive`] classifies.
 ///
 /// ```
 /// use tfd_csv::literal::infer_primitive;
@@ -256,27 +309,62 @@ fn parse_float(text: &str) -> Option<f64> {
 /// assert_eq!(infer_primitive("GC.DOD.TOTL.GD.ZS"), None);
 /// ```
 pub fn infer_primitive(text: &str) -> Option<Value> {
-    let t = text.trim();
-    if t.is_empty() {
-        return None;
+    match primitive(text) {
+        Leaf::Str(_) => None,
+        leaf => Some(build(text.trim(), leaf)),
     }
-    if t.eq_ignore_ascii_case("true") {
-        return Some(Value::Bool(true));
-    }
-    if t.eq_ignore_ascii_case("false") {
-        return Some(Value::Bool(false));
-    }
-    if let Some(i) = parse_int(t) {
-        return Some(Value::Int(i));
-    }
-    parse_float(t).map(Value::Float)
 }
 
-/// Interprets one untyped literal as a typed [`Value`].
+/// [`literal`]'s rule on trimmed text with no missing-value markers,
+/// classified without building anything: what [`infer_primitive`]
+/// builds from, and what shape inference reads a stringly primitive
+/// from. Never [`Leaf::Null`].
+///
+/// ```
+/// use tfd_csv::literal::primitive;
+/// use tfd_value::visit::Leaf;
+/// assert_eq!(primitive(" 2012 "), Leaf::Int(2012));
+/// assert_eq!(primitive("35.14229"), Leaf::Float);
+/// assert_eq!(primitive(""), Leaf::Str(""));
+/// ```
+pub fn primitive(text: &str) -> Leaf<'_> {
+    classify(text.trim(), &[])
+}
+
+/// The trimmed text the literal rule reads.
+fn trimmed<'t>(text: &'t str, options: &LiteralOptions) -> &'t str {
+    if options.trim {
+        text.trim()
+    } else {
+        text
+    }
+}
+
+/// Classifies one untyped literal without building anything: the rule
+/// [`parse_literal`] builds its value from, and what a parser sends to a
+/// [`Visitor`](tfd_value::visit::Visitor) in place of the value.
 ///
 /// Order of attempts: missing-value markers, booleans, integers, floats;
-/// anything else stays a string (dates stay strings too — date-ness is a
-/// *shape* property detected during inference, the value keeps its text).
+/// anything else is a string, holding the (trimmed) text.
+///
+/// ```
+/// use tfd_csv::literal::{literal, LiteralOptions};
+/// use tfd_value::visit::Leaf;
+/// let opts = LiteralOptions::default();
+/// assert_eq!(literal(" 41 ", &opts), Leaf::Int(41));
+/// assert_eq!(literal("36.3", &opts), Leaf::Float);
+/// assert_eq!(literal("#N/A", &opts), Leaf::Null);
+/// assert_eq!(literal("May 3", &opts), Leaf::Str("May 3"));
+/// ```
+pub fn literal<'t>(text: &'t str, options: &LiteralOptions) -> Leaf<'t> {
+    classify(trimmed(text, options), &options.missing_values)
+}
+
+/// Interprets one untyped literal as a typed [`Value`]: the [`literal`]
+/// rule, then the value it classified.
+///
+/// Dates stay strings — date-ness is a *shape* property detected during
+/// inference, the value keeps its text.
 ///
 /// ```
 /// use tfd_csv::{parse_literal, LiteralOptions};
@@ -289,31 +377,14 @@ pub fn infer_primitive(text: &str) -> Option<Value> {
 /// assert_eq!(parse_literal("2012-05-01", &opts), Value::str("2012-05-01"));
 /// ```
 pub fn parse_literal(text: &str, options: &LiteralOptions) -> Value {
-    let t = if options.trim { text.trim() } else { text };
-    if options.missing_values.iter().any(|m| m == t) {
-        return Value::Null;
-    }
-    // Allocation-free case-insensitive boolean check: this runs once per
-    // CSV cell / XML attribute, so a `to_ascii_lowercase` String here
-    // dominated whole-file parse profiles.
-    if t.eq_ignore_ascii_case("true") {
-        return Value::Bool(true);
-    }
-    if t.eq_ignore_ascii_case("false") {
-        return Value::Bool(false);
-    }
-    if let Some(i) = parse_int(t) {
-        return Value::Int(i);
-    }
-    if let Some(f) = parse_float(t) {
-        return Value::Float(f);
-    }
-    Value::Str(t.to_owned())
+    let t = trimmed(text, options);
+    build(t, classify(t, &options.missing_values))
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use tfd_value::corpus::Rng;
 
     fn lit(s: &str) -> Value {
         parse_literal(s, &LiteralOptions::default())
@@ -424,6 +495,208 @@ mod tests {
     #[test]
     fn date_display_is_iso() {
         assert_eq!(Date::new(2012, 5, 1).unwrap().to_string(), "2012-05-01");
+    }
+
+    /// `parse_date` as it was before its cheap reject: the reference the
+    /// differential tests hold it to.
+    fn parse_date_unfiltered(text: &str) -> Option<Date> {
+        let text = text.trim();
+        if text.is_empty() {
+            return None;
+        }
+        let date_part = if let Some((d, _time)) = text.split_once('T') {
+            d
+        } else {
+            match text.split_once(' ') {
+                Some((d, rest)) if rest.contains(':') => d,
+                _ => text,
+            }
+        };
+        for sep in ['-', '/'] {
+            let parts: Vec<&str> = date_part.split(sep).collect();
+            if parts.len() != 3 {
+                continue;
+            }
+            if parts
+                .iter()
+                .all(|p| !p.is_empty() && p.chars().all(|c| c.is_ascii_digit()))
+            {
+                let nums: Vec<i64> = parts.iter().map(|p| p.parse().unwrap_or(-1)).collect();
+                if parts[0].len() == 4 {
+                    return Date::new(nums[0] as i32, nums[1] as u32, nums[2] as u32);
+                }
+                if parts[2].len() == 4 {
+                    return Date::new(nums[2] as i32, nums[0] as u32, nums[1] as u32);
+                }
+                return None;
+            }
+        }
+        let tokens: Vec<&str> = text
+            .split(|c: char| c.is_whitespace() || c == ',')
+            .filter(|t| !t.is_empty())
+            .collect();
+        match tokens.as_slice() {
+            [m, d] if month_by_name(m).is_some() => {
+                Date::new(2000, month_by_name(m)?, d.parse().ok()?)
+            }
+            [m, d, y] if month_by_name(m).is_some() => {
+                Date::new(y.parse().ok()?, month_by_name(m)?, d.parse().ok()?)
+            }
+            [d, m] if month_by_name(m).is_some() => {
+                Date::new(2000, month_by_name(m)?, d.parse().ok()?)
+            }
+            [d, m, y] if month_by_name(m).is_some() => {
+                Date::new(y.parse().ok()?, month_by_name(m)?, d.parse().ok()?)
+            }
+            _ => None,
+        }
+    }
+
+    /// `parse_literal` as it was before the classifier: the reference
+    /// the differential tests hold the classify-then-build rule to.
+    fn parse_literal_direct(text: &str, options: &LiteralOptions) -> Value {
+        let t = if options.trim { text.trim() } else { text };
+        if options.missing_values.iter().any(|m| m == t) {
+            return Value::Null;
+        }
+        if t.eq_ignore_ascii_case("true") {
+            return Value::Bool(true);
+        }
+        if t.eq_ignore_ascii_case("false") {
+            return Value::Bool(false);
+        }
+        if let Some(i) = parse_int(t) {
+            return Value::Int(i);
+        }
+        let rest = t.strip_prefix(['-', '+']).unwrap_or(t);
+        let numeric = !rest.is_empty()
+            && rest.chars().any(|c| c.is_ascii_digit())
+            && rest
+                .chars()
+                .all(|c| c.is_ascii_digit() || matches!(c, '.' | 'e' | 'E' | '+' | '-'));
+        if let Some(f) = numeric.then(|| t.parse().ok()).flatten() {
+            return Value::Float(f);
+        }
+        Value::Str(t.to_owned())
+    }
+
+    /// A string of up to `len` characters drawn from `alphabet`.
+    fn draw(rng: &mut Rng, alphabet: &[&str], len: u64) -> String {
+        (0..rng.below(len + 1))
+            .map(|_| alphabet[rng.below(alphabet.len() as u64) as usize])
+            .collect()
+    }
+
+    /// Date-shaped text: every recognized form, with fields in and out
+    /// of range, and decorations around it.
+    fn date_shaped(rng: &mut Rng) -> String {
+        const MONTHS: &[&str] = &[
+            "May", "may.", "SEPT", "sept", "Sep", "june", "Jun", "dec", "Mar", "mars", "n", "a",
+        ];
+        let mut n = |bound: u64| rng.below(bound).to_string();
+        let (y, m, d) = (n(2100), n(14), n(33));
+        let (y4, m2, d2) = (
+            format!("{:04}", n(3000)),
+            format!("{m:0>2}"),
+            format!("{d:0>2}"),
+        );
+        let month = MONTHS[rng.below(MONTHS.len() as u64) as usize];
+        let core = match rng.below(10) {
+            0 => format!("{y4}-{m2}-{d2}"),
+            1 => format!("{y4}/{m}/{d}"),
+            2 => format!("{m}/{d}/{y4}"),
+            3 => format!("{y4}-{m2}-{d2}T10:30:00"),
+            4 => format!("{y4}-{m2}-{d2} 10:30"),
+            5 => format!("{month} {d}"),
+            6 => format!("{month} {d}, {y}"),
+            7 => format!("{d} {month}"),
+            8 => format!("+{d} {month} {y}"),
+            _ => format!("{m}-{d}-{y}"),
+        };
+        let decorate = [" ", ",", "\t", "x", "", "", "", ""];
+        let pre = decorate[rng.below(decorate.len() as u64) as usize];
+        let post = decorate[rng.below(decorate.len() as u64) as usize];
+        format!("{pre}{core}{post}")
+    }
+
+    #[test]
+    fn the_cheap_reject_keeps_parse_date_exact() {
+        let alphabet = [
+            "0", "1", "2", "9", "-", "/", " ", ",", "T", ":", "+", ".", "e", "May", "sept", "n",
+            "a", "j", "x", "\u{a0}", "č",
+        ];
+        let mut rng = Rng::new(7);
+        let mut dates = 0;
+        for i in 0..40_000 {
+            let text = if i % 2 == 0 {
+                draw(&mut rng, &alphabet, 12)
+            } else {
+                date_shaped(&mut rng)
+            };
+            let want = parse_date_unfiltered(&text);
+            assert_eq!(parse_date(&text), want, "{text:?}");
+            dates += usize::from(want.is_some());
+        }
+        // The date-shaped half must hold dates of every kind.
+        assert!(dates > 5_000, "only {dates} dates");
+        for text in [
+            "n/a", "alpha-12", "-", "#N/A", "Prague", "mayday 3", ",May 3", "+3 may",
+        ] {
+            assert_eq!(parse_date(text), parse_date_unfiltered(text), "{text:?}");
+        }
+    }
+
+    #[test]
+    fn classify_then_build_is_the_direct_rule() {
+        let alphabet = [
+            "0",
+            "1",
+            "7",
+            "-",
+            "+",
+            ".",
+            "e",
+            "E",
+            " ",
+            "x",
+            "N/A",
+            "#N/A",
+            "true",
+            "False",
+            "nan",
+            "inf",
+            "9223372036854775807",
+            "1e400",
+        ];
+        let options = [
+            LiteralOptions::default(),
+            LiteralOptions {
+                trim: false,
+                ..LiteralOptions::default()
+            },
+            LiteralOptions {
+                missing_values: vec!["?".into()],
+                ..LiteralOptions::default()
+            },
+        ];
+        let mut rng = Rng::new(11);
+        for _ in 0..40_000 {
+            let text = draw(&mut rng, &alphabet, 6);
+            for o in &options {
+                let want = parse_literal_direct(&text, o);
+                let got = parse_literal(&text, o);
+                // NaN never compares equal; no literal here spells one.
+                assert_eq!(got, want, "{text:?}");
+                let leaf = literal(&text, o);
+                assert_eq!(Some(leaf), got.as_leaf(), "{text:?}");
+            }
+            let want = match parse_literal_direct(&text, &options[2]) {
+                Value::Str(_) | Value::Null => None,
+                v if text.trim().is_empty() => panic!("{v:?} from blank text"),
+                v => Some(v),
+            };
+            assert_eq!(infer_primitive(&text), want, "{text:?}");
+        }
     }
 
     #[test]

@@ -28,11 +28,12 @@
 //! 2. a bare `\r` inside a quoted field counts as a line break, so error
 //!    positions are right on classic-Mac line endings.
 
-use crate::literal::{parse_literal, LiteralOptions};
+use crate::literal::{literal, parse_literal, LiteralOptions};
 use crate::CsvFile;
 use std::borrow::Cow;
 use std::fmt;
-use tfd_value::{body_name, Interner, Name, Value};
+use tfd_value::visit::{RecordFold, RecordWalk, Visitor};
+use tfd_value::{body_name, Interner, Name, Value, BODY_NAME};
 
 /// CSV parser configuration.
 #[derive(Debug, Clone)]
@@ -213,8 +214,7 @@ pub fn parse_value_in(
     if options.has_header {
         let headers = header_names(&mut splitter, interner)?;
         let mut rows = Vec::new();
-        each_row(&mut splitter, &headers, literals, &mut |row| rows.push(row))
-            .map_err(|(_, e)| e)?;
+        fold_rows(&mut splitter, &headers, literals, &mut rows).map_err(|(_, e)| e)?;
         Ok(Value::List(rows))
     } else {
         // Headerless mode needs the max width before columns can be
@@ -257,14 +257,22 @@ pub fn parse_header_in(
 }
 
 /// Parses header-less data rows against already-parsed column `headers`,
-/// handing each row record to `each` as soon as it is split — the rows
+/// folding each row record into `fold` as soon as it is split — the rows
 /// [`parse_value_with`] would return after the header, without
 /// collecting them.
+///
+/// A row the fold offers a [walk](RecordFold::walk) for is sent to that
+/// walk as the events of its record: a `•` record, then each column's
+/// key and its cell's [`literal`] (a short row's missing cells read as
+/// empty, extra cells are dropped). Nothing is built. A row the walk
+/// declines is built from the cells already split, and
+/// [pushed](RecordFold::push), so no row is split twice. Every other row
+/// is built and pushed.
 ///
 /// # Errors
 ///
 /// As [`parse`], paired with the byte offset just past the line
-/// terminator of the last row handed to `each` (0 when none was). That
+/// terminator of the last row folded (0 when none was). That
 /// offset is a record boundary of
 /// [`stream::BoundaryScanner`](crate::stream::BoundaryScanner) over the
 /// same bytes, so parsing can resume there once the failing row is
@@ -273,26 +281,26 @@ pub fn parse_header_in(
 /// ```
 /// let interner = tfd_value::Interner::new();
 /// let headers = [interner.intern("a"), interner.intern("b")];
-/// let mut rows = 0;
+/// let mut rows = Vec::new();
 /// let (parsed_to, _) = tfd_csv::parse_rows_in(
 ///     "1,2\r\n3,4\n\"5\"x,6\n",
 ///     &tfd_csv::CsvOptions::default(),
 ///     &tfd_csv::LiteralOptions::default(),
 ///     &headers,
-///     &mut |_| rows += 1,
+///     &mut rows,
 /// )
 /// .unwrap_err();
-/// assert_eq!((rows, parsed_to), (2, 9));
+/// assert_eq!((rows.len(), parsed_to), (2, 9));
 /// ```
-pub fn parse_rows_in(
+pub fn parse_rows_in<F: RecordFold + ?Sized>(
     input: &str,
     options: &CsvOptions,
     literals: &LiteralOptions,
     headers: &[Name],
-    each: &mut dyn FnMut(Value),
+    fold: &mut F,
 ) -> Result<(), (usize, CsvError)> {
     let mut splitter = RecordSplitter::new(input, options.delimiter);
-    each_row(&mut splitter, headers, literals, each)
+    fold_rows(&mut splitter, headers, literals, fold)
 }
 
 /// `input` past one leading UTF-8 byte-order mark, so it does not end up
@@ -317,14 +325,15 @@ fn header_names(
     Ok(fields.iter().map(|h| interner.intern(h.trim())).collect())
 }
 
-/// Reads every remaining record as a `•`-named row over `headers`:
-/// short rows pad with empty cells, extra cells are dropped. An error
-/// comes with the offset just past the last row handed out.
-fn each_row(
+/// Folds every remaining record into `fold` as a `•`-named row over
+/// `headers`, walked or built (see [`parse_rows_in`]): short rows pad
+/// with empty cells, extra cells are dropped. An error comes with the
+/// offset just past the last row folded.
+fn fold_rows<F: RecordFold + ?Sized>(
     splitter: &mut RecordSplitter<'_>,
     headers: &[Name],
     literals: &LiteralOptions,
-    each: &mut dyn FnMut(Value),
+    fold: &mut F,
 ) -> Result<(), (usize, CsvError)> {
     let row_name = body_name();
     let mut fields: Vec<Cow<'_, str>> = Vec::new();
@@ -334,13 +343,26 @@ fn each_row(
         .map_err(|e| (parsed_to, e))?
     {
         parsed_to = splitter.pos;
-        each(Value::record(
-            row_name,
-            headers.iter().enumerate().map(|(i, &h)| {
-                let cell = fields.get(i).map(Cow::as_ref).unwrap_or("");
-                (h, parse_literal(cell, literals))
-            }),
-        ));
+        let cells = || {
+            headers
+                .iter()
+                .enumerate()
+                .map(|(i, &h)| (h, fields.get(i).map_or("", Cow::as_ref)))
+        };
+        let walked = fold.walk().is_some_and(|mut walk| {
+            // The walk declines at its first `false`; `finish` says so.
+            let _ = walk.record_start(BODY_NAME)
+                && cells()
+                    .all(|(h, cell)| walk.key(h.as_str()) && walk.leaf(literal(cell, literals)))
+                && walk.record_end();
+            walk.finish()
+        });
+        if !walked {
+            fold.push(Value::record(
+                row_name,
+                cells().map(|(h, cell)| (h, parse_literal(cell, literals))),
+            ));
+        }
     }
     Ok(())
 }

@@ -13,8 +13,8 @@
 //! ```
 
 use crate::Element;
-use tfd_csv::literal::{parse_literal, LiteralOptions};
-use tfd_value::{body_name, Name, Value};
+use tfd_csv::literal::LiteralOptions;
+use tfd_value::Value;
 
 /// Options for the element→value encoding.
 #[derive(Debug, Clone, Default)]
@@ -30,7 +30,7 @@ pub struct EncodeOptions {
 ///
 /// * the record is named after the element;
 /// * each attribute becomes a field, its text run through
-///   [`parse_literal`];
+///   [`parse_literal`](tfd_csv::parse_literal);
 /// * the body becomes a `•` field: if the element contains only text, the
 ///   field holds the inferred literal; if it contains child elements, the
 ///   field holds the collection of encoded children (interleaved text is
@@ -49,31 +49,39 @@ pub struct EncodeOptions {
 /// # Ok::<(), tfd_xml::XmlError>(())
 /// ```
 pub fn element_to_value(element: &Element, options: &EncodeOptions) -> Value {
-    // Attribute and element names are already interned by the parser;
-    // encoding copies the `Name` symbols, allocating nothing.
-    let mut fields: Vec<(Name, Value)> = element
-        .attributes
-        .iter()
-        .map(|a| (a.name, parse_literal(&a.value, &options.literals)))
-        .collect();
+    // The parser's value sink builds it from the tree, so the tree and
+    // the one-pass `parse_value` share one encoding.
+    crate::parser::encode_element(element, options)
+}
 
-    let child_elements: Vec<&Element> = element.child_elements().collect();
-    if child_elements.is_empty() {
-        // Text-only (or empty) body.
-        let text = element.text();
-        let trimmed = text.trim();
-        if !trimmed.is_empty() {
-            fields.push((body_name(), parse_literal(trimmed, &options.literals)));
+/// The `•` field of an element under §6.2: the one body rule of every
+/// encoding, built ([`element_to_value`], `parse_value`) or walked (the
+/// ingest pipeline's σ walk).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) enum Body<'t> {
+    /// Neither child elements nor text: no `•` field, so inference marks
+    /// it optional.
+    Absent,
+    /// Text only: the trimmed text, literal-inferred.
+    Text(&'t str),
+    /// Child elements: the collection of them. Text between them is
+    /// dropped (mixed content stays reachable only through the
+    /// underlying representation).
+    Children,
+}
+
+impl<'t> Body<'t> {
+    /// The body of an element with child elements when `children`, and
+    /// otherwise its concatenated `text`.
+    pub(crate) fn of(children: bool, text: &'t str) -> Body<'t> {
+        if children {
+            return Body::Children;
         }
-    } else {
-        let children: Vec<Value> = child_elements
-            .iter()
-            .map(|c| element_to_value(c, options))
-            .collect();
-        fields.push((body_name(), Value::List(children)));
+        match text.trim() {
+            "" => Body::Absent,
+            text => Body::Text(text),
+        }
     }
-
-    Value::record(element.name, fields)
 }
 
 #[cfg(test)]

@@ -26,13 +26,14 @@
 //! The previous char-level parser is retained unchanged as
 //! [`crate::reference`] so benchmarks can quantify the difference.
 
-use crate::encode::EncodeOptions;
+use crate::encode::{Body, EncodeOptions};
 use crate::{Attribute, Element, XmlNode};
 use std::borrow::Cow;
 use std::fmt;
-use tfd_csv::literal::parse_literal;
+use tfd_csv::literal::{literal, parse_literal, LiteralOptions};
 use tfd_value::intern::NameMemo;
-use tfd_value::{body_name, Interner, Name, Value};
+use tfd_value::visit::{RecordFold, RecordWalk, Visitor};
+use tfd_value::{body_name, Interner, Name, Value, BODY_NAME};
 
 /// Parser configuration.
 #[derive(Debug, Clone)]
@@ -239,11 +240,7 @@ pub fn parse_value_in(
 ) -> Result<Value, XmlError> {
     let mut p = XmlParser::new_in(input, options.clone(), interner).skip_bom();
     p.skip_prolog()?;
-    let mut sink = ValueSink {
-        options: encode.clone(),
-        body: body_name(),
-    };
-    let root = p.parse_element(&mut sink, 0)?;
+    let root = p.parse_element(&mut ValueSink::new(encode), 0)?;
     p.skip_misc()?;
     if !p.at_eof() {
         return Err(p.error(XmlErrorKind::TrailingContent));
@@ -297,13 +294,21 @@ pub fn parse_many_values_in(
 ) -> Result<Vec<Value>, XmlError> {
     let mut docs = Vec::new();
     let p = XmlParser::new_in(input, options.clone(), interner).skip_bom();
-    each_value(p, encode, &mut |v| docs.push(v)).map_err(|(_, e)| e)?;
+    fold_documents(p, encode, &mut docs).map_err(|(_, e)| e)?;
     Ok(docs)
 }
 
-/// [`parse_many_values_in`] handing each document to `each` as soon as
+/// [`parse_many_values_in`] folding each document into `fold` as soon as
 /// its root element closes, so a caller folding the documents never
 /// holds more than one of them.
+///
+/// A document the fold offers a [walk](RecordFold::walk) for is parsed
+/// straight into that walk: its elements, attributes and text reach the
+/// walk as the events of its §6.2 encoding, and nothing is built. When
+/// the walk declines the document, it is parsed again from its start
+/// into a `Value` and [pushed](RecordFold::push). Every other document
+/// is parsed into a `Value` and pushed. The same parser code runs
+/// either way, so errors and their positions do not depend on the fold.
 ///
 /// Unlike the other entry points, it parses `input` exactly as given: a
 /// leading byte-order mark is an error here, because this is how the
@@ -312,63 +317,106 @@ pub fn parse_many_values_in(
 /// # Errors
 ///
 /// As [`parse_many_values`], paired with the byte offset just past the
-/// root element of the last document handed to `each` (0 when none
-/// was). That offset is a record boundary of
+/// root element of the last document folded (0 when none was). That
+/// offset is a record boundary of
 /// [`stream::BoundaryScanner`](crate::stream::BoundaryScanner) over the
 /// same bytes, so parsing can resume there once the failing record is
 /// dealt with.
 ///
 /// ```
-/// let mut docs = 0;
+/// let mut docs = Vec::new();
 /// let (parsed_to, _) = tfd_xml::parse_many_values_each(
 ///     "<a/>\n<!-- c --><b/>\n<c x=1/>",
 ///     &tfd_xml::XmlOptions::default(),
 ///     &tfd_xml::EncodeOptions::default(),
 ///     &tfd_value::Interner::new(),
-///     &mut |_| docs += 1,
+///     &mut docs,
 /// )
 /// .unwrap_err();
-/// assert_eq!((docs, parsed_to), (2, 19));
+/// assert_eq!((docs.len(), parsed_to), (2, 19));
 /// ```
-pub fn parse_many_values_each(
+pub fn parse_many_values_each<F: RecordFold + ?Sized>(
     input: &str,
     options: &XmlOptions,
     encode: &EncodeOptions,
     interner: &Interner,
-    each: &mut dyn FnMut(Value),
+    fold: &mut F,
 ) -> Result<(), (usize, XmlError)> {
-    each_value(
+    fold_documents(
         XmlParser::new_in(input, options.clone(), interner),
         encode,
-        each,
+        fold,
     )
 }
 
-/// Hands the value of every document `p` parses to `each`; an error
-/// comes with the offset just past the last root element handed out.
-fn each_value(
+/// Folds every document `p` parses into `fold`, walked or built (see
+/// [`parse_many_values_each`]); an error comes with the offset just past
+/// the last root element folded.
+fn fold_documents<F: RecordFold + ?Sized>(
     mut p: XmlParser<'_>,
     encode: &EncodeOptions,
-    each: &mut dyn FnMut(Value),
+    fold: &mut F,
 ) -> Result<(), (usize, XmlError)> {
-    let mut sink = ValueSink {
-        options: encode.clone(),
-        body: body_name(),
-    };
+    let mut sink = ValueSink::new(encode);
+    let mut text = BodyText::default();
     let mut parsed_to = 0;
     while p.skip_prolog_opt().map_err(|e| (parsed_to, e))? {
-        each(p.parse_element(&mut sink, 0).map_err(|e| (parsed_to, e))?);
+        let start = p.mark();
+        let walked = match fold.walk() {
+            Some(walk) => {
+                let mut walk = WalkSink {
+                    walk,
+                    open: true,
+                    literals: &encode.literals,
+                    text: &mut text,
+                };
+                p.parse_element(&mut walk, 0).map_err(|e| (parsed_to, e))?;
+                walk.walk.finish()
+            }
+            None => false,
+        };
+        if !walked {
+            p.rewind(start);
+            fold.push(p.parse_element(&mut sink, 0).map_err(|e| (parsed_to, e))?);
+        }
         parsed_to = p.pos;
     }
     Ok(())
 }
 
-/// How parsed pieces are assembled into an output document. Two
-/// instantiations exist: [`ElementSink`] (the [`Element`] tree) and
-/// [`ValueSink`] (the §6.2 encoding into the universal [`Value`], with
-/// literal inference applied to attributes and text). The parser is
-/// generic over the sink so both outputs share the single byte-level
-/// pass.
+/// The §6.2 encoding of an already-parsed element: the [`Element`] tree
+/// replayed into the sink that builds values as they are parsed.
+pub(crate) fn encode_element(element: &Element, options: &EncodeOptions) -> Value {
+    emit(&mut ValueSink::new(options), element)
+}
+
+/// Sends `element` to `sink` as the parser would have.
+fn emit<S: Sink>(sink: &mut S, element: &Element) -> S::Out {
+    let mut e = sink.elem(element.name);
+    for a in &element.attributes {
+        sink.attr(&mut e, a.name, Cow::Borrowed(&a.value));
+    }
+    for node in &element.children {
+        match node {
+            XmlNode::Text(run) => sink.text(&mut e, run),
+            XmlNode::Element(child) => {
+                sink.child_start(&mut e);
+                let child = emit(sink, child);
+                sink.child(&mut e, child);
+            }
+        }
+    }
+    sink.finish(e)
+}
+
+/// How parsed pieces are assembled into an output document, in the
+/// order the parser meets them. Three instantiations exist:
+/// [`ElementSink`] (the [`Element`] tree), [`ValueSink`] (the §6.2
+/// encoding into the universal [`Value`], with literal inference applied
+/// to attributes and text) and [`WalkSink`] (the events of that encoding
+/// sent to a [`Visitor`], building nothing). The parser is generic over
+/// the sink so every output shares the single byte-level pass, its
+/// checks and its error positions.
 trait Sink {
     /// Per-element accumulator.
     type Elem;
@@ -378,7 +426,9 @@ trait Sink {
     fn elem(&mut self, name: Name) -> Self::Elem;
     fn attr(&mut self, e: &mut Self::Elem, name: Name, value: Cow<'_, str>);
     /// A text run that survived whitespace filtering.
-    fn text(&mut self, e: &mut Self::Elem, run: String);
+    fn text(&mut self, e: &mut Self::Elem, run: &str);
+    /// A child element of `e` starts; its own events follow.
+    fn child_start(&mut self, _e: &mut Self::Elem) {}
     fn child(&mut self, e: &mut Self::Elem, child: Self::Out);
     fn finish(&mut self, e: Self::Elem) -> Self::Out;
 }
@@ -402,8 +452,8 @@ impl Sink for ElementSink {
             value: value.into_owned(),
         });
     }
-    fn text(&mut self, e: &mut Element, run: String) {
-        e.children.push(XmlNode::Text(run));
+    fn text(&mut self, e: &mut Element, run: &str) {
+        e.children.push(XmlNode::Text(run.to_owned()));
     }
     fn child(&mut self, e: &mut Element, child: Element) {
         e.children.push(XmlNode::Element(child));
@@ -413,21 +463,60 @@ impl Sink for ElementSink {
     }
 }
 
-struct ValueSink {
-    options: EncodeOptions,
+/// The text of the innermost open element that has no child element yet,
+/// the only text the §6.2 body rule reads ([`Body`]). One buffer serves
+/// every element of a document: an element's first child drops the text
+/// before it, and its end consumes the text.
+#[derive(Default)]
+struct BodyText(String);
+
+impl BodyText {
+    /// A text run of an element, which has child elements when
+    /// `children`.
+    fn run(&mut self, children: bool, run: &str) {
+        if !children {
+            self.0.push_str(run);
+        }
+    }
+
+    /// The element's first child element starts.
+    fn first_child(&mut self) {
+        self.0.clear();
+    }
+
+    /// The element ends: its `•` field, handed to `f`.
+    fn end<R>(&mut self, children: bool, f: impl FnOnce(Body<'_>) -> R) -> R {
+        let out = f(Body::of(children, &self.0));
+        self.0.clear();
+        out
+    }
+}
+
+struct ValueSink<'o> {
+    options: &'o EncodeOptions,
     body: Name,
+    text: BodyText,
+}
+
+impl<'o> ValueSink<'o> {
+    fn new(options: &'o EncodeOptions) -> ValueSink<'o> {
+        ValueSink {
+            options,
+            body: body_name(),
+            text: BodyText::default(),
+        }
+    }
 }
 
 /// Accumulator for one element being encoded as a value: attribute
-/// fields, encoded child elements and the concatenated surviving text.
+/// fields and encoded child elements.
 struct ValueElem {
     name: Name,
     fields: Vec<(Name, Value)>,
     children: Vec<Value>,
-    text: String,
 }
 
-impl Sink for ValueSink {
+impl Sink for ValueSink<'_> {
     type Elem = ValueElem;
     type Out = Value;
 
@@ -436,7 +525,6 @@ impl Sink for ValueSink {
             name,
             fields: Vec::new(),
             children: Vec::new(),
-            text: String::new(),
         }
     }
     fn attr(&mut self, e: &mut ValueElem, name: Name, value: Cow<'_, str>) {
@@ -445,31 +533,90 @@ impl Sink for ValueSink {
         e.fields
             .push((name, parse_literal(&value, &self.options.literals)));
     }
-    fn text(&mut self, e: &mut ValueElem, run: String) {
-        if e.text.is_empty() {
-            e.text = run; // steal the first run's buffer
-        } else {
-            e.text.push_str(&run);
+    fn text(&mut self, e: &mut ValueElem, run: &str) {
+        self.text.run(!e.children.is_empty(), run);
+    }
+    fn child_start(&mut self, e: &mut ValueElem) {
+        if e.children.is_empty() {
+            self.text.first_child();
         }
     }
     fn child(&mut self, e: &mut ValueElem, child: Value) {
         e.children.push(child);
     }
     fn finish(&mut self, e: ValueElem) -> Value {
-        // The §6.2 body rules of `crate::encode::element_to_value`:
-        // text-only bodies are trimmed and literal-inferred, elements
-        // make a collection (interleaved text is dropped), and an empty
-        // body omits the `•` field so inference marks it optional.
-        let mut fields = e.fields;
-        if e.children.is_empty() {
-            let trimmed = e.text.trim();
-            if !trimmed.is_empty() {
-                fields.push((self.body, parse_literal(trimmed, &self.options.literals)));
-            }
-        } else {
-            fields.push((self.body, Value::List(e.children)));
+        let ValueElem {
+            name,
+            mut fields,
+            children,
+        } = e;
+        let literals = &self.options.literals;
+        let body = self.text.end(!children.is_empty(), |body| match body {
+            Body::Absent => None,
+            Body::Text(text) => Some(parse_literal(text, literals)),
+            Body::Children => Some(Value::List(children)),
+        });
+        fields.extend(body.map(|b| (self.body, b)));
+        Value::record(name, fields)
+    }
+}
+
+/// Sends an element's §6.2 encoding to a [`Visitor`] as [`ValueSink`]
+/// would build it, building nothing: a record per element, a key and a
+/// classified literal per attribute, and the `•` key before the body.
+/// Once the visitor declines, the rest of the document is only parsed,
+/// so its grammar is still checked to the end.
+struct WalkSink<'t, W> {
+    walk: W,
+    /// The visitor still wants events.
+    open: bool,
+    literals: &'t LiteralOptions,
+    text: &'t mut BodyText,
+}
+
+impl<W: Visitor> WalkSink<'_, W> {
+    fn send(&mut self, event: impl FnOnce(&mut W) -> bool) {
+        if self.open {
+            self.open = event(&mut self.walk);
         }
-        Value::record(e.name, fields)
+    }
+}
+
+impl<W: Visitor> Sink for WalkSink<'_, W> {
+    /// Whether the element has had a child element.
+    type Elem = bool;
+    type Out = ();
+
+    fn elem(&mut self, name: Name) -> bool {
+        self.send(|w| w.record_start(name.as_str()));
+        false
+    }
+    fn attr(&mut self, _: &mut bool, name: Name, value: Cow<'_, str>) {
+        let literals = self.literals;
+        self.send(|w| w.key(name.as_str()) && w.leaf(literal(&value, literals)));
+    }
+    fn text(&mut self, &mut children: &mut bool, run: &str) {
+        if self.open {
+            self.text.run(children, run);
+        }
+    }
+    fn child_start(&mut self, children: &mut bool) {
+        if !std::mem::replace(children, true) {
+            self.text.first_child();
+            self.send(|w| w.key(BODY_NAME) && w.list_start());
+        }
+    }
+    fn child(&mut self, _: &mut bool, _: ()) {}
+    fn finish(&mut self, children: bool) {
+        let (open, literals) = (self.open, self.literals);
+        let walk = &mut self.walk;
+        self.open = self.text.end(children, |body| {
+            open && match body {
+                Body::Absent => true,
+                Body::Text(text) => walk.key(BODY_NAME) && walk.leaf(literal(text, literals)),
+                Body::Children => walk.list_end(),
+            } && walk.record_end()
+        });
     }
 }
 
@@ -489,6 +636,16 @@ struct XmlParser<'a> {
     /// corpus arena for the `_in` variants); repeated names take no
     /// lock.
     names: NameMemo<'a>,
+    /// The text run being read, reused from one run to the next.
+    text_run: String,
+}
+
+/// Where a parser stands, to return to.
+#[derive(Clone, Copy)]
+struct Mark {
+    pos: usize,
+    line: usize,
+    line_start: usize,
 }
 
 impl<'a> XmlParser<'a> {
@@ -505,7 +662,22 @@ impl<'a> XmlParser<'a> {
             line_start: 0,
             options,
             names: NameMemo::new(interner),
+            text_run: String::new(),
         }
+    }
+
+    fn mark(&self) -> Mark {
+        Mark {
+            pos: self.pos,
+            line: self.line,
+            line_start: self.line_start,
+        }
+    }
+
+    fn rewind(&mut self, to: Mark) {
+        self.pos = to.pos;
+        self.line = to.line;
+        self.line_start = to.line_start;
     }
 
     /// Steps over one leading UTF-8 byte-order mark. The one-shot entry
@@ -910,14 +1082,15 @@ impl<'a> XmlParser<'a> {
             }
         }
 
-        // Content.
-        let mut text_run = String::new();
+        // Content. Every text run is flushed before a child element
+        // starts and before this element ends, so the run buffer is empty
+        // here and when this element returns.
         loop {
             match self.bytes.get(self.pos) {
                 None => return Err(self.error(XmlErrorKind::UnexpectedEof("element content"))),
                 Some(b'<') => match self.bytes.get(self.pos + 1) {
                     Some(b'/') => {
-                        self.flush_text(sink, &mut element, &mut text_run);
+                        self.flush_text(sink, &mut element);
                         self.pos += 2; // "</"
                         let close = self.parse_name()?;
                         self.skip_ws();
@@ -940,18 +1113,19 @@ impl<'a> XmlParser<'a> {
                                 }));
                             }
                             self.pos += "<![CDATA[".len();
-                            self.read_cdata(&mut text_run)?;
+                            self.read_cdata()?;
                         } else {
-                            self.flush_text(sink, &mut element, &mut text_run);
+                            self.flush_text(sink, &mut element);
                             self.skip_comment()?;
                         }
                     }
                     Some(b'?') => {
-                        self.flush_text(sink, &mut element, &mut text_run);
+                        self.flush_text(sink, &mut element);
                         self.skip_pi()?;
                     }
                     _ => {
-                        self.flush_text(sink, &mut element, &mut text_run);
+                        self.flush_text(sink, &mut element);
+                        sink.child_start(&mut element);
                         let child = self.parse_element(sink, depth + 1)?;
                         sink.child(&mut element, child);
                     }
@@ -959,7 +1133,7 @@ impl<'a> XmlParser<'a> {
                 Some(b'&') => {
                     self.pos += 1;
                     let c = self.parse_entity()?;
-                    text_run.push(c);
+                    self.text_run.push(c);
                 }
                 Some(_) => {
                     // Bulk text run: scan to the next markup or entity
@@ -975,13 +1149,13 @@ impl<'a> XmlParser<'a> {
                             self.pos += 1;
                         }
                     }
-                    text_run.push_str(&self.input[start..self.pos]);
+                    self.text_run.push_str(&self.input[start..self.pos]);
                 }
             }
         }
     }
 
-    fn read_cdata(&mut self, text_run: &mut String) -> Result<(), XmlError> {
+    fn read_cdata(&mut self) -> Result<(), XmlError> {
         // Already consumed "<![CDATA[". Copy the content in one run,
         // delimited by "]]>".
         let run_start = self.pos;
@@ -992,7 +1166,7 @@ impl<'a> XmlParser<'a> {
                     if self.bytes.get(self.pos + 1) == Some(&b']')
                         && self.bytes.get(self.pos + 2) == Some(&b'>') =>
                 {
-                    text_run.push_str(&self.input[run_start..self.pos]);
+                    self.text_run.push_str(&self.input[run_start..self.pos]);
                     self.pos += 3;
                     return Ok(());
                 }
@@ -1001,15 +1175,14 @@ impl<'a> XmlParser<'a> {
         }
     }
 
-    fn flush_text<S: Sink>(&mut self, sink: &mut S, element: &mut S::Elem, text_run: &mut String) {
-        if text_run.is_empty() {
+    fn flush_text<S: Sink>(&mut self, sink: &mut S, element: &mut S::Elem) {
+        if self.text_run.is_empty() {
             return;
         }
-        let run = std::mem::take(text_run);
-        if self.options.ignore_whitespace_text && run.chars().all(char::is_whitespace) {
-            return;
+        if !self.options.ignore_whitespace_text || !self.text_run.chars().all(char::is_whitespace) {
+            sink.text(element, &self.text_run);
         }
-        sink.text(element, run);
+        self.text_run.clear();
     }
 }
 

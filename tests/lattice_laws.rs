@@ -13,7 +13,8 @@
 //! * inference is monotone: `S(dᵢ) ⊑ S(d1, …, dn)`;
 //! * `⊑` and `hasShape` cohere: `S(d) ⊑ σ` implies `conforms(σ, d)`;
 //! * the streaming fold's no-widen fast path only skips steps that are
-//!   no-ops: whenever it accepts `d`, `csh(σ, S(d))` prints exactly as σ.
+//!   no-ops: whenever it accepts `d`, `csh(σ, S(d))` prints exactly as σ;
+//!   on date-shaped strings it accepts exactly those.
 
 mod common;
 
@@ -310,6 +311,107 @@ fn fast_path_skips_only_no_op_steps_on_messy_corpora() {
     assert!(
         accepted > 300,
         "the fast path accepted only {accepted} records"
+    );
+}
+
+// --- The σ walk's lazy date check ---
+//
+// Under the presets without stringly primitives, the walk reads a
+// string leaf's date-ness only where σ's string slot is not `string`.
+// These probes put date-shaped and plain strings under string, date,
+// labelled-top and case-list positions of σ, and hold `covers` to the
+// general step in both directions.
+
+const DATED: &[&str] = &[
+    "2012-05-01",
+    "May 3",
+    "5/1/2012",
+    "3 May 2012",
+    "2012-13-01",
+    "soon",
+    "n/a",
+    "x",
+];
+
+/// A leaf for the date probes: mostly strings, date-shaped or not.
+fn dated_leaf(rng: &mut Rng, nulls: bool) -> Value {
+    match rng.below(10) {
+        0 => Value::Int(rng.below(3) as i64),
+        1 => Value::Float(2.5),
+        2 => Value::Bool(true),
+        3 if nulls => Value::Null,
+        _ => Value::str(DATED[rng.below(DATED.len() as u64) as usize]),
+    }
+}
+
+/// A record of date probes: each field present or not, holding a leaf
+/// or a collection of non-null leaves.
+fn dated_record(rng: &mut Rng) -> Value {
+    let fields = ["a", "b", "c", "d"].into_iter().filter_map(|name| {
+        let value = match rng.below(10) {
+            0 => return None,
+            1..=3 => Value::List((0..rng.below(4)).map(|_| dated_leaf(rng, false)).collect()),
+            _ => dated_leaf(rng, true),
+        };
+        Some((name, value))
+    });
+    Value::record("item", fields.collect::<Vec<_>>())
+}
+
+/// Folds a few date-probe records under every preset, then checks
+/// `covers` against the general step on more of them. Returns how many
+/// probes were covered and how many with a date-shaped string were.
+fn check_dated(seed: u64) -> Result<(usize, usize), TestCaseError> {
+    let mut rng = Rng::new(seed);
+    let samples: Vec<Value> = (0..1 + rng.below(4))
+        .map(|_| dated_record(&mut rng))
+        .collect();
+    let (mut covered, mut dated) = (0, 0);
+    for options in presets() {
+        let mut acc = InferAccumulator::new(options.clone());
+        samples.iter().for_each(|d| acc.push(d));
+        for _ in 0..16 {
+            let d = dated_record(&mut rng);
+            let stepped = csh(acc.shape().clone(), infer_with(&d, &options));
+            let covers = acc.covers(&d);
+            prop_assert_eq!(
+                covers,
+                stepped.to_string() == acc.shape().to_string(),
+                "{:?}: {} into {}",
+                options,
+                d,
+                acc.shape()
+            );
+            covered += usize::from(covers);
+            dated += usize::from(covers && DATED[..4].iter().any(|s| d.to_string().contains(s)));
+        }
+    }
+    Ok((covered, dated))
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(256))]
+
+    #[test]
+    fn covers_holds_exactly_when_the_step_is_a_no_op_on_date_shaped_strings(
+        seed in any::<u64>(),
+    ) {
+        check_dated(seed)?;
+    }
+}
+
+#[test]
+fn covers_on_date_shaped_strings_is_not_vacuous() {
+    let (mut covered, mut dated) = (0, 0);
+    for seed in 0..256 {
+        let (c, d) = check_dated(seed).unwrap_or_else(|e| panic!("seed {seed}: {e:?}"));
+        covered += c;
+        dated += d;
+    }
+    // Of 16 384 probes, enough are covered, dates among them.
+    assert!(
+        covered > 500 && dated > 300,
+        "{covered} covered, {dated} with dates"
     );
 }
 
