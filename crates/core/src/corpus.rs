@@ -54,11 +54,13 @@ pub struct FileSummary {
 /// Runs [`run`] once per source on `min(jobs, sources)` file workers,
 /// returning per-source results **in source order**.
 ///
-/// Each worker claims the next unclaimed source, builds a fresh scoped
-/// [`Interner`] for it, and runs the pipeline with the remaining job
-/// budget (`jobs / workers`, at least 1) as that file's inner
-/// parallelism. An unreadable file surfaces as [`StreamError::Io`] in
-/// its slot; other sources still complete.
+/// Every source gets a fresh scoped [`Interner`], created here in
+/// source order before any worker starts, so arena ids follow the
+/// sources (as they do at one job) and not thread timing. Each worker
+/// claims the next unclaimed source and runs the pipeline with the
+/// remaining job budget (`jobs / workers`, at least 1) as that file's
+/// inner parallelism. An unreadable file surfaces as
+/// [`StreamError::Io`] in its slot; other sources still complete.
 ///
 /// The join is the caller's: fold the summaries' shapes with
 /// [`csh`](crate::csh) in source order (after reinterning), exactly as
@@ -76,13 +78,18 @@ pub fn infer_sources_parallel(
         jobs: (config.jobs.max(1) / workers).max(1),
         ..config.clone()
     };
+    let arenas: Vec<Interner> = sources.iter().map(|_| Interner::new()).collect();
     if workers <= 1 {
-        return sources.iter().map(|s| infer_source(s, &inner)).collect();
+        return sources
+            .iter()
+            .zip(arenas)
+            .map(|(s, arena)| infer_source(s, &inner, arena))
+            .collect();
     }
     let next = AtomicUsize::new(0);
     let mut slots: Vec<Option<Result<FileSummary, StreamError>>> = (0..n).map(|_| None).collect();
     let collected: Vec<(usize, Result<FileSummary, StreamError>)> = std::thread::scope(|scope| {
-        let (next, inner) = (&next, &inner);
+        let (next, inner, arenas) = (&next, &inner, &arenas);
         let handles: Vec<_> = (0..workers)
             .map(|_| {
                 // A one-job file runs inline on this worker: give it a
@@ -94,7 +101,7 @@ pub fn infer_sources_parallel(
                         loop {
                             let i = next.fetch_add(1, Ordering::Relaxed);
                             let Some(src) = sources.get(i) else { break };
-                            out.push((i, infer_source(src, inner)));
+                            out.push((i, infer_source(src, inner, arenas[i].clone())));
                         }
                         out
                     })
@@ -115,12 +122,12 @@ pub fn infer_sources_parallel(
         .collect()
 }
 
-/// One source through the pipeline, in a fresh arena.
+/// One source through the pipeline, in its own fresh arena.
 fn infer_source(
     source: &CorpusSource<'_>,
     config: &IngestConfig,
+    arena: Interner,
 ) -> Result<FileSummary, StreamError> {
-    let arena = Interner::new();
     let recovered = match *source {
         CorpusSource::Stream(path) => {
             let file = std::fs::File::open(path).map_err(StreamError::Io)?;

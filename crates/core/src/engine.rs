@@ -9,9 +9,11 @@
 //!
 //! 1. **boundary scan** — the format's [resumable boundary scanner]
 //!    finds record ends in `chunk_size` windows (read from a [`Read`],
-//!    or lent zero-copy from in-memory bytes); the first record is the
-//!    format prologue (the CSV header row) that every bundle is seeded
-//!    with;
+//!    or lent zero-copy from in-memory bytes); JSON container records
+//!    are found 64 bytes at a time by the structural-block walk of
+//!    [`tfd_value::scan::json_blocks`], everything else by the format's
+//!    per-byte state machine. The first record is the format prologue
+//!    (the CSV header row) that every bundle is seeded with;
 //! 2. **whole-record bundles** — everything up to the last boundary of a
 //!    window becomes one bundle, so a bundle never splits a record;
 //! 3. **one-shot parse straight into σ, resumed past bad records** —
@@ -842,7 +844,10 @@ impl<'c, F: DataFormat> Run<'c, F> {
         let produced = if workers <= 1 {
             self.produce(source, &mut segs, &mut |b| self.settle(b))
         } else {
-            let queue = WorkQueue::new(workers.saturating_mul(self.chunk()).saturating_mul(2));
+            // One window of queued bytes per worker: with the scan off
+            // the critical path the workers are the bottleneck, and a
+            // deeper queue only holds more windows in memory.
+            let queue = WorkQueue::new(workers.saturating_mul(self.chunk()));
             std::thread::scope(|scope| {
                 let queue = &queue;
                 let handles: Vec<_> = (0..workers)

@@ -4,18 +4,32 @@
 //! may be split at **any** byte boundary, including mid-UTF-8-sequence
 //! and mid-escape — and reports where each whitespace-separated
 //! top-level document ends, exactly the documents the one-shot
-//! [`parse_many_values`](crate::parse_many_values) returns. It is an
-//! explicit state machine (`Mode`/`NumState`, one small enum step per
-//! byte, no recursion) that tracks just enough structure (bracket depth,
-//! string/escape state, the RFC 8259 number grammar, keyword runs) to
-//! find the byte range of each record, wherever chunk boundaries fall,
-//! without ever materializing a value.
+//! [`parse_many_values`](crate::parse_many_values) returns.
+//!
+//! Two engines share one state. Inside container records, wherever 64
+//! bytes are left, the structural-block walk of
+//! [`tfd_value::scan::json_blocks`] finds quotes, escapes and brackets
+//! a whole block at a time and reports every record end it passes,
+//! across any number of whitespace-separated containers. Everything
+//! else — top-level scalars, strings and junk between records, a block
+//! with a backslash outside any string, the last bytes of a chunk —
+//! runs on an explicit per-byte state machine (`Mode`/`NumState`, one
+//! small enum step per byte, no recursion) that tracks just enough
+//! structure (bracket depth, string/escape state, the RFC 8259 number
+//! grammar, keyword runs) to find the byte range of each record. The
+//! walk hands its state (depth, in-string, escaped) to the machine and
+//! back, so the two agree on every boundary wherever chunk boundaries
+//! fall; [`BoundaryScanner::feed_naive`] runs the machine alone, the
+//! reference the parity suite (`tests/scan_backends.rs`) checks every
+//! backend's walk against.
 //!
 //! The ingest pipeline (`tfd_core::engine::run`) cuts corpora into
 //! whole-record bundles at these boundaries and parses each bundle with
 //! [`parse_many_values_each`](crate::parse_many_values_each); when that
 //! parse fails, the failing record runs from the boundary it reports to
 //! the next boundary this scanner finds.
+
+use tfd_value::scan::{JsonWalk, JSON_BLOCK};
 
 /// Scanner state between two consumed bytes. Every variant is resumable:
 /// a chunk may end (and the next begin) in any of them.
@@ -137,10 +151,40 @@ impl BoundaryScanner {
     /// just past each record completed within it (state carries across
     /// calls, so chunks may split records anywhere).
     pub fn feed(&mut self, chunk: &[u8], boundary: &mut impl FnMut(usize)) {
+        self.scan(chunk, boundary, true);
+    }
+
+    /// [`feed`](BoundaryScanner::feed) on the per-byte state machine
+    /// alone: the structural-block walk's naive twin, which every
+    /// backend's walk must match boundary for boundary.
+    pub fn feed_naive(&mut self, chunk: &[u8], boundary: &mut impl FnMut(usize)) {
+        self.scan(chunk, boundary, false);
+    }
+
+    fn scan(&mut self, chunk: &[u8], boundary: &mut impl FnMut(usize), blocks: bool) {
         let n = chunk.len();
         let mut i = 0usize;
         while i < n {
-            if self.in_record() {
+            // `depth > 0` only inside a container record.
+            if blocks && self.depth > 0 && n - i >= JSON_BLOCK {
+                let mut walk = self.walk();
+                let stop =
+                    tfd_value::scan::json_blocks(chunk, i, &mut walk, &mut |end| boundary(end));
+                self.set_walk(walk);
+                if stop > i {
+                    i = stop;
+                    continue;
+                }
+                // The walk declined this block: step it byte by byte.
+                let to = i + JSON_BLOCK;
+                match self.run(&chunk[..to], i) {
+                    Some(end) => {
+                        boundary(end);
+                        i = end;
+                    }
+                    None => i = to,
+                }
+            } else if self.in_record() {
                 match self.run(chunk, i) {
                     Some(end) => {
                         boundary(end);
@@ -156,6 +200,28 @@ impl BoundaryScanner {
                 }
             }
         }
+    }
+
+    /// The container-record state as the block walk carries it.
+    fn walk(&self) -> JsonWalk {
+        JsonWalk {
+            depth: self.depth,
+            in_string: matches!(self.mode, Mode::Str | Mode::StrEsc),
+            escaped: self.mode == Mode::StrEsc,
+        }
+    }
+
+    /// Takes the state back from the block walk.
+    fn set_walk(&mut self, walk: JsonWalk) {
+        self.depth = walk.depth;
+        self.mode = match walk {
+            JsonWalk { depth: 0, .. } => Mode::Between,
+            JsonWalk { escaped: true, .. } => Mode::StrEsc,
+            JsonWalk {
+                in_string: true, ..
+            } => Mode::Str,
+            _ => Mode::Container,
+        };
     }
 
     /// Classifies the first byte of a record (the one-shot `parse_value`
@@ -210,8 +276,9 @@ impl BoundaryScanner {
     /// record still open.
     ///
     /// The two hot modes (inside a container, inside a string) hop
-    /// special-to-special with the shared SWAR scanners
-    /// ([`tfd_value::scan`]) instead of stepping byte by byte.
+    /// special-to-special with the shared `find_*` scanners
+    /// ([`tfd_value::scan`]) instead of stepping byte by byte; `feed`
+    /// only lands here for the bytes the block walk leaves.
     fn run(&mut self, chunk: &[u8], mut i: usize) -> Option<usize> {
         let n = chunk.len();
         while i < n {

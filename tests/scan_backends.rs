@@ -8,11 +8,18 @@
 //! record cuts differently depending on the machine the corpus happened
 //! to be parsed on.
 //!
+//! The JSON structural-block walk (`scan::json_blocks`) is held to the
+//! same standard at the level that matters, record boundaries: under
+//! every backend, `tfd_json`'s `BoundaryScanner::feed` must report the
+//! same boundaries and end state as `feed_naive`, the per-byte state
+//! machine the walk replaced, at every chunking.
+//!
 //! This is deliberately ONE `#[test]` in its own integration binary:
 //! `force_backend` flips a process-global dispatch table, so the parity
 //! sweep must not race other tests in the same process.
 
 use proptest::test_runner::TestRng;
+use tfd_json::stream::BoundaryScanner;
 use tfd_value::scan;
 
 /// One-byte-at-a-time references, the semantics every kernel must match.
@@ -143,6 +150,145 @@ fn random_battery(backend: &str, rng: &mut TestRng) {
     }
 }
 
+/// Chunk sizes every JSON boundary comparison feeds at: below, at and
+/// above one 64-byte block, and a window holding many.
+const JSON_CHUNKS: &[usize] = &[1, 7, 63, 64, 65, 100, 4096];
+
+/// The boundaries `text` yields fed in `chunk`-byte pieces, and whether
+/// it ends inside a record: through the block walk, or through the
+/// per-byte machine alone.
+fn json_cuts(text: &[u8], chunk: usize, naive: bool) -> (Vec<usize>, bool) {
+    let mut s = BoundaryScanner::new();
+    let mut cuts = Vec::new();
+    for (k, piece) in text.chunks(chunk).enumerate() {
+        let mut push = |off: usize| cuts.push(k * chunk + off);
+        if naive {
+            s.feed_naive(piece, &mut push);
+        } else {
+            s.feed(piece, &mut push);
+        }
+    }
+    (cuts, s.in_record())
+}
+
+/// The block walk agrees with the per-byte machine on `text` at every
+/// chunk size.
+fn check_json(backend: &str, text: &[u8]) {
+    for &chunk in JSON_CHUNKS {
+        assert_eq!(
+            json_cuts(text, chunk, false),
+            json_cuts(text, chunk, true),
+            "[{backend}] chunk {chunk} on {:?}",
+            String::from_utf8_lossy(text)
+        );
+    }
+}
+
+/// `filler` bytes of string content that hold no special byte.
+fn pad(filler: usize) -> String {
+    "abcdefghij".chars().cycle().take(filler).collect()
+}
+
+/// The JSON cases that trip structural indexes. Each is swept over
+/// every leading pad of 0..130 bytes, so with the walk starting one
+/// byte into the text (past the first `{`) each crafted byte lands on
+/// every bit of a block — bits 62 and 63 and bit 64, the next block's
+/// bit 0, included — and on every window cut.
+fn json_crafted(backend: &str) {
+    for lead in 0..130 {
+        let p = pad(lead);
+        // Backslash runs of length 0–9, the run ending at every bit;
+        // odd runs escape the quote after them.
+        for run in 0..10 {
+            let slashes = "\\".repeat(run);
+            let close = if run % 2 == 1 { "\"" } else { "" };
+            let rec = format!("{{\"s\":\"{p}{slashes}\"{close}, \"t\": [1]}}");
+            check_json(backend, format!("{rec}\n{rec}\n{rec}").as_bytes());
+        }
+        // A quote at every bit, and an escaped quote across each edge.
+        check_json(
+            backend,
+            format!("{{\"{p}\": \"x\\\"y\"}}\n[\"{p}\\\"\", {{}}]").as_bytes(),
+        );
+        // A stray backslash outside any string, before and after one.
+        check_json(
+            backend,
+            format!("{{\"a\": 1 \\ , \"{p}\": \\\"q\"}} [\\\"{p}\"]").as_bytes(),
+        );
+        // Brackets and multi-byte UTF-8 inside strings.
+        check_json(
+            backend,
+            format!("[\"{p}{{[}}]\", \"čaj 😀 {p}]\", {{\"}}\": \"{{\"}}]\n{{\"é\": [\"]]]\"]}}")
+                .as_bytes(),
+        );
+        // Records closing at every offset of a block, back to back and
+        // nested.
+        check_json(
+            backend,
+            format!("[{p}]{{\"k\": [[{p}]]}}[] {{}}\n\n[[\"{p}\"]]").as_bytes(),
+        );
+        // Scalars, strings and junk between containers.
+        check_json(
+            backend,
+            format!(
+                "{{\"a\":[{p}]}} 17 \"s{p}\" true [1] ,, }} ] -0.5e+3 nul {{\"b\":[2]}} é 0 01 \
+                 [\"{p}\"]\n-\n{{}}"
+            )
+            .as_bytes(),
+        );
+    }
+    // Deep nesting: no record ends in most blocks.
+    let deep = format!("{}{}", "[".repeat(300), "]".repeat(300));
+    check_json(backend, format!("{deep} {deep}\n{deep}").as_bytes());
+    // Unterminated records and strings at the end of the stream.
+    check_json(backend, format!("{{\"a\": \"{}", pad(200)).as_bytes());
+    check_json(backend, format!("[[{}\\", pad(200)).as_bytes());
+}
+
+/// Atom soup: random concatenations of JSON fragments, balanced or not,
+/// so string, escape and depth state cross blocks and windows at random.
+fn json_soup(backend: &str, rng: &mut TestRng) {
+    const ATOMS: &[&str] = &[
+        "{",
+        "}",
+        "[",
+        "]",
+        "\"",
+        "\\",
+        "\\\\",
+        "\\\"",
+        " ",
+        "\n",
+        "\r\n",
+        "a",
+        "1",
+        "-2.5e3",
+        "true",
+        "nul",
+        ",",
+        ":",
+        "é",
+        "😀",
+        "{\"k\": \"v\"}",
+        "[1, [2]]",
+        "\"s\\\"q\"",
+        "\"{[]}\"",
+        "abcdefghijklmnopqrstuvwxyzabcdefghijklmnopqrstuvwxyz0123456789",
+    ];
+    for case in 0..400 {
+        let atoms = 1 + rng.next_u64() as usize % 120;
+        let mut text = String::new();
+        // Every other soup opens a container, so the walk runs.
+        if case % 2 == 0 {
+            text.push('{');
+        }
+        for _ in 0..atoms {
+            text.push_str(ATOMS[rng.next_u64() as usize % ATOMS.len()]);
+        }
+        check_json(backend, text.as_bytes());
+    }
+}
+
 #[test]
 fn every_backend_is_byte_identical_to_the_scalar_reference() {
     let backends = scan::available_backends();
@@ -165,6 +311,8 @@ fn every_backend_is_byte_identical_to_the_scalar_reference() {
         assert_eq!(scan::backend_name(), *backend);
         crafted_battery(backend);
         random_battery(backend, &mut rng);
+        json_crafted(backend);
+        json_soup(backend, &mut rng);
     }
 
     // Back to auto-detection; the winner must be the original choice.

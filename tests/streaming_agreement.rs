@@ -14,9 +14,10 @@
 
 mod common;
 
-use common::{ingest_bytes, ingest_pieces, piece_rotations, value_strategy};
+use common::{ingest, ingest_bytes, ingest_pieces, piece_rotations, value_strategy};
 use proptest::prelude::*;
 use std::fmt::Write as _;
+use tfd_core::engine::Source;
 use tfd_core::stream::{InferAccumulator, StreamError, StreamFormat};
 use tfd_core::{globalize, infer_many, infer_with, InferOptions, RecoveryPolicy, Shape};
 use tfd_value::{Interner, Value};
@@ -197,6 +198,174 @@ proptest! {
         let base = json_corpus_text(&docs, &seps);
         let text = if do_truncate { truncate(&base, cut) } else { mutate(&base, position, c) };
         assert_streams_to(StreamFormat::Json, text.as_bytes(), &sizes, &oneshot(StreamFormat::Json, &text));
+    }
+}
+
+/// Pretty-prints `v` over several lines with `indent` per level, as an
+/// API dump or a hand-edited file would hold it.
+fn pretty_json(v: &Value, indent: &str, newline: &str, level: usize) -> String {
+    let pad = indent.repeat(level + 1);
+    let end = indent.repeat(level);
+    match v {
+        Value::Record { fields, .. } => {
+            let fields: Vec<String> = fields
+                .iter()
+                .map(|f| {
+                    format!(
+                        "{pad}{}: {}",
+                        tfd_json::to_json_string(&tfd_json::Json::String(f.name.to_string())),
+                        pretty_json(&f.value, indent, newline, level + 1)
+                    )
+                })
+                .collect();
+            format!(
+                "{{{newline}{}{newline}{end}}}",
+                fields.join(&format!(",{newline}"))
+            )
+        }
+        Value::List(items) => {
+            let items: Vec<String> = items
+                .iter()
+                .map(|i| format!("{pad}{}", pretty_json(i, indent, newline, level + 1)))
+                .collect();
+            format!(
+                "[{newline}{}{newline}{end}]",
+                items.join(&format!(",{newline}"))
+            )
+        }
+        other => tfd_json::to_json_string(&tfd_json::Json::from_value(other)),
+    }
+}
+
+/// The record lists of the adversarial JSON corpora for the
+/// structural-block boundary walk: pretty-printed multi-line records;
+/// strings holding brackets, `\"` and backslash runs that straddle
+/// 64-byte blocks and window cuts; top-level scalars between
+/// containers. Each corpus is the records joined by `seps` in turn.
+fn adversarial_json_corpora() -> Vec<(Vec<String>, &'static [&'static str])> {
+    let mut pretty = Vec::new();
+    for i in 0..6 {
+        let v = Value::record(
+            tfd_value::BODY_NAME,
+            [
+                ("id", Value::Int(i)),
+                (
+                    "note",
+                    Value::str(format!("{{[ ]}} \"q\" {}", "x".repeat(i as usize * 9))),
+                ),
+                (
+                    "items",
+                    Value::List(vec![
+                        Value::record(tfd_value::BODY_NAME, [("k", Value::str("]}"))]),
+                        Value::List(vec![Value::Int(1), Value::Float(2.5)]),
+                    ]),
+                ),
+                (
+                    "nested",
+                    Value::record(tfd_value::BODY_NAME, [("deep", Value::Bool(i % 2 == 0))]),
+                ),
+            ],
+        );
+        let (indent, newline) = [("  ", "\n"), ("\t", "\r\n"), ("    ", "\n")][i as usize % 3];
+        pretty.push(pretty_json(&v, indent, newline, 0));
+    }
+    let mut escapes = Vec::new();
+    for run in [0usize, 1, 2, 3, 8, 9, 62, 63, 64, 65] {
+        // A run of `run` backslashes before a quote: an odd run escapes
+        // the quote, an even one closes the string on it.
+        let slashes = "\\".repeat(run);
+        let close = if run % 2 == 1 { "\"" } else { "" };
+        let lead = "b".repeat(run * 7 % 61);
+        escapes.push(format!(
+            "{{\"s\": \"{lead}{slashes}\"{close}, \"t\": [\"{{\", \"\\\\\", \"]\\\"[\"], \"u\": \"}}\\\"{{\"}}"
+        ));
+    }
+    let scalars = [
+        "{\"a\": [1, {\"b\": \"]\"}]}",
+        "17",
+        "\"top ] \\\" { string\"",
+        "true",
+        "[\"x\\\\\", {}]",
+        "null",
+        "-0.5e+3",
+        "{\"c\": {\"d\": [[], [\"}}\"]]}}",
+        "0",
+        "[]",
+    ]
+    .iter()
+    .map(|r| r.to_string())
+    .collect();
+    vec![
+        (pretty, &["\n", "\r\n", "\n\n  "][..]),
+        (escapes, &["\n", " ", "\r\n"][..]),
+        (scalars, &[" ", "\n", "\t"][..]),
+    ]
+}
+
+/// Joins `records` with `seps` in turn.
+fn join_records(records: &[String], seps: &[&str]) -> String {
+    let mut text = String::new();
+    for (i, r) in records.iter().enumerate() {
+        text.push_str(r);
+        text.push_str(seps[i % seps.len()]);
+    }
+    text
+}
+
+/// Every adversarial JSON corpus, at every chunk size 1..=130 and at
+/// 64 KiB, at jobs 1/2/7, from memory and from a reader: fail-fast
+/// folds like the one-shot parse, a corrupted record fails fail-fast
+/// with the one-shot error, and Skip mode folds the one-shot parse of
+/// the records around it.
+#[test]
+fn adversarial_json_boundaries_agree_with_oneshot_at_every_chunk_size() {
+    for (records, seps) in adversarial_json_corpora() {
+        let clean = join_records(&records, seps);
+        // Corrupt a container record in the middle, keeping its
+        // brackets and strings intact.
+        let bad = (records.len() / 2..records.len())
+            .find(|&k| records[k].starts_with(['{', '[']))
+            .expect("a container record");
+        let mut corrupted = records.clone();
+        corrupted[bad].insert(1, '@');
+        let dirty = join_records(&corrupted, seps);
+        let mut kept = records.clone();
+        kept.remove(bad);
+        let want_clean = oneshot(StreamFormat::Json, &clean);
+        assert!(want_clean.is_ok(), "{want_clean:?} on {clean}");
+        let want_dirty = oneshot(StreamFormat::Json, &dirty);
+        assert!(want_dirty.is_err(), "{dirty}");
+        let want_skip = oneshot(StreamFormat::Json, &join_records(&kept, seps));
+        let skip = RecoveryPolicy::skip();
+        for chunk in (1..=130).chain([64 * 1024]) {
+            for &jobs in JOBS {
+                for reader in [false, true] {
+                    // The outcome, and how many records were skipped.
+                    let run = |text: &str, policy: RecoveryPolicy| {
+                        let source = if reader {
+                            Source::Reader(Box::new(std::io::Cursor::new(text.as_bytes().to_vec())))
+                        } else {
+                            Source::Bytes(text.as_bytes())
+                        };
+                        let interner = Interner::new();
+                        match ingest(StreamFormat::Json, source, jobs, chunk, policy, &interner) {
+                            Ok(r) => (
+                                Ok((format!("{:?}", r.summary.shape), r.summary.records)),
+                                r.report.total(),
+                            ),
+                            Err(e) => (Err(e), 0),
+                        }
+                    };
+                    let at = format!("chunk {chunk} jobs {jobs} reader {reader}");
+                    let got = run(&clean, RecoveryPolicy::default());
+                    assert_eq!(got, (want_clean.clone(), 0), "clean, {at} on {clean}");
+                    let got = run(&dirty, RecoveryPolicy::default());
+                    assert_eq!(got, (want_dirty.clone(), 0), "fail-fast, {at} on {dirty}");
+                    let got = run(&dirty, skip);
+                    assert_eq!(got, (want_skip.clone(), 1), "skip, {at} on {dirty}");
+                }
+            }
+        }
     }
 }
 
