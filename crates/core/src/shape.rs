@@ -269,8 +269,8 @@ impl Shape {
         }
     }
 
-    /// Counts the nodes of the shape tree (used by benchmarks and as a
-    /// complexity metric in EXPERIMENTS.md).
+    /// Counts the nodes of the shape tree (a complexity metric for
+    /// inferred shapes).
     pub fn size(&self) -> usize {
         match self {
             Shape::Record(r) => 1 + r.fields.iter().map(|f| f.shape.size()).sum::<usize>(),

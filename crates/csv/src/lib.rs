@@ -38,7 +38,6 @@
 pub mod literal;
 mod parser;
 pub mod reference;
-pub mod scan;
 pub mod stream;
 
 pub use literal::{parse_date, parse_literal, Date, LiteralOptions};

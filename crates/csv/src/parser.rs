@@ -426,7 +426,7 @@ impl<'a> RecordSplitter<'a> {
                 // so the scan need not stop at them.
                 let start = self.pos;
                 loop {
-                    match crate::scan::find_any3(&self.bytes[self.pos..], d0, b'\n', b'\r') {
+                    match tfd_value::scan::find_any3(&self.bytes[self.pos..], d0, b'\n', b'\r') {
                         None => {
                             self.pos = self.bytes.len();
                             break;
@@ -492,7 +492,9 @@ impl<'a> RecordSplitter<'a> {
         loop {
             // Bulk-skip ordinary quoted content: only quotes and line
             // endings (which the error positions must count) matter.
-            if let Some(off) = crate::scan::find_any3(&self.bytes[self.pos..], b'"', b'\n', b'\r') {
+            if let Some(off) =
+                tfd_value::scan::find_any3(&self.bytes[self.pos..], b'"', b'\n', b'\r')
+            {
                 self.pos += off;
             } else {
                 self.pos = self.bytes.len();

@@ -13,9 +13,9 @@
 //!
 //! Keeping the old behavior intact lets the regression tests in
 //! `crate::parser` demonstrate the fixes against a live implementation,
-//! and lets `cargo bench -p tfd-bench --bench pipeline` quantify the
-//! byte-vs-char throughput difference (`pipeline/csv` vs
-//! `pipeline/csv-reference`). Do not fix bugs here; fix them in
+//! and gives `tests/parser_roundtrips.rs` and perfbench's oracle
+//! (`perfbench/src/oracle.rs`) an independent parser to agree with on
+//! well-formed input. Do not fix bugs here; fix them in
 //! `crate::parser`.
 
 use crate::parser::{CsvError, CsvOptions};

@@ -24,7 +24,7 @@
 //!   shows) only when the error is actually raised.
 //!
 //! The previous lexer+parser pipeline is retained unchanged as
-//! [`crate::reference`] so benchmarks can quantify the difference.
+//! [`crate::reference`], an independent oracle for the benchmark.
 
 use crate::lexer::{LexErrorKind, Pos};
 use crate::Json;

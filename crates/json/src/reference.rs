@@ -4,9 +4,9 @@
 //!
 //! The production parser ([`crate::parse`]) is a single-pass byte-level
 //! parser that allocates no intermediate token values; this module keeps
-//! the token-based implementation compiling and correct so that the
-//! `pipeline` benchmark can measure the difference honestly (see
-//! `BENCH_PR1.json`). It is not used anywhere else.
+//! the token-based implementation compiling and correct as an
+//! independent oracle: perfbench checks the shape of every generated
+//! JSON record against it (`perfbench/src/oracle.rs`).
 
 use crate::lexer::{Lexer, Pos, Token};
 use crate::parser::{ParseError, ParseErrorKind, ParserOptions};

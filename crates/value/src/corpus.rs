@@ -1,6 +1,6 @@
 //! Deterministic synthetic document generators.
 //!
-//! The benchmark harness (experiments B2–B5) and property tests need
+//! The benchmark, the `ablation` example and the property tests need
 //! realistic document corpora with controllable depth, record width and
 //! "messiness" (missing fields, nulls, mixed number encodings — the
 //! real-world problems §2.3 of the paper motivates). The generators here
@@ -191,7 +191,7 @@ fn gen_value(rng: &mut Rng, config: &CorpusConfig, depth: usize) -> Value {
 
 /// Generates a homogeneous "rows" document: a collection of `rows` flat
 /// records of `width` primitive fields — the shape of a CSV file or a
-/// tabular JSON API. Used by parser and access benchmarks.
+/// tabular JSON API.
 pub fn generate_table(seed: u64, rows: usize, width: usize) -> Value {
     let mut rng = Rng::new(seed);
     let config = CorpusConfig::default();

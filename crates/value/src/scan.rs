@@ -9,8 +9,7 @@
 //!
 //! * a bounded **short-hop probe** (≤ 16 scalar bytes, which LLVM
 //!   autovectorizes) handles the common case of a special a few bytes
-//!   away — the crossover was measured, not guessed (see the
-//!   `csv_scan_swar_vs_naive` entry `pipeline_baseline` writes);
+//!   away, where starting a vector kernel costs more than it saves;
 //! * runs longer than the probe fall through to a **kernel picked once
 //!   per process** from a function-pointer table, memchr-style: AVX2
 //!   when `is_x86_feature_detected!` says so, SSE2 on every x86-64,
@@ -44,8 +43,8 @@
 //! boundary is the one the byte-stepping scanner reports
 //! (`tests/scan_backends.rs`).
 //!
-//! The selected kernel is visible as [`backend_name`] (recorded in the
-//! bench JSONs), every compiled kernel is enumerable via
+//! The selected kernel is visible as [`backend_name`] (perfbench records
+//! it with its host facts), every compiled kernel is enumerable via
 //! [`available_backends`] and forcible via [`force_backend`] or the
 //! `TFD_SCAN_BACKEND` environment variable — which is how the
 //! `tests/scan_backends.rs` differential suite proves every kernel
@@ -54,12 +53,9 @@
 //! The module lives in `tfd-value` (the one crate every front-end
 //! depends on) so the CSV, JSON and XML scanners all share one
 //! implementation, and so the unsafe vector code stays in its arch
-//! modules here while the front-ends forbid unsafe code;
-//! `tfd_csv::scan` re-exports it for compatibility. The `*_naive` twins
-//! are the byte-at-a-time loops the helpers replaced; the
-//! `pipeline_baseline` benchmark runs dispatch, SWAR and naive side by
-//! side so the speedup stays an honest, re-measurable number (see
-//! `BENCH_PR4.json`/`BENCH_PR5.json`/`BENCH_PR10.json`).
+//! modules here while the front-ends forbid unsafe code. The unit
+//! tests keep the byte-at-a-time loops the helpers replaced, as the
+//! reference for the public helpers on crafted inputs.
 
 use std::sync::atomic::{AtomicU8, Ordering};
 
@@ -364,17 +360,17 @@ pub fn find_byte(haystack: &[u8], needle: u8) -> Option<usize> {
     (kernels().find_byte)(&haystack[probe..], needle).map(|p| probe + p)
 }
 
-/// The byte-at-a-time loop [`find_any3`] replaced — kept as the honesty
-/// baseline for `pipeline_baseline` and the parity suites.
-#[inline]
-pub fn find_any3_naive(haystack: &[u8], a: u8, b: u8, c: u8) -> Option<usize> {
+/// The byte-at-a-time loop [`find_any3`] replaced: the reference the
+/// crafted-input parity test compares it against.
+#[cfg(test)]
+fn find_any3_naive(haystack: &[u8], a: u8, b: u8, c: u8) -> Option<usize> {
     haystack.iter().position(|&x| x == a || x == b || x == c)
 }
 
-/// The byte-at-a-time loop [`find_byte`] replaced — kept as the honesty
-/// baseline for `pipeline_baseline` and the parity suites.
-#[inline]
-pub fn find_byte_naive(haystack: &[u8], needle: u8) -> Option<usize> {
+/// The byte-at-a-time loop [`find_byte`] replaced: the reference the
+/// crafted-input parity test compares it against.
+#[cfg(test)]
+fn find_byte_naive(haystack: &[u8], needle: u8) -> Option<usize> {
     haystack.iter().position(|&x| x == needle)
 }
 

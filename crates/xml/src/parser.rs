@@ -24,7 +24,7 @@
 //!   an error **computes** its char-correct column only when raised.
 //!
 //! The previous char-level parser is retained unchanged as
-//! [`crate::reference`] so benchmarks can quantify the difference.
+//! [`crate::reference`], an independent oracle for tests and benchmarks.
 
 use crate::encode::{Body, EncodeOptions};
 use crate::{Attribute, Element, XmlNode};

@@ -6,8 +6,8 @@
 //! char iterator** (`eat`, the prolog/misc dispatchers, CDATA scanning)
 //! and which tracks line/column eagerly on every `bump`. The byte-level
 //! parser replaces all of that with offset-based probing and lazy
-//! positions; `cargo bench -p tfd-bench --bench pipeline` compares the
-//! two as `pipeline/xml` vs `pipeline/xml-reference`.
+//! positions. perfbench's oracle (`perfbench/src/oracle.rs`) checks the
+//! shapes of its generated XML documents against this parser.
 //!
 //! Behavior is identical to [`crate::parse`] on well-formed documents
 //! (the round-trip suite in `tests/parser_roundtrips.rs` asserts

@@ -1,4 +1,4 @@
-//! B6 — ablations of the design decisions called out in DESIGN.md.
+//! B6 — ablations of the paper's §6 design decisions.
 //!
 //! * **D1 — heterogeneous collections**: how often does inference reach
 //!   for a labelled top with/without §6.4 hetero collections on a messy
@@ -9,12 +9,23 @@
 //!   null-heavy corpus with the paper's choice (they all do — the
 //!   alternative is counted as would-be failures)?
 //!
-//! Run with `cargo run -p tfd-bench --bin ablation`.
+//! Run with `cargo run --example ablation`.
 
-use tfd_bench::messy_corpus;
 use tfd_core::{infer_with, InferOptions, Shape};
-use tfd_value::corpus::Rng;
+use tfd_value::corpus::{generate_corpus, CorpusConfig, Rng};
 use tfd_value::Value;
+
+/// A messy corpus exhibiting the §2.3 real-world problems: missing
+/// fields, nulls, and numbers encoded as strings.
+fn messy_corpus(seed: u64, n: usize) -> Vec<Value> {
+    let config = CorpusConfig {
+        missing_field_prob: 0.3,
+        null_prob: 0.15,
+        stringly_number_prob: 0.2,
+        ..CorpusConfig::default()
+    };
+    generate_corpus(seed, n, &config)
+}
 
 /// Counts collections whose *element* shape is a labelled top — the
 /// weakly typed collections that §6.4's heterogeneous collections are

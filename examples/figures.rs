@@ -1,4 +1,4 @@
-//! Regenerates the paper's figure-level artifacts (see EXPERIMENTS.md):
+//! Regenerates the paper's figure-level artifacts:
 //!
 //! * `--fig1`: mechanically verifies the Fig. 1 preference lattice and
 //!   prints its Hasse edges;
@@ -6,7 +6,7 @@
 //!   worked example in the paper (E1–E5) next to the paper's expected
 //!   types.
 //!
-//! Run with `cargo run -p tfd-bench --bin figures -- --fig1 --examples`.
+//! Run with `cargo run --example figures -- --fig1 --examples`.
 
 use tfd_core::{infer_with, is_preferred, InferOptions, Shape};
 use tfd_provider::{provide_idiomatic, signature};

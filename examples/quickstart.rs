@@ -34,7 +34,7 @@ fn provided_access() -> Result<f64, AnyError> {
 
 /// The §1 "before" picture: hand-written weakly typed matching, with an
 /// error case at every level. Kept verbatim-ish for the B1 comparison in
-/// EXPERIMENTS.md.
+/// `examples/tables.rs`.
 fn hand_written_access() -> Result<f64, AnyError> {
     let doc = tfd_json::parse(weather::SAMPLE)?;
     match &doc {

@@ -6,7 +6,7 @@
 //! comparison for the paper's original F# listings (hard-coded from the
 //! paper text) for reference.
 //!
-//! Run with `cargo run -p tfd-bench --bin tables`.
+//! Run with `cargo run --example tables`.
 
 fn body_lines(source: &str, fn_name: &str) -> usize {
     let mut lines = source.lines().skip_while(|l| !l.contains(fn_name));
@@ -48,13 +48,11 @@ fn count_error_points(source: &str, fn_name: &str, marker: &str) -> usize {
 }
 
 fn main() {
-    let source = std::fs::read_to_string("examples/quickstart.rs")
-        .or_else(|_| std::fs::read_to_string("../../examples/quickstart.rs"))
-        .expect("run from the workspace root");
+    let source = include_str!("quickstart.rs");
 
-    let provided_lines = body_lines(&source, "fn provided_access");
-    let hand_lines = body_lines(&source, "fn hand_written_access");
-    let hand_failures = count_error_points(&source, "fn hand_written_access", "incorrect format");
+    let provided_lines = body_lines(source, "fn provided_access");
+    let hand_lines = body_lines(source, "fn hand_written_access");
+    let hand_failures = count_error_points(source, "fn hand_written_access", "incorrect format");
 
     println!("Table B1 — code size for the §1 weather access");
     println!("(the paper: 13 lines of matching vs 2 lines with the provider)\n");

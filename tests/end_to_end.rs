@@ -195,6 +195,73 @@ fn runtime_and_interpreter_agree_on_weather() {
     );
 }
 
+/// The §1 access `main.temp` gives the same sum three ways: hand-written
+/// matching on the parsed `Json` (the paper's "before"), the typed
+/// runtime `Node` that generated code uses, and the Foo interpreter
+/// running the provided member path.
+#[test]
+fn runtime_interpreter_and_hand_matching_sum_the_same_temps() {
+    use tfd_foo::{run, Expr, Outcome};
+    use tfd_json::Json;
+    use tfd_value::Value;
+
+    let values: Vec<Value> = (0..100)
+        .map(|i| {
+            tfd_json::parse(&format!(
+                r#"{{ "name": "city-{i}", "main": {{ "temp": {}, "pressure": 1010 }} }}"#,
+                i % 40
+            ))
+            .unwrap()
+            .to_value()
+        })
+        .collect();
+
+    let mut hand = 0.0;
+    for doc in values.iter().map(Json::from_value) {
+        let Json::Object(root) = doc else {
+            panic!("incorrect format")
+        };
+        let Some((_, Json::Object(main))) = root.iter().find(|(k, _)| k == "main") else {
+            panic!("incorrect format")
+        };
+        match main.iter().find(|(k, _)| k == "temp") {
+            Some((_, Json::Int(i))) => hand += *i as f64,
+            Some((_, Json::Float(f))) => hand += *f,
+            _ => panic!("incorrect format"),
+        }
+    }
+
+    let runtime: f64 = values
+        .iter()
+        .map(|v| {
+            let node = Node::new(v.clone());
+            node.field("main")
+                .unwrap()
+                .field("temp")
+                .unwrap()
+                .as_f64()
+                .unwrap()
+        })
+        .sum();
+
+    let shape = infer_with(&values[0], &InferOptions::formal());
+    let provided = tfd_provider::provide(&shape);
+    let foo: f64 = values
+        .iter()
+        .map(|v| {
+            let expr = Expr::member(Expr::member(provided.convert(v), "main"), "temp");
+            match run(&provided.classes, &expr) {
+                Outcome::Value(Expr::Data(Value::Int(i))) => i as f64,
+                Outcome::Value(Expr::Data(Value::Float(f))) => f,
+                other => panic!("unexpected {other:?}"),
+            }
+        })
+        .sum();
+
+    assert_eq!(runtime, hand);
+    assert_eq!(foo, hand);
+}
+
 /// Inferring from *multiple files* (the multi-sample workflow of §3.4)
 /// through the public API, mirroring `tfd infer a.json b.json`.
 #[test]
